@@ -5,14 +5,12 @@
      dune exec bench/main.exe -- fig7 micro   # a selection
      dune exec bench/main.exe -- --compare-warmstart
                                               # cold vs warm-started MIP solves
-     dune exec bench/main.exe -- --compare-kernel
-                                              # dense vs sparse-LU simplex kernels
      dune exec bench/main.exe -- --compare-flow
                                               # PPME* LP vs flow kernels (cold/warm)
      dune exec bench/main.exe -- --compare-jobs
                                               # parallel B&B scaling, jobs 1/2/4
    Experiments: fig3 fig7 fig8 fig9 fig10 fig11 dynamic warmstart
-   kernelscale flowscale parscale sampling campaign ablation micro
+   flowscale parscale sampling campaign ablation micro
 
    Set MONPOS_BENCH_FULL=1 for paper-scale runs (20 seeds everywhere,
    full sweeps, larger branch-and-bound budgets). The default
@@ -548,114 +546,6 @@ let warmstart () =
   else
     note "!! PPM pivot reduction %.2fx is below the 2x target" !ppm_ratio
 
-(* Kernel scaling (also reachable as --compare-kernel): solve the LP2
-   relaxation of PPM(k) on a series of growing synthetic topologies
-   under both linear-algebra kernels and compare wall time plus the
-   sparse kernel's internals (factorization count, eta-file length,
-   LU fill-in, FTRAN result density). Identical models, identical
-   optima; only the basis representation changes. *)
-let kernelscale () =
-  section "Simplex kernels — dense explicit inverse vs sparse LU + eta file";
-  let counter = Metrics.sum_counter in
-  let hist_mean snap name =
-    match Metrics.find snap name with
-    | Some (Metrics.Histogram_value { count; sum; _ }) when count > 0 ->
-      sum /. float_of_int count
-    | _ -> 0.0
-  in
-  let reps = if full_mode then 5 else 3 in
-  let endpoints g count =
-    let nodes = Array.init (Graph.num_nodes g) (fun i -> i) in
-    Prng.shuffle (Prng.create 17) nodes;
-    Array.to_list (Array.sub nodes 0 (min count (Array.length nodes)))
-  in
-  let instance g count =
-    let matrix = Traffic.generate g ~endpoints:(endpoints g count) ~seed:41 in
-    Instance.make g matrix
-  in
-  let cases =
-    let waxman n = Synthetic.waxman ~n ~alpha:0.22 ~beta:0.35 ~seed:5 in
-    [
-      ("waxman60", instance (waxman 60) 12);
-      ("waxman100", instance (waxman 100) 18);
-      ("waxman140", instance (waxman 140) 24);
-      ("grid7x7", instance (Synthetic.grid 7 7) 14);
-      ("grid10x10", instance (Synthetic.grid 10 10) 20);
-    ]
-    @
-    if full_mode then [ ("waxman200", instance (waxman 200) 30) ]
-    else []
-  in
-  let measure kernel inst =
-    Metrics.reset Metrics.default;
-    let (), secs =
-      wall (fun () ->
-          for _ = 1 to reps do
-            ignore (Passive.lp_bound ~k:0.95 ~kernel inst)
-          done)
-    in
-    (secs, Metrics.snapshot Metrics.default)
-  in
-  let largest_ok = ref true in
-  let largest_label = ref "" in
-  let largest_links = ref (-1) in
-  let rows =
-    List.map
-      (fun (label, inst) ->
-        let secs_dense, _ = measure Monpos_lp.Simplex.Dense inst in
-        let secs_sparse, snap = measure Monpos_lp.Simplex.Sparse_lu inst in
-        let pivots = counter snap "simplex.iterations" in
-        let refactors = counter snap "simplex.refactorizations" in
-        let eta_mean = hist_mean snap "simplex.eta_len" in
-        let fill_mean = hist_mean snap "simplex.lu_fill" in
-        let ftran_ratio = hist_mean snap "simplex.ftran_nnz_ratio" in
-        let speedup = secs_dense /. Float.max 1e-9 secs_sparse in
-        let links = Graph.num_edges inst.Instance.graph in
-        if links > !largest_links then begin
-          largest_links := links;
-          largest_label := label;
-          largest_ok := secs_sparse < secs_dense
-        end;
-        kv_float (label ^ "_seconds_dense") secs_dense;
-        kv_float (label ^ "_seconds_sparse") secs_sparse;
-        kv_float (label ^ "_speedup") speedup;
-        kv (label ^ "_pivots") (Json.Int pivots);
-        kv (label ^ "_refactorizations") (Json.Int refactors);
-        kv_float (label ^ "_eta_len_mean") eta_mean;
-        kv_float (label ^ "_lu_fill_mean") fill_mean;
-        kv_float (label ^ "_ftran_nnz_ratio") ftran_ratio;
-        [
-          label;
-          string_of_int links;
-          string_of_int pivots;
-          Printf.sprintf "%.3f/%.3f" secs_dense secs_sparse;
-          Table.float_cell ~decimals:2 speedup;
-          string_of_int refactors;
-          Table.float_cell ~decimals:1 eta_mean;
-          Table.float_cell ~decimals:2 fill_mean;
-          Table.float_cell ~decimals:3 ftran_ratio;
-        ])
-      cases
-  in
-  Table.print
-    ~header:
-      [
-        "instance"; "links"; "pivots"; "secs dense/sparse"; "speedup x";
-        "refactors"; "eta mean"; "LU fill"; "ftran nnz";
-      ]
-    rows;
-  note
-    "same LPs, same optima (%d solves each): the sparse kernel pays\n\
-     O(nonzeros) per pivot and O(fill) per refactorization where the dense\n\
-     inverse pays O(m^2) and O(m^3)."
-    reps;
-  if !largest_ok then
-    note "sparse kernel strictly faster on the largest instance (%s): OK"
-      !largest_label
-  else
-    note "!! sparse kernel NOT faster on the largest instance (%s)"
-      !largest_label
-
 (* Flow-kernel scaling (also reachable as --compare-flow): replay the
    same sequence of §5.4 drift ticks through every PPME* engine — the
    LP relaxation, the SSP min-cost-flow kernel, a cold network simplex
@@ -871,7 +761,6 @@ let parscale () =
                 {
                   Monpos_lp.Mip.default_options with
                   Monpos_lp.Mip.jobs;
-                  deterministic = true;
                   max_nodes;
                   (* generous: a deadline stop is the one
                      timing-dependent exit, so the node budget must be
@@ -997,8 +886,7 @@ let obsoverhead () =
   let options =
     {
       Monpos_lp.Mip.default_options with
-      Monpos_lp.Mip.deterministic = true;
-      max_nodes = (if full_mode then 40 else 12);
+      Monpos_lp.Mip.max_nodes = (if full_mode then 40 else 12);
       time_limit = 900.0;
     }
   in
@@ -1089,8 +977,7 @@ let ckoverhead () =
   let options =
     {
       Monpos_lp.Mip.default_options with
-      Monpos_lp.Mip.deterministic = true;
-      max_nodes = (if full_mode then 40 else 12);
+      Monpos_lp.Mip.max_nodes = (if full_mode then 40 else 12);
       time_limit = 900.0;
     }
   in
@@ -1213,7 +1100,6 @@ let experiments =
     ("fig11", fig11);
     ("dynamic", dynamic);
     ("warmstart", warmstart);
-    ("kernelscale", kernelscale);
     ("flowscale", flowscale);
     ("parscale", parscale);
     ("obsoverhead", obsoverhead);
@@ -1325,11 +1211,10 @@ let () =
     match args with
     | _ :: _ as picks ->
       (* flag spellings kept for muscle memory:
-         bench --compare-warmstart / --compare-kernel / --compare-flow *)
+         bench --compare-warmstart / --compare-flow *)
       List.map
         (function
           | "--compare-warmstart" -> "warmstart"
-          | "--compare-kernel" -> "kernelscale"
           | "--compare-flow" -> "flowscale"
           | "--compare-jobs" -> "parscale"
           | "--compare-obs" -> "obsoverhead"

@@ -29,7 +29,6 @@ module Prng = Monpos_util.Prng
 module Obs_trace = Monpos_obs.Trace
 module Obs_metrics = Monpos_obs.Metrics
 module Mip = Monpos_lp.Mip
-module Simplex = Monpos_lp.Simplex
 module Mincost = Monpos_flow.Mincost
 module Rerror = Monpos_resilience.Error
 module Preempt = Monpos_resilience.Preempt
@@ -331,15 +330,6 @@ let solver_term =
     let doc = "Skip presolve bound tightening before branch and bound." in
     Arg.(value & flag & info [ "no-presolve" ] ~doc)
   in
-  let dense_kernel_arg =
-    let doc =
-      "Run every node LP on the dense explicit-inverse simplex kernel \
-       instead of the sparse LU + eta-file one. Results are identical; \
-       the flag exists for differential testing and to measure the \
-       sparse kernel's speedup."
-    in
-    Arg.(value & flag & info [ "dense-kernel" ] ~doc)
-  in
   let time_limit_arg =
     let doc =
       "Wall-clock budget in seconds for the MIP search. This is a real \
@@ -353,7 +343,7 @@ let solver_term =
     let doc =
       "Worker domains for the branch-and-bound search (default 1, or \
        $(b,MONPOS_JOBS) when set; 0 means one per CPU core). The \
-       default deterministic scheduler returns the same incumbent, \
+       wave scheduler returns the same incumbent, \
        objective, bound and node count for every value of $(docv)."
     in
     Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
@@ -362,7 +352,7 @@ let solver_term =
     let doc =
       "Write crash-recovery checkpoints of the branch-and-bound state \
        to $(docv): atomic tmp-file + rename replaces, at wave barriers \
-       of the deterministic scheduler, every $(b,--checkpoint-every) \
+       of the search, every $(b,--checkpoint-every) \
        seconds and once more when the solve stops at a limit or is \
        preempted. Continue an interrupted solve with $(b,monitorctl \
        resume) $(docv) — the resumed result is bit-identical to the \
@@ -385,13 +375,12 @@ let solver_term =
       & opt (some float) None
       & info [ "checkpoint-every" ] ~docv:"SECS" ~doc)
   in
-  let make cold no_presolve dense time_limit jobs checkpoint checkpoint_every
+  let make cold no_presolve time_limit jobs checkpoint checkpoint_every
       (base : Mip.options) =
     {
       base with
       Mip.warm_start = not cold;
       presolve = not no_presolve;
-      kernel = (if dense then Simplex.Dense else Simplex.Sparse_lu);
       time_limit = Option.value time_limit ~default:base.Mip.time_limit;
       jobs = Option.value jobs ~default:base.Mip.jobs;
       checkpoint =
@@ -401,8 +390,8 @@ let solver_term =
     }
   in
   Term.(
-    const make $ cold_arg $ no_presolve_arg $ dense_kernel_arg $ time_limit_arg
-    $ jobs_arg $ checkpoint_arg $ checkpoint_every_arg)
+    const make $ cold_arg $ no_presolve_arg $ time_limit_arg $ jobs_arg
+    $ checkpoint_arg $ checkpoint_every_arg)
 
 let strict_arg =
   let doc =

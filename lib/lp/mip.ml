@@ -84,7 +84,6 @@ type options = {
   heuristic_period : int;
   warm_start : bool;
   presolve : bool;
-  kernel : Simplex.kernel;
   jobs : int;
   deterministic : bool;
   wave : int;
@@ -109,7 +108,6 @@ let default_options =
     heuristic_period = 16;
     warm_start = true;
     presolve = true;
-    kernel = Simplex.Sparse_lu;
     jobs = env_jobs ();
     deterministic = true;
     wave = 16;
@@ -193,9 +191,8 @@ end
 
 (* per-search pseudocost state: average objective degradation per unit
    of rounded-away fraction, per variable and direction. Owned by the
-   coordinator in deterministic mode (updated only at merge, in wave
-   order — a worker-side update would make branching decisions depend
-   on scheduling); per-worker in async mode. *)
+   coordinator (updated only at merge, in wave order — a worker-side
+   update would make branching decisions depend on scheduling). *)
 type pc = {
   pc_down : float array;
   pc_down_n : int array;
@@ -491,7 +488,14 @@ let resolved_jobs options =
   in
   max 1 j
 
-let scheduler_mode options = if options.deterministic then "wave" else "async"
+let scheduler_mode _ = "wave"
+
+(* The wave scheduler is the only one: [deterministic] survives as a
+   field so existing option records keep compiling, and [false] is
+   refused. *)
+let check_deterministic ~fn options =
+  if not options.deterministic then
+    invalid_arg (fn ^ ": deterministic = false is not supported")
 
 (* ---- checkpoint (de)serialization ---------------------------------
 
@@ -558,18 +562,16 @@ let ck_encode ~model ~options ~elapsed ~nodes ~next_seq ~best_open ~stopped
        (match Model.direction model with
        | Model.Minimize -> "min"
        | Model.Maximize -> "max"));
+  (* the kernel token is fixed at "sparse": format version 1 carries it
+     from when a second simplex kernel could be selected *)
   add
-    (Printf.sprintf "opts %s %s %s %d %s %s %d"
+    (Printf.sprintf "opts %s %s %s %d %s sparse %d"
        (match options.branching with
        | Pseudocost -> "pc"
        | Most_fractional -> "mf")
        (ck_float options.gap_tolerance)
        (ck_float options.integrality_tol)
-       options.heuristic_period (ck_b options.warm_start)
-       (match options.kernel with
-       | Simplex.Sparse_lu -> "sparse"
-       | Simplex.Dense -> "dense")
-       options.wave);
+       options.heuristic_period (ck_b options.warm_start) options.wave);
   add (Printf.sprintf "elapsed %s" (ck_float elapsed));
   add (Printf.sprintf "vars %d" n);
   for v = 0 to n - 1 do
@@ -724,6 +726,7 @@ let ck_decode ~path body =
   let s_options =
     match toks "opts" with
     | [ "opts"; br; gap; itol; heur; warm; kernel; wave ], i ->
+      if kernel <> "sparse" then fail i (Printf.sprintf "bad kernel %S" kernel);
       {
         default_options with
         branching =
@@ -735,11 +738,6 @@ let ck_decode ~path body =
         integrality_tol = pfloat i itol;
         heuristic_period = pint i heur;
         warm_start = pbool i warm;
-        kernel =
-          (match kernel with
-          | "sparse" -> Simplex.Sparse_lu
-          | "dense" -> Simplex.Dense
-          | _ -> fail i (Printf.sprintf "bad kernel %S" kernel));
         wave = pint i wave;
         presolve = false;
         deterministic = true;
@@ -1034,9 +1032,6 @@ let solve_gen ~options ~(restore : saved option) model =
     }
   else begin
   let problem = Simplex.of_model model in
-  let lp_options =
-    { Simplex.default_options with Simplex.kernel = options.kernel }
-  in
   let to_score obj = if minimize then obj else -.obj in
   let of_score s = if minimize then s else -.s in
   let int_vars =
@@ -1153,8 +1148,8 @@ let solve_gen ~options ~(restore : saved option) model =
   in
   (* live bound/gap watermark for /statusz: [score] is the relaxation
      bound of the node being expanded — in best-first wave order the
-     global bound, in async mode the expanding worker's local view.
-     Gauges are last-writer-wins, which is all a live view needs. *)
+     global bound. Gauges are last-writer-wins, which is all a live
+     view needs. *)
   let publish_bound_watermark score =
     let b = of_score score in
     Metrics.set (Lazy.force m_g_bound) b;
@@ -1225,8 +1220,7 @@ let solve_gen ~options ~(restore : saved option) model =
         | None ->
           (* integral: re-solve once to get the continuous completion *)
           let sol =
-            Simplex.solve ~lower ~upper ?basis:(warm basis) ~deadline
-              ~options:lp_options problem
+            Simplex.solve ~lower ~upper ?basis:(warm basis) ~deadline problem
           in
           if sol.Simplex.status = Simplex.Optimal then
             publish_candidate ~key:(seq, 1) sol.Simplex.primal
@@ -1237,8 +1231,7 @@ let solve_gen ~options ~(restore : saved option) model =
             lower.(v) <- value;
             upper.(v) <- value;
             let sol =
-              Simplex.solve ~lower ~upper ?basis:(warm basis) ~deadline
-                ~options:lp_options problem
+              Simplex.solve ~lower ~upper ?basis:(warm basis) ~deadline problem
             in
             if sol.Simplex.status = Simplex.Optimal then Some sol
             else begin
@@ -1291,8 +1284,10 @@ let solve_gen ~options ~(restore : saved option) model =
     }
   in
   let nodes = ref (match restore with Some s -> s.s_nodes | None -> 0) in
+  (* least score over subtrees closed without being searched; only
+     ever lowered, so it starts at +inf *)
   let best_open_bound =
-    ref (match restore with Some s -> s.s_best_open | None -> neg_infinity)
+    ref (match restore with Some s -> s.s_best_open | None -> infinity)
   in
   let root_unbounded = ref false in
   let infeasible_root =
@@ -1366,7 +1361,7 @@ let solve_gen ~options ~(restore : saved option) model =
       let sol =
         Simplex.solve ~lower:node.lower ~upper:node.upper
           ?basis:(if options.warm_start then node.start_basis else None)
-          ~deadline ~options:lp_options problem
+          ~deadline problem
       in
       match sol.Simplex.status with
       | Simplex.Infeasible -> t.t_outcome <- O_infeasible
@@ -1571,14 +1566,20 @@ let solve_gen ~options ~(restore : saved option) model =
               filling := false
             end
             else if within_gap_of_incumbent parent_bound then begin
-              (* best-first: every remaining node is at least as bad *)
-              ignore (H.pop_min queue);
-              if Trace.enabled sink then
-                Trace.bound_pruned sink ~solver:"mip" ~node:!nodes
-                  ~bound:(of_score parent_bound)
-                  ~incumbent:(of_score (inc_score_now ()));
-              best_open_bound := min !best_open_bound parent_bound;
-              halt := true;
+              (* best-first: every remaining node is at least as bad.
+                 That closes the search only on an empty wave: nodes
+                 already dealt into this one branch at the merge, and
+                 their children may sit below this bound, so the wave
+                 runs and the next fill re-examines the heap. *)
+              if !count = 0 then begin
+                ignore (H.pop_min queue);
+                if Trace.enabled sink then
+                  Trace.bound_pruned sink ~solver:"mip" ~node:!nodes
+                    ~bound:(of_score parent_bound)
+                    ~incumbent:(of_score (inc_score_now ()));
+                best_open_bound := min !best_open_bound parent_bound;
+                halt := true
+              end;
               filling := false
             end
             else begin
@@ -1640,254 +1641,12 @@ let solve_gen ~options ~(restore : saved option) model =
     end
   in
 
-  (* -------------- free-running async scheduler --------------------
-
-     No waves, no barriers: every slot runs a full best-effort B&B
-     loop over its own deque, branching locally with per-worker
-     pseudocosts and pruning immediately against the shared atomic
-     incumbent, stealing from the top of a random victim when its own
-     deque runs dry. Termination is an atomic count of queued-or-in-
-     flight nodes. Faster on deep trees than the wave scheduler, but
-     the tree shape depends on scheduling — results can differ run to
-     run within the optimality gap, and chaos stays armed on every
-     domain (firing sites are schedule-dependent). *)
-  let solve_async () =
-    let a_nodes = Atomic.make 0 in
-    let a_seq = Atomic.make 1 in
-    let a_open = Atomic.make 1 in
-    let a_halt = Atomic.make false in
-    let a_limit = Atomic.make false in
-    let a_deadline = Atomic.make false in
-    let a_unbounded = Atomic.make false in
-    let a_preempt = Atomic.make false in
-    let a_feasible = Atomic.make false in
-    let a_failure : exn option Atomic.t = Atomic.make None in
-    let deques = Array.init jobs (fun _ -> Wsdeque.create ()) in
-    let steals = Array.make jobs 0 in
-    let idle = Array.make jobs 0.0 in
-    let folded = Array.make jobs infinity in
-    let w_nodes = if jobs > 1 then Some (Array.init jobs m_nodes_w) else None in
-    let pcs = Array.init jobs (fun _ -> pc_create n) in
-    let fold w b = folded.(w) <- min folded.(w) b in
-    let fail_with e =
-      let rec store () =
-        match Atomic.get a_failure with
-        | Some _ -> ()
-        | None ->
-          if not (Atomic.compare_and_set a_failure None (Some e)) then store ()
-      in
-      store ();
-      Atomic.set a_halt true
-    in
-    let process_node w (node, parent_bound) =
-      if Atomic.get a_halt then fold w parent_bound
-      else if
-        Atomic.get a_nodes >= options.max_nodes
-        || Deadline.expired deadline
-        || Preempt.requested ()
-      then begin
-        if Deadline.expired deadline then Atomic.set a_deadline true;
-        if Preempt.requested () then Atomic.set a_preempt true;
-        Atomic.set a_limit true;
-        Atomic.set a_halt true;
-        fold w parent_bound
-      end
-      else if within_gap_of_incumbent parent_bound then begin
-        Metrics.incr (Lazy.force m_prunes);
-        if Trace.enabled sink then
-          Trace.bound_pruned sink ~solver:"mip" ~node:(Atomic.get a_nodes)
-            ~bound:(of_score parent_bound)
-            ~incumbent:(of_score (inc_score_now ()))
-      end
-      else begin
-        let num = 1 + Atomic.fetch_and_add a_nodes 1 in
-        Metrics.incr (Lazy.force m_nodes);
-        (match w_nodes with Some a -> Metrics.incr a.(w) | None -> ());
-        publish_bound_watermark parent_bound;
-        if Trace.enabled sink then begin
-          let sw = Sampler.decide Sampler.Bb_node in
-          if sw > 0 then
-            Trace.bb_node sink ~sampled_of:sw ~solver:"mip" ~node:num
-              ~depth:node.depth ~bound:(of_score parent_bound) ()
-        end;
-        let sol =
-          Simplex.solve ~lower:node.lower ~upper:node.upper
-            ?basis:(if options.warm_start then node.start_basis else None)
-            ~deadline ~options:lp_options problem
-        in
-        match sol.Simplex.status with
-        | Simplex.Infeasible -> ()
-        | Simplex.Iteration_limit ->
-          fold w parent_bound;
-          Atomic.set a_limit true
-        | Simplex.Deadline_reached ->
-          fold w parent_bound;
-          Atomic.set a_limit true;
-          Atomic.set a_deadline true;
-          Atomic.set a_halt true
-        | Simplex.Unbounded ->
-          Atomic.set a_feasible true;
-          if node.depth = 0 then begin
-            Atomic.set a_unbounded true;
-            Atomic.set a_halt true
-          end
-        | Simplex.Optimal -> (
-          Atomic.set a_feasible true;
-          let raw = to_score sol.Simplex.objective in
-          let raw =
-            if Chaos.fire ~site:"mip.nan_cost" ~p:0.05 () then Float.nan
-            else raw
-          in
-          if Float.is_nan raw then
-            Error.numerical ~stage:"mip.node_lp"
-              ~detail:
-                (Printf.sprintf "NaN relaxation objective at node %d" num);
-          record_pseudocost pcs.(w) node raw;
-          let score = sharpen raw in
-          if within_gap_of_incumbent score then begin
-            Metrics.incr (Lazy.force m_prunes);
-            if Trace.enabled sink then
-              Trace.bound_pruned sink ~solver:"mip" ~node:num
-                ~bound:(of_score score)
-                ~incumbent:(of_score (inc_score_now ()))
-          end
-          else
-            match branch_var pcs.(w) sol.Simplex.primal with
-            | None ->
-              publish_candidate ~key:(node.seq, 0) sol.Simplex.primal score
-            | Some v ->
-              if
-                options.heuristic_period > 0
-                && (num = 1 || num mod options.heuristic_period = 0)
-              then
-                diving_heuristic ~seq:node.seq node sol.Simplex.primal
-                  sol.Simplex.basis;
-              let x = sol.Simplex.primal.(v) in
-              let f = floor (x +. itol) in
-              let frac = x -. f in
-              let child_basis = Some sol.Simplex.basis in
-              let s = Atomic.fetch_and_add a_seq 2 in
-              let down =
-                {
-                  node with
-                  upper = Array.copy node.upper;
-                  depth = node.depth + 1;
-                  seq = s;
-                  branched = Some (v, `Down, raw, frac);
-                  start_basis = child_basis;
-                }
-              in
-              down.upper.(v) <- f;
-              let up =
-                {
-                  node with
-                  lower = Array.copy node.lower;
-                  depth = node.depth + 1;
-                  seq = s + 1;
-                  branched = Some (v, `Up, raw, frac);
-                  start_basis = child_basis;
-                }
-              in
-              up.lower.(v) <- f +. 1.0;
-              if down.upper.(v) >= down.lower.(v) -. 1e-9 then begin
-                Atomic.incr a_open;
-                Wsdeque.push deques.(w) (down, score)
-              end;
-              if up.lower.(v) <= up.upper.(v) +. 1e-9 then begin
-                Atomic.incr a_open;
-                Wsdeque.push deques.(w) (up, score)
-              end)
-      end
-    in
-    let worker w prng =
-      let find () =
-        match Wsdeque.pop deques.(w) with
-        | Some _ as t -> t
-        | None ->
-          let start = Prng.int prng jobs in
-          let rec sweep i =
-            if i = jobs then None
-            else
-              let v = (start + i) mod jobs in
-              if v = w then sweep (i + 1)
-              else
-                match Wsdeque.steal deques.(v) with
-                | Some _ as t ->
-                  steals.(w) <- steals.(w) + 1;
-                  t
-                | None -> sweep (i + 1)
-          in
-          sweep 0
-      in
-      let rec loop () =
-        match find () with
-        | Some task ->
-          (try process_node w task with e -> fail_with e);
-          ignore (Atomic.fetch_and_add a_open (-1));
-          loop ()
-        | None ->
-          if Atomic.get a_open > 0 then begin
-            let t0 = Clock.now () in
-            Domain.cpu_relax ();
-            idle.(w) <- idle.(w) +. (Clock.now () -. t0);
-            loop ()
-          end
-      in
-      loop ();
-      if w > 0 then Trace.flush sink
-    in
-    (* the root runs inline on this domain before any spawn, forcing
-       kernel-internal lazies and skipping domain setup entirely for
-       models whose root relaxation decides the solve *)
-    (try process_node 0 (root, neg_infinity) with e -> fail_with e);
-    ignore (Atomic.fetch_and_add a_open (-1));
-    let domains =
-      if jobs > 1 && Atomic.get a_open > 0 && not (Atomic.get a_halt) then
-        Array.init (jobs - 1) (fun i ->
-            let w = i + 1 in
-            Domain.spawn (fun () -> worker w worker_prngs.(w)))
-      else [||]
-    in
-    worker 0 worker_prngs.(0);
-    Array.iter Domain.join domains;
-    nodes := Atomic.get a_nodes;
-    if Atomic.get a_limit then stopped_at_limit := true;
-    if Atomic.get a_deadline then deadline_stop := true;
-    if Atomic.get a_preempt then begin
-      (* no checkpoint in async mode: the tree shape is schedule-
-         dependent, so there is no consistent frontier to persist —
-         the incumbent and certified gap are still reported *)
-      preempted := true;
-      if Trace.enabled sink then
-        Trace.preempt_stop sink ~phase:"mip" ~nodes:!nodes;
-      Flightrec.trigger ~reason:"preempt"
-    end;
-    if Atomic.get a_unbounded then root_unbounded := true;
-    if Atomic.get a_feasible then infeasible_root := false;
-    let fb = Array.fold_left min infinity folded in
-    if fb < infinity then best_open_bound := min !best_open_bound fb;
-    let stolen = Array.fold_left ( + ) 0 steals in
-    if stolen > 0 then Metrics.add (Lazy.force m_steals) stolen;
-    if jobs > 1 then
-      Array.iteri
-        (fun w s ->
-          if s > 0.0 then begin
-            let g = m_idle_w w in
-            Metrics.set g (Metrics.gauge_value g +. s)
-          end)
-        idle;
-    match Atomic.get a_failure with Some e -> raise e | None -> ()
-  in
-  if options.deterministic then solve_deterministic () else solve_async ();
+  solve_deterministic ();
   let inc = Incumbent.get incumbent in
   let inc_score =
     match inc with Some c -> c.Incumbent.score | None -> infinity
   in
-  let bound_score =
-    if !stopped_at_limit then min !best_open_bound inc_score
-    else if !best_open_bound > neg_infinity then min !best_open_bound inc_score
-    else inc_score
-  in
+  let bound_score = min !best_open_bound inc_score in
   let gap =
     if inc_score = infinity || bound_score = neg_infinity then infinity
     else (inc_score -. bound_score) /. max 1.0 (abs_float inc_score)
@@ -1923,16 +1682,18 @@ let solve_gen ~options ~(restore : saved option) model =
   end
 
 let solve ?(options = default_options) model =
+  check_deterministic ~fn:"Mip.solve" options;
   solve_gen ~options ~restore:None model
 
 (* Options split on resume: the checkpoint owns everything that shapes
    the search tree (branching rule, tolerances, heuristic period, warm
-   start, kernel, wave size) — honoring caller overrides there would
+   start, wave size) — honoring caller overrides there would
    silently break the bit-identity contract. The caller keeps the
    run-environment knobs: jobs (results are jobs-invariant), budgets,
    logging and where the next checkpoint goes (defaulting to
    overwriting the file being resumed). *)
 let resume ?(options = default_options) path =
+  check_deterministic ~fn:"Mip.resume" options;
   let version, body = Ckpt.load ~path ~magic:ck_magic in
   if version <> ck_version then
     Error.parse_error ~file:path ~line:1

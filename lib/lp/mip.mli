@@ -17,10 +17,10 @@
 
     With [jobs > 1] the search runs on OCaml 5 domains: node LPs are
     dealt to per-domain workers with work-stealing deques, and the
-    incumbent lives in a shared atomic cell. In the default
-    deterministic mode the tree is explored in fixed-size waves whose
-    composition, branching decisions and incumbent updates are all
-    decided in a scheduling-independent order, so the reported
+    incumbent lives in a shared atomic cell. The tree is explored in
+    fixed-size waves whose composition, branching decisions and
+    incumbent updates are all decided in a scheduling-independent
+    order, so the reported
     incumbent, objective, bound, node count and gap are bit-identical
     for every [jobs] value (deadline-triggered stops excepted — wall
     clock is inherently timing-dependent). See DESIGN.md §14 for the
@@ -61,10 +61,6 @@ type options = {
       (** run {!Presolve.reduce} (bound tightening, probing, row
           removal) on the model before branching so every node starts
           from tighter bounds (default [true]) *)
-  kernel : Simplex.kernel;
-      (** linear-algebra kernel for every node LP (default
-          {!Simplex.Sparse_lu}; [Dense] is the slow reference for
-          differential testing, [--dense-kernel] in the CLI) *)
   jobs : int;
       (** worker domains for the branch-and-bound search. [1] (the
           default) keeps everything on the calling domain; [n > 1]
@@ -74,24 +70,20 @@ type options = {
           is how CI forces the whole tier-1 suite through the parallel
           scheduler. *)
   deterministic : bool;
-      (** [true] (default): wave scheduling with a jobs-invariant
-          result (same incumbent, objective, bound, nodes and gap for
-          any [jobs]); scoped chaos sites are suppressed inside node
-          LPs because fault timing is scheduling-dependent. [false]:
-          free-running work stealing with immediate atomic pruning —
-          faster on deep trees, but results may vary within
-          [gap_tolerance] between runs and chaos stays armed
-          everywhere. *)
+      (** must be [true] (the default): the wave scheduler is the only
+          one, and {!solve} and {!resume} raise [Invalid_argument] on
+          [false]. It gives a jobs-invariant result (same incumbent,
+          objective, bound, nodes and gap for any [jobs]); scoped chaos
+          sites are suppressed inside node LPs because fault timing is
+          scheduling-dependent. *)
   wave : int;
-      (** nodes dispatched per wave in deterministic mode (default 16).
+      (** nodes dispatched per wave (default 16).
           Larger waves expose more parallelism; the value changes which
           tree is explored but is independent of [jobs], so any fixed
           [wave] preserves the determinism contract. *)
   checkpoint : string option;
       (** write crash-recovery checkpoints of the search state to this
-          path (default [None]: no checkpoints). Deterministic mode
-          only — the async scheduler has no consistent frontier to
-          persist. Writes are atomic (tmp file + rename) and happen at
+          path (default [None]: no checkpoints). Writes are atomic (tmp file + rename) and happen at
           wave barriers, so a reader never sees a torn file and a
           crash at any instant leaves either the previous or the new
           checkpoint intact. A final checkpoint is written when the
@@ -114,7 +106,7 @@ val resolved_jobs : options -> int
     value. *)
 
 val scheduler_mode : options -> string
-(** ["wave"] (deterministic) or ["async"], for run manifests. *)
+(** Always ["wave"], for run manifests. *)
 
 (** The shared incumbent cell of a parallel search, exposed for the
     multi-domain stress tests. Candidates carry a minimization score
@@ -176,13 +168,14 @@ type result = {
 val solve : ?options:options -> Model.t -> result
 (** Solve the model to optimality (or to its limits). Integrality of
     [Integer]/[Binary] variables is enforced; [Continuous] variables
-    are free to take fractional values. *)
+    are free to take fractional values. Raises [Invalid_argument]
+    when [options.deterministic] is [false]. *)
 
 val resume : ?options:options -> string -> result
 (** [resume path] loads the checkpoint at [path] and continues the
     search to completion (or to this run's limits). The search-shaping
     options are read from the checkpoint — branching rule, tolerances,
-    heuristic period, warm start, kernel, wave size — because honoring
+    heuristic period, warm start, wave size — because honoring
     overrides there would change the explored tree; [options] supplies
     only the run-environment knobs: [jobs], [max_nodes], [time_limit]
     (interpreted as the original run's total budget: the checkpoint's
@@ -200,7 +193,9 @@ val resume : ?options:options -> string -> result
 
     Raises {!Monpos_resilience.Error.Error}: [Io_error] when [path]
     cannot be read, [Parse_error] (with a line number) on truncation,
-    checksum mismatch or an unsupported format version. *)
+    checksum mismatch, a malformed record or an unsupported format
+    version. Raises [Invalid_argument] when [options.deterministic] is
+    [false]. *)
 
 val fail : ?options:options -> stage:string -> result -> 'a
 (** Raise the {!Monpos_resilience.Error.Error} that best describes why

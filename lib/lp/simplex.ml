@@ -1,5 +1,5 @@
-(* Bounded-variable revised primal and dual simplex over a pluggable
-   linear-algebra kernel.
+(* Bounded-variable revised primal and dual simplex over a sparse LU
+   basis representation.
 
    Conventions: the problem is solved as a minimization; a Maximize
    model has its costs negated on input and its objective and duals
@@ -7,21 +7,16 @@
    [a.x + s = b] with slack bounds [0,inf) / (-inf,0] / [0,0], so the
    initial slack basis is the identity.
 
-   Kernels: the default [Sparse_lu] kernel keeps the basis as a
-   Markowitz LU factorization plus a product-form eta file ({!Lu});
-   FTRAN/BTRAN and the dual phase's row extraction run on sparse,
-   indexed work vectors, so a pivot costs O(nonzeros) instead of
-   O(m^2) and a refactorization costs O(fill) instead of the O(m^3)
-   Gauss-Jordan of the [Dense] explicit-inverse kernel. The dense
-   kernel is kept behind [options.kernel] for differential testing
-   and as the numerical reference. Refactorization is adaptive: the
-   LU path refactorizes when the eta file outgrows the factorization
-   (eta count or accumulated fill), the dense path after a pivot
-   count derived from m — both overridable via [options.refactor_every].
+   Basis: a Markowitz LU factorization plus a product-form eta file
+   ({!Lu}); FTRAN/BTRAN and the dual phase's row extraction run on
+   sparse, indexed work vectors, so a pivot costs O(nonzeros) and a
+   refactorization O(fill). Refactorization is adaptive: the basis is
+   refactorized when the eta file outgrows the factorization (eta
+   count or accumulated fill).
 
    Warm starts: [solve ?basis] installs a caller-supplied basic set
    (typically the parent branch-and-bound node's optimal basis)
-   through the same kernel factorization as any other basis, parks
+   through the same LU factorization as any other basis, parks
    each nonbasic variable on the bound its reduced-cost sign asks for,
    and — when the result is dual feasible, which it always is after a
    pure bound change on an optimal basis — runs the dual simplex to
@@ -58,6 +53,16 @@ let m_dual_iterations =
     (Metrics.counter
        ~labels:[ ("phase", "dual") ]
        Metrics.default "simplex.iterations")
+
+(* the label of the [simplex.solves] counter and the [kernel] field of
+   [warm_start] trace events, kept stable for trace and bench readers *)
+let kernel_name = "sparse_lu"
+
+let m_solves =
+  lazy
+    (Metrics.counter
+       ~labels:[ ("kernel", kernel_name) ]
+       Metrics.default "simplex.solves")
 
 let m_refactorizations =
   lazy (Metrics.counter Metrics.default "simplex.refactorizations")
@@ -118,12 +123,6 @@ type solution = {
   basis : basis;
 }
 
-type kernel = Dense | Sparse_lu
-
-type options = { kernel : kernel; refactor_every : int option }
-
-let default_options = { kernel = Sparse_lu; refactor_every = None }
-
 let num_rows p = p.m
 
 let num_structural p = p.n
@@ -167,12 +166,6 @@ let of_model model =
 
 type vstatus = Basic | At_lower | At_upper | Free_nb
 
-type kstate =
-  | Kdense of float array array (* explicit m x m inverse *)
-  | Klu of lu_slot (* factorization + eta file; None before first factor *)
-
-and lu_slot = { mutable fact : Lu.t option }
-
 type state = {
   p : problem;
   nn : int; (* n + m total columns *)
@@ -182,16 +175,16 @@ type state = {
   vstat : vstatus array;
   basic_var : int array; (* row -> column *)
   in_row : int array; (* column -> row or -1 *)
-  kern : kstate;
+  mutable fact : Lu.t option; (* factorization + eta file; None before
+                                 the first factor *)
   alpha : Sparse_vec.t; (* FTRAN result, indexed by basis position *)
   y : Sparse_vec.t; (* BTRAN result, indexed by constraint row *)
-  work : Sparse_vec.t; (* kernel right-hand-side scratch *)
+  work : Sparse_vec.t; (* FTRAN/BTRAN right-hand-side scratch *)
   rho : Sparse_vec.t; (* dual phase pricing row of B^-1 *)
   deadline : Deadline.t;
   mutable iters : int;
   mutable degenerate_run : int;
   mutable bland : bool;
-  mutable pivots_since_factor : int;
   mutable refactor_override : int option;
 }
 
@@ -215,66 +208,33 @@ let col_iter st j f =
 
 let cost_of st j = if j < st.p.n then st.p.cost.(j) else 0.0
 
-let kernel_name st =
-  match st.kern with Kdense _ -> "dense" | Klu _ -> "sparse_lu"
-
-(* --- kernel dispatch --------------------------------------------------- *)
+(* --- basis solves ------------------------------------------------------ *)
 
 (* alpha := B^-1 work. The work vector is consumed. *)
-let kernel_ftran st =
-  match st.kern with
-  | Kdense binv ->
-    Sparse_vec.clear st.alpha;
-    let av = Sparse_vec.raw st.alpha in
-    let m = st.p.m in
-    Sparse_vec.iter st.work (fun i a ->
-        for r = 0 to m - 1 do
-          av.(r) <- av.(r) +. (binv.(r).(i) *. a)
-        done);
-    Sparse_vec.rescan st.alpha
-  | Klu slot -> (
-    match slot.fact with
-    | Some f -> Lu.ftran f ~rhs:st.work ~into:st.alpha
-    | None -> Sparse_vec.clear st.alpha)
+let lu_ftran st =
+  match st.fact with
+  | Some f -> Lu.ftran f ~rhs:st.work ~into:st.alpha
+  | None -> Sparse_vec.clear st.alpha
 
 (* y := B^-T work. The work vector is consumed. *)
-let kernel_btran st =
-  match st.kern with
-  | Kdense binv ->
-    Sparse_vec.clear st.y;
-    let yv = Sparse_vec.raw st.y in
-    let m = st.p.m in
-    Sparse_vec.iter st.work (fun r c ->
-        let row = binv.(r) in
-        for i = 0 to m - 1 do
-          yv.(i) <- yv.(i) +. (c *. row.(i))
-        done);
-    Sparse_vec.rescan st.y
-  | Klu slot -> (
-    match slot.fact with
-    | Some f -> Lu.btran f ~rhs:st.work ~into:st.y
-    | None -> Sparse_vec.clear st.y)
+let lu_btran st =
+  match st.fact with
+  | Some f -> Lu.btran f ~rhs:st.work ~into:st.y
+  | None -> Sparse_vec.clear st.y
 
 (* rho := row [r] of B^-1 (equivalently B^-T e_r). *)
-let kernel_row st r =
-  match st.kern with
-  | Kdense binv ->
-    Sparse_vec.clear st.rho;
-    let rv = Sparse_vec.raw st.rho in
-    Array.blit binv.(r) 0 rv 0 st.p.m;
-    Sparse_vec.rescan st.rho
-  | Klu slot -> (
-    Sparse_vec.clear st.work;
-    Sparse_vec.set st.work r 1.0;
-    match slot.fact with
-    | Some f -> Lu.btran f ~rhs:st.work ~into:st.rho
-    | None -> Sparse_vec.clear st.rho)
+let lu_row st r =
+  Sparse_vec.clear st.work;
+  Sparse_vec.set st.work r 1.0;
+  match st.fact with
+  | Some f -> Lu.btran f ~rhs:st.work ~into:st.rho
+  | None -> Sparse_vec.clear st.rho
 
 (* alpha := B^-1 A_j *)
 let ftran st j =
   Sparse_vec.clear st.work;
   col_iter st j (fun i a -> if a <> 0.0 then Sparse_vec.add st.work i a);
-  kernel_ftran st;
+  lu_ftran st;
   if st.p.m > 0 then
     Metrics.observe (Lazy.force m_ftran_nnz)
       (float_of_int (Sparse_vec.nnz st.alpha) /. float_of_int st.p.m)
@@ -313,7 +273,7 @@ let recompute_basics st =
     if st.vstat.(j) <> Basic && st.x.(j) <> 0.0 then
       col_iter st j (fun i a -> Sparse_vec.add st.work i (-.a *. st.x.(j)))
   done;
-  kernel_ftran st;
+  lu_ftran st;
   let av = Sparse_vec.raw st.alpha in
   for r = 0 to m - 1 do
     st.x.(st.basic_var.(r)) <- av.(r)
@@ -321,102 +281,34 @@ let recompute_basics st =
 
 exception Singular_basis
 
-(* Rebuild the basis representation from scratch: Gauss-Jordan with
-   partial pivoting for the dense kernel, a Markowitz LU for the
-   sparse one. *)
+(* Rebuild the basis factorization from scratch (Markowitz LU). *)
 let refactorize st =
   let m = st.p.m in
   if m > 0 then begin
-    (match st.kern with
-    | Kdense binv ->
-      let mat = Array.init m (fun _ -> Array.make m 0.0) in
-      for r = 0 to m - 1 do
-        let j = st.basic_var.(r) in
-        col_iter st j (fun i a -> mat.(i).(r) <- a)
-      done;
-      let inv =
-        Array.init m (fun r ->
-            Array.init m (fun i -> if r = i then 1.0 else 0.0))
-      in
-      for k = 0 to m - 1 do
-        (* partial pivot *)
-        let best = ref k and best_abs = ref (abs_float mat.(k).(k)) in
-        for i = k + 1 to m - 1 do
-          let a = abs_float mat.(i).(k) in
-          if a > !best_abs then begin
-            best := i;
-            best_abs := a
-          end
-        done;
-        if !best_abs < 1e-12 then raise Singular_basis;
-        if !best <> k then begin
-          let t = mat.(k) in
-          mat.(k) <- mat.(!best);
-          mat.(!best) <- t;
-          let t = inv.(k) in
-          inv.(k) <- inv.(!best);
-          inv.(!best) <- t
-        end;
-        let piv = mat.(k).(k) in
-        let mk = mat.(k) and ik = inv.(k) in
-        for c = 0 to m - 1 do
-          mk.(c) <- mk.(c) /. piv;
-          ik.(c) <- ik.(c) /. piv
-        done;
-        for i = 0 to m - 1 do
-          if i <> k then begin
-            let f = mat.(i).(k) in
-            if f <> 0.0 then begin
-              let mi = mat.(i) and ii = inv.(i) in
-              for c = 0 to m - 1 do
-                mi.(c) <- mi.(c) -. (f *. mk.(c));
-                ii.(c) <- ii.(c) -. (f *. ik.(c))
-              done
-            end
-          end
-        done
-      done;
-      for r = 0 to m - 1 do
-        Array.blit inv.(r) 0 binv.(r) 0 m
-      done
-    | Klu slot ->
-      (match slot.fact with
-      | Some f ->
-        let s = Lu.stats f in
-        Metrics.observe (Lazy.force m_eta_len) (float_of_int s.Lu.eta_count)
-      | None -> ());
-      let fact =
-        Span.run "lu_factor" @@ fun () ->
-        try Lu.factor ~m ~col:(fun r f -> col_iter st st.basic_var.(r) f)
-        with Lu.Singular -> raise Singular_basis
-      in
-      let s = Lu.stats fact in
-      Metrics.observe (Lazy.force m_lu_fill)
-        (float_of_int s.Lu.factor_nnz /. float_of_int (max 1 s.Lu.basis_nnz));
-      slot.fact <- Some fact);
+    Option.iter
+      (fun f ->
+        Metrics.observe (Lazy.force m_eta_len) (float_of_int (Lu.eta_count f)))
+      st.fact;
+    let fact =
+      Span.run "lu_factor" @@ fun () ->
+      try Lu.factor ~m ~col:(fun r f -> col_iter st st.basic_var.(r) f)
+      with Lu.Singular -> raise Singular_basis
+    in
+    let s = Lu.stats fact in
+    Metrics.observe (Lazy.force m_lu_fill)
+      (float_of_int s.Lu.factor_nnz /. float_of_int (max 1 s.Lu.basis_nnz));
+    st.fact <- Some fact;
     Metrics.incr (Lazy.force m_refactorizations);
-    st.pivots_since_factor <- 0;
     recompute_basics st
   end
 
-(* Refactorization cadence. The LU kernel asks its own eta file (count
-   and accumulated fill); the dense kernel refactorizes after a pivot
-   count derived from m — small bases drift fast and are cheap to
-   rebuild. [refactor_override] (options or the numerical-recovery
-   path) forces a cadence / eta limit. *)
+(* Refactorization cadence: the eta file decides (count and
+   accumulated fill). [refactor_override], set by the
+   numerical-recovery path, caps the eta count. *)
 let need_refactor st =
-  match st.kern with
-  | Kdense _ ->
-    let every =
-      match st.refactor_override with
-      | Some k -> max 1 k
-      | None -> max 32 (min 256 (4 * st.p.m))
-    in
-    st.pivots_since_factor >= every
-  | Klu slot -> (
-    match slot.fact with
-    | Some f -> Lu.should_refactor ?eta_limit:st.refactor_override f
-    | None -> true)
+  match st.fact with
+  | Some f -> Lu.should_refactor ?eta_limit:st.refactor_override f
+  | None -> true
 
 let violation st j =
   let x = st.x.(j) in
@@ -526,7 +418,6 @@ let ratio_test st j dir ~phase1 =
 
 (* Apply a step of length t along entering variable j / direction dir. *)
 let apply_step st j dir t leave =
-  let m = st.p.m in
   (* move basics along the nonzeros of alpha *)
   Sparse_vec.iter st.alpha (fun r a ->
       let v = st.basic_var.(r) in
@@ -559,27 +450,10 @@ let apply_step st j dir t leave =
     st.vstat.(j) <- Basic;
     st.basic_var.(r) <- j;
     st.in_row.(j) <- r;
-    (* fold the basis change into the kernel *)
-    (match st.kern with
-    | Kdense binv ->
-      (* binv := E * binv *)
-      let piv = Sparse_vec.get st.alpha r in
-      let pr = binv.(r) in
-      for k = 0 to m - 1 do
-        pr.(k) <- pr.(k) /. piv
-      done;
-      Sparse_vec.iter st.alpha (fun i f ->
-          if i <> r && abs_float f > zero_tol then begin
-            let row = binv.(i) in
-            for k = 0 to m - 1 do
-              row.(k) <- row.(k) -. (f *. pr.(k))
-            done
-          end)
-    | Klu slot -> (
-      match slot.fact with
-      | Some fct -> Lu.append_eta fct ~r ~alpha:st.alpha
-      | None -> assert false));
-    st.pivots_since_factor <- st.pivots_since_factor + 1
+    (* fold the basis change into the eta file *)
+    match st.fact with
+    | Some fct -> Lu.append_eta fct ~r ~alpha:st.alpha
+    | None -> assert false
 
 (* One simplex phase; [phase1] selects the infeasibility objective.
    Returns [`Done] (phase-1 feasible / phase-2 optimal), [`Infeasible],
@@ -620,7 +494,7 @@ let run_phase st ~phase1 ~max_iterations =
       else begin
         (* multipliers for the current phase objective *)
         load_phase_costs st ~phase1;
-        kernel_btran st;
+        lu_btran st;
         match choose_entering st ~phase1 with
         | None ->
           if phase1 && inf > feas_tol then result := `Infeasible
@@ -668,7 +542,7 @@ let basis_well_formed st basis =
       basis
   end
 
-(* Install the basic set and factorize it through the kernel. Raises
+(* Install the basic set and factorize it. Raises
    Singular_basis when the columns are dependent; the caller falls
    back to a cold start. *)
 let install_basis st basis =
@@ -702,7 +576,7 @@ let install_basis st basis =
    basis is dual feasible (so the dual simplex may run). *)
 let prepare_warm_nonbasics st =
   load_phase_costs st ~phase1:false;
-  kernel_btran st;
+  lu_btran st;
   let dual_ok = ref true in
   for j = 0 to st.nn - 1 do
     if st.in_row.(j) < 0 then begin
@@ -740,12 +614,11 @@ let prepare_warm_nonbasics st =
 (* Dual simplex phase. Precondition: the basis is dual feasible (every
    nonbasic reduced cost has its optimality sign). Each iteration picks
    the most bound-violating basic variable as the leaving row, extracts
-   that row of B^-1 through the kernel (a sparse BTRAN of a unit vector
-   on the LU path), prices it against the nonbasic columns, and enters
-   the column whose reduced-cost ratio |d_j / alpha_j| is smallest
-   among those that move the violated basic toward its bound — the
-   bounded-variable dual ratio test, ties broken by the largest pivot
-   magnitude.
+   that row of B^-1 (a sparse BTRAN of a unit vector), prices it
+   against the nonbasic columns, and enters the column whose
+   reduced-cost ratio |d_j / alpha_j| is smallest among those that
+   move the violated basic toward its bound — the bounded-variable
+   dual ratio test, ties broken by the largest pivot magnitude.
 
    Returns [`Done] (primal feasible, hence optimal), [`No_pivot] (a
    violated row admits no entering column — the strong hint of primal
@@ -786,8 +659,8 @@ let run_dual_phase st ~max_iterations =
         let to_upper = st.x.(v) > st.ub.(v) +. feas_tol in
         (* true multipliers for the reduced costs *)
         load_phase_costs st ~phase1:false;
-        kernel_btran st;
-        kernel_row st r;
+        lu_btran st;
+        lu_row st r;
         let rv = Sparse_vec.raw st.rho in
         let alpha_of j =
           let acc = ref 0.0 in
@@ -857,8 +730,7 @@ let run_dual_phase st ~max_iterations =
 
 let default_iterations p = 20_000 + (60 * (p.n + p.m))
 
-let solve ?max_iterations ?lower ?upper ?basis ?(deadline = Deadline.none)
-    ?(options = default_options) p =
+let solve ?max_iterations ?lower ?upper ?basis ?(deadline = Deadline.none) p =
   let max_iterations =
     match max_iterations with Some k -> k | None -> default_iterations p
   in
@@ -901,13 +773,7 @@ let solve ?max_iterations ?lower ?upper ?basis ?(deadline = Deadline.none)
         vstat = Array.make nn At_lower;
         basic_var = Array.init (max m 1) (fun r -> n + r);
         in_row = Array.make nn (-1);
-        kern =
-          (match options.kernel with
-          | Dense ->
-            Kdense
-              (Array.init (max m 1) (fun r ->
-                   Array.init (max m 1) (fun i -> if r = i then 1.0 else 0.0)))
-          | Sparse_lu -> Klu { fact = None });
+        fact = None;
         alpha = Sparse_vec.create m;
         y = Sparse_vec.create m;
         work = Sparse_vec.create m;
@@ -916,8 +782,7 @@ let solve ?max_iterations ?lower ?upper ?basis ?(deadline = Deadline.none)
         iters = 0;
         degenerate_run = 0;
         bland = false;
-        pivots_since_factor = 0;
-        refactor_override = options.refactor_every;
+        refactor_override = None;
       }
     in
     (* (re)start from the all-slack basis; used both for the initial
@@ -957,8 +822,8 @@ let solve ?max_iterations ?lower ?upper ?basis ?(deadline = Deadline.none)
       for r = 0 to m - 1 do
         st.vstat.(n + r) <- Basic
       done;
-      (* factorizing the slack identity is trivial for both kernels
-         and cannot be singular; it also recomputes the basics *)
+      (* factorizing the slack identity is trivial and cannot be
+         singular; it also recomputes the basics *)
       if m > 0 then refactorize st else recompute_basics st
     in
     reset_to_slack_basis ();
@@ -981,19 +846,19 @@ let solve ?max_iterations ?lower ?upper ?basis ?(deadline = Deadline.none)
         let sink = Trace.current () in
         if Trace.enabled sink then
           Trace.warm_start sink ~dual_feasible:false ~iterations:0
-            ~kernel:(kernel_name st) ~outcome:"primal_fallback"
+            ~kernel:kernel_name ~outcome:"primal_fallback"
       end
     end;
     let dual_iters = ref 0 in
     let finish status =
       (* multipliers for the true objective at the final basis *)
       load_phase_costs st ~phase1:false;
-      kernel_btran st;
-      (match st.kern with
-      | Klu { fact = Some f } ->
-        Metrics.observe (Lazy.force m_eta_len)
-          (float_of_int (Lu.eta_count f))
-      | _ -> ());
+      lu_btran st;
+      Option.iter
+        (fun f ->
+          Metrics.observe (Lazy.force m_eta_len)
+            (float_of_int (Lu.eta_count f)))
+        st.fact;
       let yv = Sparse_vec.raw st.y in
       let primal = Array.sub st.x 0 n in
       let obj_min =
@@ -1049,7 +914,7 @@ let solve ?max_iterations ?lower ?upper ?basis ?(deadline = Deadline.none)
         Metrics.add (Lazy.force m_dual_iterations) pivots;
         if Trace.enabled sink then
           Trace.warm_start sink ~dual_feasible:true ~iterations:pivots
-            ~kernel:(kernel_name st)
+            ~kernel:kernel_name
             ~outcome:
               (match outcome with
               | `Done -> "reoptimal"
@@ -1098,11 +963,7 @@ let solve ?max_iterations ?lower ?upper ?basis ?(deadline = Deadline.none)
       | exception Singular_basis ->
         st.bland <- true;
         st.degenerate_run <- 0;
-        st.refactor_override <-
-          Some
-            (match st.refactor_override with
-            | Some k -> min k 64
-            | None -> 64);
+        st.refactor_override <- Some 64;
         (* the restart must not itself be sabotaged by an injected
            fault, so chaos is suppressed for its whole duration *)
         Chaos.suppress (fun () ->
@@ -1116,17 +977,11 @@ let solve ?max_iterations ?lower ?upper ?basis ?(deadline = Deadline.none)
               sol
             | exception Singular_basis -> finish Iteration_limit)
     in
-    (* the solve count is labeled by the kernel the solve actually ran
-       on; registration is idempotent, so this lookup is a mutexed
-       hashtable hit once per solve, not per pivot *)
-    Metrics.incr
-      (Metrics.counter
-         ~labels:[ ("kernel", kernel_name st) ]
-         Metrics.default "simplex.solves");
+    Metrics.incr (Lazy.force m_solves);
     Metrics.add (Lazy.force m_primal_iterations)
       (sol.iterations - sol.dual_iterations);
     sol
   end
 
-let solve_model ?max_iterations ?deadline ?options m =
-  solve ?max_iterations ?deadline ?options (of_model m)
+let solve_model ?max_iterations ?deadline m =
+  solve ?max_iterations ?deadline (of_model m)

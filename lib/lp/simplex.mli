@@ -4,17 +4,11 @@
     Solves [min/max c.x] subject to the linear constraints and variable
     bounds of a {!Model.t}, ignoring integrality (the LP relaxation).
     The implementation keeps the constraint matrix as sparse columns
-    and represents the basis through a pluggable linear-algebra
-    {!kernel}: the default {!Sparse_lu} kernel factorizes the basis
-    with Markowitz LU ({!Lu}) and folds pivots in as product-form
-    etas, so FTRAN/BTRAN and the dual phase's row extraction run on
-    sparse indexed work vectors in O(nonzeros); the {!Dense} kernel
-    keeps the explicit inverse and is retained as the numerical
-    reference for differential testing ([--dense-kernel] in the CLI
-    and bench). Refactorization cadence is adaptive — the LU kernel
-    refactorizes when its eta file outgrows the factorization, the
-    dense kernel after a pivot count derived from the row count — and
-    can be pinned via {!options.refactor_every}. Variables may sit
+    and factorizes the basis with Markowitz LU ({!Lu}), folding pivots
+    in as product-form etas, so FTRAN/BTRAN and the dual phase's row
+    extraction run on sparse indexed work vectors in O(nonzeros). The
+    basis is refactorized when its eta file outgrows the
+    factorization. Variables may sit
     non-basic at either finite bound (or at zero when free), which
     keeps the paper's formulations small — e.g. the [δ_t ∈ [0,1]]
     variables of Linear program 2 consume no rows.
@@ -47,24 +41,6 @@ type status =
       (** the caller's {!Monpos_resilience.Deadline} expired mid-solve;
           the returned basis and values are a consistent snapshot of
           wherever the pivoting stopped *)
-
-type kernel =
-  | Dense  (** explicit dense inverse, O(m^2) per pivot — reference *)
-  | Sparse_lu
-      (** Markowitz LU + eta file, O(nonzeros) per pivot — default *)
-
-type options = {
-  kernel : kernel;
-  refactor_every : int option;
-      (** Pin the refactorization cadence: maximum eta-file length for
-          {!Sparse_lu}, pivots between rebuilds for {!Dense}. [None]
-          (the default) derives it adaptively — from the eta file's
-          size and fill growth on the LU kernel, from the row count on
-          the dense one. *)
-}
-
-val default_options : options
-(** [{ kernel = Sparse_lu; refactor_every = None }] *)
 
 type basis = int array
 (** A basis as the basic-variable index per row: structural variables
@@ -105,7 +81,6 @@ val solve :
   ?upper:float array ->
   ?basis:basis ->
   ?deadline:Monpos_resilience.Deadline.t ->
-  ?options:options ->
   problem ->
   solution
 (** Solve the LP relaxation. [lower]/[upper] (length = number of
@@ -115,9 +90,8 @@ val solve :
     true for a pure bound change on an optimal basis) the dual simplex
     runs first; otherwise the primal phases start from it. A malformed
     or singular basis degrades to a cold solve — never to a different
-    answer. Warm-start bases are installed through the same kernel
-    factorization as any other basis. [options] selects the kernel and
-    refactorization cadence ({!default_options} otherwise). [deadline]
+    answer. Warm-start bases are installed through the same LU
+    factorization as any other basis. [deadline]
     (default: none) is polled every 32 pivots in both the primal and
     dual phases; on expiry the solve stops with {!Deadline_reached}
     instead of running the node LP to completion, which is what makes
@@ -127,7 +101,6 @@ val solve :
 val solve_model :
   ?max_iterations:int ->
   ?deadline:Monpos_resilience.Deadline.t ->
-  ?options:options ->
   Model.t ->
   solution
 (** [solve_model m] is [solve (of_model m)]. *)

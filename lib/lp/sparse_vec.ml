@@ -52,18 +52,3 @@ let iter t f =
     let x = t.v.(i) in
     if x <> 0.0 then f i x
   done
-
-let rescan t =
-  (* forget the old pattern without zeroing values, then pick up
-     whatever the bulk write left behind *)
-  for k = 0 to t.n - 1 do
-    Bytes.unsafe_set t.mark t.idx.(k) '\000'
-  done;
-  t.n <- 0;
-  for i = 0 to Array.length t.v - 1 do
-    if t.v.(i) <> 0.0 then begin
-      Bytes.unsafe_set t.mark i '\001';
-      t.idx.(t.n) <- i;
-      t.n <- t.n + 1
-    end
-  done

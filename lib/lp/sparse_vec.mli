@@ -8,8 +8,7 @@
     dimension [m]. Values are readable positionally through {!raw}
     (random access is frequent in pricing and ratio tests); all
     {e writes} must go through {!set}/{!add} so the pattern stays a
-    superset of the nonzero support — except for bulk dense writes
-    into {!raw}, which must be followed by {!rescan}.
+    superset of the nonzero support.
 
     Explicit zeros may linger in the pattern (a cancellation does not
     remove its index); consumers must treat a listed value of [0.] as
@@ -34,8 +33,7 @@ val add : t -> int -> float -> unit
 val get : t -> int -> float
 
 val raw : t -> float array
-(** The backing dense value array. Read freely; after writing into it
-    directly call {!rescan} before any pattern-driven operation. *)
+(** The backing dense value array, for reads only. *)
 
 val nnz : t -> int
 (** Number of listed positions (explicit zeros included). *)
@@ -43,8 +41,3 @@ val nnz : t -> int
 val iter : t -> (int -> float -> unit) -> unit
 (** Iterate the listed positions, skipping explicit zeros. The
     callback must not modify the pattern of this vector. *)
-
-val rescan : t -> unit
-(** Rebuild the pattern from the dense array by scanning all
-    components: O(dim). For use after bulk writes through {!raw}
-    (the dense kernel path). *)

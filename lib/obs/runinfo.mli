@@ -24,8 +24,8 @@ type t = {
   chaos_seed : int option;  (** set when fault injection was armed *)
   jobs : int option;  (** worker domain count of parallel solves *)
   scheduler : string option;
-      (** ["wave"] (deterministic) or ["async"]; [None] for runs that
-          never touch the parallel solver *)
+      (** the B&B scheduler, ["wave"]; [None] for runs that never
+          touch the MIP solver *)
   argv : string list;
 }
 

@@ -442,6 +442,25 @@ let test_resume_corrupt_and_missing () =
   in
   write_all path (String.concat "\n" dropped);
   expect_parse_error "dropped line" (fun () -> Mip.resume path);
+  (* a well-sealed file naming a kernel this build does not have (the
+     retired dense one) is rejected at its opts record, body line 2 *)
+  ignore (mip_checkpoint_fixture path);
+  let version, body = Ckpt.load ~path ~magic:"monpos-mip-checkpoint" in
+  let body =
+    List.map
+      (fun l ->
+        match String.split_on_char ' ' l with
+        | "opts" :: br :: gap :: itol :: heur :: warm :: "sparse" :: rest ->
+          String.concat " " ("opts" :: br :: gap :: itol :: heur :: warm :: "dense" :: rest)
+        | _ -> l)
+      body
+  in
+  Ckpt.write ~path ~magic:"monpos-mip-checkpoint" ~version body;
+  (match Mip.resume path with
+  | _ -> Alcotest.fail "dense kernel token: expected a Parse_error"
+  | exception Rerror.Error (Rerror.Parse_error { line; msg; _ }) ->
+    Alcotest.(check int) "dense kernel token located" 3 line;
+    Alcotest.(check string) "dense kernel token message" "bad kernel \"dense\"" msg);
   cleanup path;
   expect_io_error "missing checkpoint" (fun () -> Mip.resume path)
 

@@ -99,6 +99,18 @@ let test_solve_or_fail () =
   check_float "obj" 2.0 obj;
   check_float "x" 2.0 sol.(0)
 
+(* the wave scheduler is the only one: asking for another is refused *)
+let test_nondeterministic_refused () =
+  let m = Model.create Model.Minimize in
+  ignore (Model.add_var m ~obj:1.0 ~lb:1.0 Model.Binary);
+  let options = { Mip.default_options with Mip.deterministic = false } in
+  Alcotest.check_raises "solve"
+    (Invalid_argument "Mip.solve: deterministic = false is not supported")
+    (fun () -> ignore (Mip.solve ~options m));
+  Alcotest.check_raises "resume"
+    (Invalid_argument "Mip.resume: deterministic = false is not supported")
+    (fun () -> ignore (Mip.resume ~options "unused.ckpt"))
+
 (* Brute force a random 0-1 program and compare. *)
 let brute_force_binary model n =
   let best = ref None in
@@ -126,6 +138,39 @@ let brute_force_binary model n =
   in
   go 0;
   !best
+
+(* The solver against a brute-force optimum [best] (None when
+   infeasible), at several wave sizes: the wave changes which tree is
+   explored, never the answer. A node-capped solve must stop with a
+   sound, finite bound whenever it holds an incumbent: bound <= best
+   <= objective in the minimization sense. *)
+let brute_force_waves = [ 1; 16; 64 ]
+
+let agrees_with_brute_force m best =
+  let minimize = Model.direction m = Model.Minimize in
+  let le a b = if minimize then a <= b +. 1e-6 else a >= b -. 1e-6 in
+  List.for_all
+    (fun wave ->
+      let options = { Mip.default_options with Mip.wave } in
+      let r = Mip.solve ~options m in
+      let capped = Mip.solve ~options:{ options with Mip.max_nodes = 3 } m in
+      let full_ok =
+        match best with
+        | None -> r.Mip.status = Mip.Infeasible
+        | Some best ->
+          r.Mip.status = Mip.Optimal && abs_float (r.Mip.objective -. best) < 1e-6
+      in
+      let capped_ok =
+        match (capped.Mip.solution, best) with
+        | Some _, Some best ->
+          Float.is_finite capped.Mip.bound
+          && le capped.Mip.bound best
+          && le best capped.Mip.objective
+        | Some _, None -> false
+        | None, _ -> capped.Mip.status <> Mip.Optimal
+      in
+      full_ok && capped_ok)
+    brute_force_waves
 
 let prop_matches_brute_force =
   let gen = QCheck2.Gen.int_range 0 1_000_000 in
@@ -160,11 +205,76 @@ let prop_matches_brute_force =
         let rhs = float_of_int (Monpos_util.Prng.range rng (-6) 12) in
         Model.add_constr m terms sense rhs
       done;
-      let r = Mip.solve m in
-      match brute_force_binary m n with
-      | None -> r.status = Mip.Infeasible
-      | Some best ->
-        r.status = Mip.Optimal && abs_float (r.objective -. best) < 1e-6)
+      agrees_with_brute_force m (brute_force_binary m n))
+
+(* Trees of the random programs above (n <= 8) are too small to fill a
+   wave past a prunable node. These covering programs (10-16 binaries,
+   integer costs 1-9, 5-10 rows each demanding half its own weight)
+   grow trees of dozens of nodes, where a wave can still hold live
+   nodes when the heap top becomes prunable — the case in which the
+   search once stopped with those nodes' children unexplored and
+   reported Optimal above the true optimum. The brute force walks all
+   assignments in Gray-code order, updating row activities and cost
+   one flipped variable at a time. *)
+let covering_cases = 400
+
+let covering_program rng =
+  let module Prng = Monpos_util.Prng in
+  let n = 10 + Prng.int rng 7 in
+  let m = Model.create Model.Minimize in
+  let costs = Array.init n (fun _ -> 1 + Prng.int rng 9) in
+  let xs =
+    Array.map (fun c -> Model.add_var m ~obj:(float_of_int c) Model.Binary) costs
+  in
+  let rows =
+    List.init
+      (5 + Prng.int rng 6)
+      (fun _ ->
+        let coefs =
+          Array.init n (fun _ -> if Prng.bool rng then 1 + Prng.int rng 9 else 0)
+        in
+        (coefs, max 1 (Array.fold_left ( + ) 0 coefs / 2)))
+    |> List.filter (fun (coefs, _) -> Array.exists (fun c -> c > 0) coefs)
+    |> Array.of_list
+  in
+  Array.iter
+    (fun (coefs, rhs) ->
+      let terms =
+        List.filter_map
+          (fun v ->
+            if coefs.(v) > 0 then Some (float_of_int coefs.(v), xs.(v)) else None)
+          (List.init n Fun.id)
+      in
+      Model.add_constr m terms Model.Ge (float_of_int rhs))
+    rows;
+  let activity = Array.make (Array.length rows) 0 in
+  let x = Array.make n false in
+  let cost = ref 0 and best = ref max_int in
+  for step = 1 to (1 lsl n) - 1 do
+    (* Gray code: step k flips the variable at k's lowest set bit *)
+    let rec low v = if step land (1 lsl v) <> 0 then v else low (v + 1) in
+    let v = low 0 in
+    let sign = if x.(v) then -1 else 1 in
+    x.(v) <- not x.(v);
+    cost := !cost + (sign * costs.(v));
+    Array.iteri
+      (fun r (coefs, _) -> activity.(r) <- activity.(r) + (sign * coefs.(v)))
+      rows;
+    if
+      !cost < !best
+      && Array.for_all2 (fun a (_, rhs) -> a >= rhs) activity rows
+    then best := !cost
+  done;
+  (m, float_of_int !best)
+
+let test_covering_matches_brute_force () =
+  let rng = Monpos_util.Prng.create 7 in
+  for case = 0 to covering_cases - 1 do
+    let m, best = covering_program rng in
+    if not (agrees_with_brute_force m (Some best)) then
+      Alcotest.failf "covering case %d: solver disagrees with brute force %g"
+        case best
+  done
 
 let prop_solution_is_feasible =
   let gen = QCheck2.Gen.int_range 0 1_000_000 in
@@ -331,76 +441,6 @@ let test_warm_start_determinism () =
     [ ("cold", cold); ("warm", warm) ]
 
 (* ------------------------------------------------------------------ *)
-(* kernel agreement on the paper's seed instances                      *)
-
-(* The linear-algebra kernel must be invisible in the answers: the
-   dense explicit-inverse and sparse LU + eta-file kernels must agree
-   on the objective-defining quantities of the seed PPM, PPME and
-   beacon solves — with warm starts on, so the eta file and the
-   warm-basis factorization path are both exercised. As with warm
-   starts, alternative optima may differ in the raw index sets. *)
-let test_kernel_agreement () =
-  let opts kernel = { Mip.default_options with Mip.kernel } in
-  let pop = Pop.make_preset `Pop10 ~seed:1 in
-  let inst = Instance.of_pop pop ~seed:131 in
-  List.iter
-    (fun k ->
-      let dense =
-        Passive.solve_mip ~k ~options:(opts Monpos_lp.Simplex.Dense) inst
-      in
-      let sparse =
-        Passive.solve_mip ~k ~options:(opts Monpos_lp.Simplex.Sparse_lu) inst
-      in
-      let name tag = Printf.sprintf "ppm k=%.1f kernels %s" k tag in
-      Alcotest.(check bool) (name "optimal") dense.Passive.optimal
-        sparse.Passive.optimal;
-      Alcotest.(check int) (name "devices") dense.Passive.count
-        sparse.Passive.count;
-      (* the LP relaxation bound must agree too, not only the MIP *)
-      check_float (name "lp bound")
-        (Passive.lp_bound ~k ~kernel:Monpos_lp.Simplex.Dense inst)
-        (Passive.lp_bound ~k ~kernel:Monpos_lp.Simplex.Sparse_lu inst))
-    [ 1.0; 0.8 ];
-  let milp kernel =
-    {
-      Sampling.default_milp_options with
-      Mip.kernel;
-      gap_tolerance = 1e-9;
-      time_limit = 120.0;
-    }
-  in
-  let pb = Sampling.make_problem ~k:0.9 inst in
-  let dense = Sampling.solve_milp ~options:(milp Monpos_lp.Simplex.Dense) pb in
-  let sparse =
-    Sampling.solve_milp ~options:(milp Monpos_lp.Simplex.Sparse_lu) pb
-  in
-  Alcotest.(check bool) "ppme kernels optimal" dense.Sampling.optimal
-    sparse.Sampling.optimal;
-  check_float "ppme kernels total cost" dense.Sampling.total_cost
-    sparse.Sampling.total_cost;
-  check_float "ppme kernels coverage" dense.Sampling.fraction
-    sparse.Sampling.fraction;
-  let pop15 = Pop.make_preset `Pop15 ~seed:1 in
-  let routers = Array.of_list (Pop.routers pop15) in
-  let rng = Monpos_util.Prng.create 7 in
-  Monpos_util.Prng.shuffle rng routers;
-  let vb = List.sort compare (Array.to_list (Array.sub routers 0 10)) in
-  let probes =
-    Active.compute_probes ~targets:vb pop15.Pop.graph ~candidates:vb
-  in
-  let dense =
-    Active.place_ilp ~options:(opts Monpos_lp.Simplex.Dense) probes
-      ~candidates:vb
-  in
-  let sparse =
-    Active.place_ilp ~options:(opts Monpos_lp.Simplex.Sparse_lu) probes
-      ~candidates:vb
-  in
-  Alcotest.(check int) "beacon count kernels"
-    (List.length dense.Active.beacons)
-    (List.length sparse.Active.beacons)
-
-(* ------------------------------------------------------------------ *)
 (* loosened integrality tolerance (pseudocost denominator clamp)       *)
 
 (* With the default tolerance the fractional part recorded at a branch
@@ -484,13 +524,15 @@ let suite =
     Alcotest.test_case "equality on binaries" `Quick test_equality_binary;
     Alcotest.test_case "vertex cover C5" `Quick test_vertex_cover_c5;
     Alcotest.test_case "solve_or_fail" `Quick test_solve_or_fail;
+    Alcotest.test_case "deterministic = false is refused" `Quick
+      test_nondeterministic_refused;
     Alcotest.test_case "warm-start determinism (seed instances)" `Quick
       test_warm_start_determinism;
-    Alcotest.test_case "kernel agreement (seed instances)" `Quick
-      test_kernel_agreement;
     Alcotest.test_case "loosened integrality tolerance stays sane" `Quick
       test_loose_integrality_tol;
     QCheck_alcotest.to_alcotest prop_matches_brute_force;
+    Alcotest.test_case "mip matches brute force on covering programs" `Quick
+      test_covering_matches_brute_force;
     QCheck_alcotest.to_alcotest prop_branching_rules_agree;
     QCheck_alcotest.to_alcotest prop_solution_is_feasible;
   ]

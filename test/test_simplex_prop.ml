@@ -1,5 +1,4 @@
-(* Randomized differential harness for the dual-simplex warm starts
-   and for the two linear-algebra kernels.
+(* Randomized differential harness for the dual-simplex warm starts.
 
    Generates small random LPs (mixed <=/>=/= rows; boxed, one-sided
    and free variables) with the deterministic Monpos_util.Prng and
@@ -11,13 +10,12 @@
      re-solve (dual simplex from the parent basis) agrees with a cold
      primal solve on status and objective within 1e-6,
    - a malformed warm basis silently degrades to the cold answer,
-   - the dense explicit-inverse kernel and the sparse LU + eta-file
-     kernel agree on status and objective on every instance (cold and
-     warm-started), and on the final basis itself whenever the
-     instance's optimum is non-degenerate (unique basis),
-   - a singular or ill-conditioned warm basis never crashes the LU
-     kernel: it either factorizes stably or falls back to the cold
-     slack start, same answer either way.
+   - a singular, ill-conditioned or mixed-scale warm basis never
+     crashes the LU factorization: it either factorizes stably or
+     falls back to the cold slack start, same answer either way.
+
+   The LU factorization itself is checked against a dense
+   elimination oracle in test_lu.ml.
 
    The base seed comes from MONPOS_PROP_SEED (default 1) so CI can run
    the same 200 instances under several seeds. *)
@@ -193,121 +191,8 @@ let test_explicit_slack_basis () =
     check_agree ~case ~what:"slack basis" m cold warm
   done
 
-(* ------------------------------------------------------------------ *)
-(* dense vs sparse-LU kernel differential                              *)
-
-let dense_opts = { Simplex.default_options with Simplex.kernel = Simplex.Dense }
-
-let sparse_opts =
-  { Simplex.default_options with Simplex.kernel = Simplex.Sparse_lu }
-
-(* A basic solution is non-degenerate when every basic variable sits
-   strictly inside its bounds and every nonbasic variable has a
-   strictly nonzero reduced cost (for a slack, its row's dual). Then
-   the optimal basis is unique and both kernels must land on the same
-   basic set; degenerate optima legitimately admit several. *)
-let non_degenerate model (sol : Simplex.solution) =
-  let margin = 1e-5 in
-  let n = Model.num_vars model in
-  let rows = Model.num_constrs model in
-  let in_basis = Array.make (n + rows) false in
-  Array.iter (fun j -> in_basis.(j) <- true) sol.Simplex.basis;
-  let interior x lb ub =
-    (lb = neg_infinity || x -. lb > margin)
-    && (ub = infinity || ub -. x > margin)
-  in
-  let ok = ref true in
-  for j = 0 to n - 1 do
-    let v = Model.var_of_index model j in
-    if in_basis.(j) then begin
-      if
-        not
-          (interior sol.Simplex.primal.(j) (Model.var_lb model v)
-             (Model.var_ub model v))
-      then ok := false
-    end
-    else if abs_float sol.Simplex.reduced_costs.(j) <= margin then ok := false
-  done;
-  Model.iter_constrs model (fun r terms sense rhs ->
-      let lhs =
-        List.fold_left
-          (fun acc (c, v) -> acc +. (c *. sol.Simplex.primal.(v)))
-          0.0 terms
-      in
-      let slack = rhs -. lhs in
-      if in_basis.(n + r) then begin
-        match sense with
-        | Model.Le -> if slack <= margin then ok := false
-        | Model.Ge -> if slack >= -.margin then ok := false
-        | Model.Eq -> ok := false (* Eq slack basic at 0 is degenerate *)
-      end
-      else if abs_float sol.Simplex.duals.(r) <= margin then ok := false);
-  !ok
-
-let sorted_basis (sol : Simplex.solution) =
-  let b = Array.copy sol.Simplex.basis in
-  Array.sort compare b;
-  b
-
-let test_kernel_differential () =
-  let basis_checks = ref 0 in
-  let warm_checks = ref 0 in
-  for case = 0 to cases - 1 do
-    (* same instance stream as the warm-start differential *)
-    let rng = Prng.create ((prop_seed * 1_000_003) + case) in
-    let m = random_model rng in
-    let p = Simplex.of_model m in
-    let n = Simplex.num_structural p in
-    let dense = Simplex.solve ~options:dense_opts p in
-    let sparse = Simplex.solve ~options:sparse_opts p in
-    check_agree ~case ~what:"kernel cold" m dense sparse;
-    if
-      dense.Simplex.status = Simplex.Optimal
-      && non_degenerate m dense && non_degenerate m sparse
-    then begin
-      incr basis_checks;
-      if sorted_basis dense <> sorted_basis sparse then
-        Alcotest.failf
-          "case %d: non-degenerate optimum but kernels disagree on the basis"
-          case
-    end;
-    if dense.Simplex.status = Simplex.Optimal then begin
-      (* warm-started re-solve after bound flips, once per kernel,
-         cross-checked against the other kernel's cold re-solve *)
-      let lower =
-        Array.init n (fun v -> Model.var_lb m (Model.var_of_index m v))
-      in
-      let upper =
-        Array.init n (fun v -> Model.var_ub m (Model.var_of_index m v))
-      in
-      flip_bounds rng dense lower upper;
-      let cold_d = Simplex.solve ~lower ~upper ~options:dense_opts p in
-      let warm_s =
-        Simplex.solve ~lower ~upper ~basis:sparse.Simplex.basis
-          ~options:sparse_opts p
-      in
-      let warm_d =
-        Simplex.solve ~lower ~upper ~basis:dense.Simplex.basis
-          ~options:dense_opts p
-      in
-      incr warm_checks;
-      check_agree ~case ~what:"kernel warm sparse" m cold_d warm_s;
-      check_agree ~case ~what:"kernel warm dense" m cold_d warm_d
-    end
-  done;
-  Alcotest.(check bool)
-    (Printf.sprintf "enough non-degenerate basis comparisons (%d)"
-       !basis_checks)
-    true
-    (!basis_checks > cases / 16);
-  Alcotest.(check bool)
-    (Printf.sprintf "enough warm-start cross-checks (%d)" !warm_checks)
-    true
-    (!warm_checks > cases / 8)
-
 (* A structurally singular warm basis (two identical columns) must be
-   rejected by the factorization of either kernel and degrade to the
-   cold answer. *)
+   rejected by the factorization and degrade to the cold answer. *)
 let test_singular_basis_fallback () =
   let m = Model.create Model.Minimize in
   let x0 = Model.add_var m ~lb:0.0 ~ub:10.0 ~obj:1.0 Model.Continuous in
@@ -318,16 +203,11 @@ let test_singular_basis_fallback () =
   Model.add_constr m [ (1.0, x0); (1.0, x1) ] Model.Ge 1.0;
   let p = Simplex.of_model m in
   let singular = [| Model.var_index x0; Model.var_index x1 |] in
-  List.iter
-    (fun (what, options) ->
-      let cold = Simplex.solve ~options p in
-      let warm = Simplex.solve ~basis:singular ~options p in
-      check_agree ~case:0 ~what m cold warm;
-      Alcotest.(check bool)
-        (what ^ ": solved to optimality")
-        true
-        (cold.Simplex.status = Simplex.Optimal))
-    [ ("singular dense", dense_opts); ("singular sparse", sparse_opts) ]
+  let cold = Simplex.solve p in
+  let warm = Simplex.solve ~basis:singular p in
+  check_agree ~case:0 ~what:"singular" m cold warm;
+  Alcotest.(check bool) "singular: solved to optimality" true
+    (cold.Simplex.status = Simplex.Optimal)
 
 (* Nearly dependent columns and wild coefficient scales: the LU's
    threshold pivoting must either factorize stably or raise internally
@@ -343,15 +223,11 @@ let test_ill_conditioned_basis () =
       Model.add_constr m [ (1.0, x0); (1.0 +. eps, x1) ] Model.Le 50.0;
       let p = Simplex.of_model m in
       let near_singular = [| Model.var_index x0; Model.var_index x1 |] in
-      List.iter
-        (fun (what, options) ->
-          let cold = Simplex.solve ~options p in
-          let warm = Simplex.solve ~basis:near_singular ~options p in
-          check_agree ~case:0 ~what m cold warm)
-        [
-          (Printf.sprintf "ill-conditioned dense eps=%g" eps, dense_opts);
-          (Printf.sprintf "ill-conditioned sparse eps=%g" eps, sparse_opts);
-        ])
+      let cold = Simplex.solve p in
+      let warm = Simplex.solve ~basis:near_singular p in
+      check_agree ~case:0
+        ~what:(Printf.sprintf "ill-conditioned eps=%g" eps)
+        m cold warm)
     eps_list;
   (* mixed huge/tiny coefficients in one basis *)
   let m = Model.create Model.Maximize in
@@ -361,9 +237,11 @@ let test_ill_conditioned_basis () =
   Model.add_constr m [ (1e-8, x0); (1e8, x1) ] Model.Le 1e8;
   let p = Simplex.of_model m in
   let basis = [| Model.var_index x0; Model.var_index x1 |] in
-  let dense = Simplex.solve ~basis ~options:dense_opts p in
-  let sparse = Simplex.solve ~basis ~options:sparse_opts p in
-  check_agree ~case:0 ~what:"mixed scales" m dense sparse
+  let cold = Simplex.solve p in
+  let warm = Simplex.solve ~basis p in
+  check_agree ~case:0 ~what:"mixed scales" m cold warm;
+  Alcotest.(check bool) "mixed scales: solved to optimality" true
+    (cold.Simplex.status = Simplex.Optimal)
 
 let suite =
   [
@@ -374,12 +252,8 @@ let suite =
       test_malformed_basis_degrades;
     Alcotest.test_case "explicit slack basis = cold start" `Quick
       test_explicit_slack_basis;
-    Alcotest.test_case
-      (Printf.sprintf "dense vs sparse-LU kernel differential (seed %d)"
-         prop_seed)
-      `Quick test_kernel_differential;
-    Alcotest.test_case "singular warm basis falls back (both kernels)" `Quick
-      test_singular_basis_fallback;
-    Alcotest.test_case "ill-conditioned bases stay exact (both kernels)" `Quick
+    Alcotest.test_case "singular warm basis falls back (to the cold answer)"
+      `Quick test_singular_basis_fallback;
+    Alcotest.test_case "ill-conditioned bases stay exact (vs cold)" `Quick
       test_ill_conditioned_basis;
   ]
