@@ -10,8 +10,6 @@ module Deadline = Monpos_resilience.Deadline
 module Chaos = Monpos_resilience.Chaos
 module Preempt = Monpos_resilience.Preempt
 module Ckpt = Monpos_resilience.Checkpoint
-module Prng = Monpos_util.Prng
-module Wsdeque = Monpos_util.Wsdeque
 module H = Monpos_util.Heap
 
 (* module-scope instrument handles: registration is idempotent and
@@ -25,11 +23,6 @@ let m_incumbents = lazy (Metrics.counter Metrics.default "mip.incumbents")
 let m_prunes = lazy (Metrics.counter Metrics.default "mip.prunes")
 
 let m_solves = lazy (Metrics.counter Metrics.default "mip.solves")
-
-let m_steals = lazy (Metrics.counter Metrics.default "mip.steals")
-
-let m_worker_failures =
-  lazy (Metrics.counter Metrics.default "mip.worker_failures")
 
 (* checkpoint write count plus the wall-clock instant of the last
    write: /statusz derives the operator-facing "checkpoint age" (how
@@ -56,22 +49,6 @@ let m_g_incumbent = lazy (Metrics.gauge Metrics.default "mip.incumbent")
 let m_g_bound = lazy (Metrics.gauge Metrics.default "mip.bound")
 
 let m_g_gap = lazy (Metrics.gauge Metrics.default "mip.gap")
-
-(* per-worker series, labeled by worker slot (0 = the coordinating
-   domain), not by runtime domain id: slot labels keep the series
-   cardinality bounded by [jobs] where raw domain ids would grow
-   without bound across solves. Registration happens on the main
-   domain only (before spawn or after join); workers touch nothing
-   but the returned handles. *)
-let m_nodes_w w =
-  Metrics.counter
-    ~labels:[ ("domain", string_of_int w) ]
-    Metrics.default "mip.nodes"
-
-let m_idle_w w =
-  Metrics.gauge
-    ~labels:[ ("domain", string_of_int w) ]
-    Metrics.default "mip.idle_seconds"
 
 type branching = Most_fractional | Pseudocost
 
@@ -208,7 +185,7 @@ let pc_create n =
     pc_up_n = Array.make n 0;
   }
 
-(* ---- deterministic wave pool ------------------------------------- *)
+(* ---- wave tasks --------------------------------------------------- *)
 
 type outcome =
   | O_pending
@@ -218,268 +195,15 @@ type outcome =
   | O_deadline
   | O_optimal of { raw : float; primal : float array; basis : Simplex.basis }
 
+(* one node of a wave: the slot that solves it writes [t_outcome], and
+   the coordinator reads it at the merge, after the barrier *)
 type task = {
   t_node : node;
   t_bound : float;
   t_num : int;
   t_dive : bool;
   mutable t_outcome : outcome;
-  (* how many worker slots have already died while holding this task;
-     the supervisor requeues up to a small cap, past which the failure
-     is evidently the task's own (a deterministic bug) and propagates *)
-  mutable t_tries : int;
 }
-
-(* chaos site [domain.die]: the injected fail-stop worker death. The
-   exception deliberately is not [Error.Error] — the supervisor must
-   treat it like any other unexpected worker crash. *)
-exception Worker_killed of int
-
-(* A pool of [jobs - 1] spawned worker domains plus the coordinator
-   (slot 0). Work arrives in waves: the coordinator publishes a
-   generation bump with [p_remaining] set to the wave size, deals the
-   tasks round-robin into the per-worker deques, and every slot then
-   drains tasks — own deque first (LIFO), stealing from the top of
-   random victims when empty. The barrier is [p_remaining] reaching
-   zero; setting [p_remaining] before the pushes matters, because a
-   straggler from the previous wave may steal a new task early and
-   its decrement must land on an initialized counter. *)
-type pool = {
-  p_jobs : int;
-  p_deques : task Wsdeque.t array;
-  p_lock : Mutex.t;
-  p_cond : Condition.t;
-  mutable p_generation : int;
-  mutable p_remaining : int;
-  mutable p_quit : bool;
-  mutable p_failure : exn option;
-  (* fail-stop supervision state: a slot whose task raised is marked
-     dead, its unfinished work moves to [p_retry] (guarded by
-     [p_lock]), and the surviving slots drain it. Slot 0 (the
-     coordinator) is never marked dead — a coordinator failure
-     propagates, exactly as before. *)
-  p_dead : bool array;
-  p_retry : task Queue.t;
-  p_steals : int array;
-  p_idle : float array;
-  p_nodes_w : Metrics.counter array;
-  p_process : int -> task -> unit;
-  p_sink : Trace.sink;
-  mutable p_domains : unit Domain.t array;
-}
-
-let take_retry pool =
-  Mutex.protect pool.p_lock (fun () ->
-      if Queue.is_empty pool.p_retry then None
-      else Some (Queue.pop pool.p_retry))
-
-let find_task pool w prng =
-  match Wsdeque.pop pool.p_deques.(w) with
-  | Some _ as t -> t
-  | None -> (
-    match take_retry pool with
-    | Some _ as t -> t
-    | None ->
-      let start = Prng.int prng pool.p_jobs in
-      let rec sweep i =
-        if i = pool.p_jobs then None
-        else
-          let v = (start + i) mod pool.p_jobs in
-          if v = w then sweep (i + 1)
-          else
-            match Wsdeque.steal pool.p_deques.(v) with
-            | Some _ as t ->
-              pool.p_steals.(w) <- pool.p_steals.(w) + 1;
-              t
-            | None -> sweep (i + 1)
-      in
-      sweep 0)
-
-let record_failure pool e =
-  Mutex.protect pool.p_lock (fun () ->
-      match pool.p_failure with
-      | None -> pool.p_failure <- Some e
-      | Some _ -> ())
-
-let task_done pool =
-  Mutex.protect pool.p_lock (fun () ->
-      pool.p_remaining <- pool.p_remaining - 1;
-      if pool.p_remaining = 0 then Condition.broadcast pool.p_cond)
-
-(* Fail-stop containment for a dying worker slot: the slot is marked
-   dead, the failed task and everything still sitting in the slot's
-   own deque move to the retry queue, and the survivors are woken to
-   drain it. [p_remaining] is deliberately not decremented for the
-   requeued tasks — the wave barrier completes only once a survivor
-   has actually finished them, so a merge never sees an [O_pending]
-   outcome. Re-solving a node LP is deterministic, so the wave's
-   results are bit-identical to an undisturbed run. *)
-let supervise_failure pool w t e =
-  t.t_tries <- t.t_tries + 1;
-  Mutex.protect pool.p_lock (fun () ->
-      pool.p_dead.(w) <- true;
-      Queue.push t pool.p_retry;
-      let rec drain_own () =
-        match Wsdeque.pop pool.p_deques.(w) with
-        | Some t' ->
-          Queue.push t' pool.p_retry;
-          drain_own ()
-        | None -> ()
-      in
-      drain_own ();
-      Condition.broadcast pool.p_cond);
-  Metrics.incr (Lazy.force m_worker_failures);
-  if Trace.enabled pool.p_sink then
-    Trace.worker_failure pool.p_sink ~slot:w ~reason:(Printexc.to_string e);
-  Flightrec.trigger ~reason:"worker_failure"
-
-let rec drain_wave pool w prng =
-  if pool.p_dead.(w) then ()
-  else
-    match find_task pool w prng with
-    | Some t -> (
-      match
-        (* the die site fires only on a task's first attempt: a worker
-           picking up a requeued task must not die on it again, or a
-           single unlucky task could fell every slot in turn *)
-        if
-          w > 0 && t.t_tries = 0
-          && Chaos.fire ~scoped:false ~site:"domain.die" ~p:0.02 ()
-        then raise (Worker_killed w)
-        else pool.p_process w t
-      with
-      | () ->
-        Metrics.incr pool.p_nodes_w.(w);
-        task_done pool;
-        drain_wave pool w prng
-      | exception e ->
-        (* Typed solver errors ([Error.Error]) are findings about the
-           model, not the worker — they propagate whole. So does any
-           failure on slot 0 (losing the coordinator means losing the
-           merge), and a task that has already killed several slots. *)
-        let supervisable =
-          w > 0 && t.t_tries < 3
-          && (match e with Error.Error _ -> false | _ -> true)
-        in
-        if supervisable then supervise_failure pool w t e
-        else begin
-          record_failure pool e;
-          task_done pool;
-          drain_wave pool w prng
-        end)
-    | None ->
-      (* nothing stealable: either the wave is done or every remaining
-         task is in flight on another slot — wait for the zero broadcast *)
-      let finished =
-        Mutex.protect pool.p_lock (fun () ->
-            if pool.p_remaining > 0 && not pool.p_quit then begin
-              let t0 = Clock.now () in
-              Condition.wait pool.p_cond pool.p_lock;
-              pool.p_idle.(w) <- pool.p_idle.(w) +. (Clock.now () -. t0);
-              false
-            end
-            else true)
-      in
-      if not finished then drain_wave pool w prng
-
-let rec worker_loop pool w prng my_gen sink =
-  let next =
-    Mutex.protect pool.p_lock (fun () ->
-        let t0 = Clock.now () in
-        while (not pool.p_quit) && pool.p_generation = my_gen do
-          Condition.wait pool.p_cond pool.p_lock
-        done;
-        pool.p_idle.(w) <- pool.p_idle.(w) +. (Clock.now () -. t0);
-        if pool.p_quit then None else Some pool.p_generation)
-  in
-  match next with
-  | None ->
-    (* domain exit: push out any events this domain buffered, so a
-       reader never sees a torn per-domain span pair *)
-    Trace.flush sink
-  | Some gen ->
-    drain_wave pool w prng;
-    worker_loop pool w prng gen sink
-
-let create_pool ~jobs ~prngs ~process ~sink =
-  let pool =
-    {
-      p_jobs = jobs;
-      p_deques = Array.init jobs (fun _ -> Wsdeque.create ());
-      p_lock = Mutex.create ();
-      p_cond = Condition.create ();
-      p_generation = 0;
-      p_remaining = 0;
-      p_quit = false;
-      p_failure = None;
-      p_dead = Array.make jobs false;
-      p_retry = Queue.create ();
-      p_steals = Array.make jobs 0;
-      p_idle = Array.make jobs 0.0;
-      p_nodes_w = Array.init jobs m_nodes_w;
-      p_process = process;
-      p_sink = sink;
-      p_domains = [||];
-    }
-  in
-  pool.p_domains <-
-    Array.init (jobs - 1) (fun i ->
-        let w = i + 1 in
-        let prng = prngs.(w) in
-        Domain.spawn (fun () -> worker_loop pool w prng 0 sink));
-  pool
-
-let run_wave pool prng0 tasks =
-  let n = List.length tasks in
-  Mutex.protect pool.p_lock (fun () ->
-      pool.p_remaining <- n;
-      pool.p_generation <- pool.p_generation + 1;
-      Condition.broadcast pool.p_cond);
-  (* deal only to surviving slots: a dead slot's deque has no owner to
-     pop it, and while thieves could still steal from it, leaving work
-     there would make the common case (no thief looks) a stall *)
-  let alive =
-    let l = ref [] in
-    for w = pool.p_jobs - 1 downto 0 do
-      if not pool.p_dead.(w) then l := w :: !l
-    done;
-    Array.of_list !l
-  in
-  List.iteri
-    (fun i t ->
-      Wsdeque.push pool.p_deques.(alive.(i mod Array.length alive)) t)
-    tasks;
-  (* second broadcast: a worker that woke on the generation bump,
-     found the deques still empty and went back to waiting needs a
-     poke now that the tasks are actually visible *)
-  Mutex.protect pool.p_lock (fun () -> Condition.broadcast pool.p_cond);
-  drain_wave pool 0 prng0;
-  Mutex.protect pool.p_lock (fun () ->
-      let t0 = Clock.now () in
-      while pool.p_remaining > 0 do
-        Condition.wait pool.p_cond pool.p_lock
-      done;
-      pool.p_idle.(0) <- pool.p_idle.(0) +. (Clock.now () -. t0));
-  match pool.p_failure with
-  | Some e ->
-    pool.p_failure <- None;
-    raise e
-  | None -> ()
-
-let shutdown pool =
-  Mutex.protect pool.p_lock (fun () ->
-      pool.p_quit <- true;
-      Condition.broadcast pool.p_cond);
-  Array.iter Domain.join pool.p_domains;
-  let stolen = Array.fold_left ( + ) 0 pool.p_steals in
-  if stolen > 0 then Metrics.add (Lazy.force m_steals) stolen;
-  Array.iteri
-    (fun w s ->
-      if s > 0.0 then begin
-        let g = m_idle_w w in
-        Metrics.set g (Metrics.gauge_value g +. s)
-      end)
-    pool.p_idle
 
 let resolved_jobs options =
   let j =
@@ -502,13 +226,13 @@ let check_deterministic ~fn options =
    The checkpoint captures the deterministic wave scheduler's complete
    search state at a wave barrier: the (post-presolve) model, the
    search-shaping options, the open-node frontier with bounds and
-   warm-start bases, the incumbent, the pseudocost tables, the worker
-   PRNG stream positions and the run manifest. Two representation
-   choices carry the determinism-under-resume contract:
+   warm-start bases, the incumbent, the pseudocost tables and the run
+   manifest. Two representation choices carry the
+   determinism-under-resume contract:
 
    - every float travels as a hexadecimal literal ("%h"), so bounds,
-     coefficients, scores and PRNG-derived values round-trip
-     bit-exactly — resumed arithmetic starts from the very same bits;
+     coefficients and scores round-trip bit-exactly — resumed
+     arithmetic starts from the very same bits;
 
    - the heap is stored as its verbatim internal array (Heap.snapshot
      / Heap.restore), not as a sorted drain: a rebuild by re-pushing
@@ -521,7 +245,7 @@ let check_deterministic ~fn options =
 
 let ck_magic = "monpos-mip-checkpoint"
 
-let ck_version = 1
+let ck_version = 2
 
 (* everything [resume] needs to restart [solve_gen] mid-search *)
 type saved = {
@@ -537,7 +261,6 @@ type saved = {
   s_infeasible_root : bool;
   s_incumbent : Incumbent.cand option;
   s_pc : (int * float * int * float * int) list;
-  s_prngs : (int64 * int64) array;
   s_heap_keys : float array;
   s_heap_nodes : node array;
 }
@@ -547,7 +270,7 @@ let ck_float = Printf.sprintf "%h"
 let ck_b b = if b then "1" else "0"
 
 let ck_encode ~model ~options ~elapsed ~nodes ~next_seq ~best_open ~stopped
-    ~deadline_stop ~infeasible_root ~incumbent ~pc ~prngs ~queue =
+    ~deadline_stop ~infeasible_root ~incumbent ~pc ~queue =
   let n = Model.num_vars model in
   let lines = ref [] in
   let add l = lines := l :: !lines in
@@ -562,10 +285,8 @@ let ck_encode ~model ~options ~elapsed ~nodes ~next_seq ~best_open ~stopped
        (match Model.direction model with
        | Model.Minimize -> "min"
        | Model.Maximize -> "max"));
-  (* the kernel token is fixed at "sparse": format version 1 carries it
-     from when a second simplex kernel could be selected *)
   add
-    (Printf.sprintf "opts %s %s %s %d %s sparse %d"
+    (Printf.sprintf "opts %s %s %s %d %s %d"
        (match options.branching with
        | Pseudocost -> "pc"
        | Most_fractional -> "mf")
@@ -630,12 +351,6 @@ let ck_encode ~model ~options ~elapsed ~nodes ~next_seq ~best_open ~stopped
            (ck_float pc.pc_up.(v))
            pc.pc_up_n.(v))
   done;
-  add (Printf.sprintf "prngs %d" (Array.length prngs));
-  Array.iteri
-    (fun w g ->
-      let s, gm = Prng.state g in
-      add (Printf.sprintf "g %d %Ld %Ld" w s gm))
-    prngs;
   let keys, frontier = H.snapshot queue in
   add (Printf.sprintf "heap %d" (Array.length keys));
   Array.iteri
@@ -706,11 +421,6 @@ let ck_decode ~path body =
     | Some v -> v
     | None -> fail i (Printf.sprintf "bad int %S" s)
   in
-  let pint64 i s =
-    match Int64.of_string_opt s with
-    | Some v -> v
-    | None -> fail i (Printf.sprintf "bad int64 %S" s)
-  in
   let pbool i s =
     match s with
     | "1" -> true
@@ -725,8 +435,7 @@ let ck_decode ~path body =
   in
   let s_options =
     match toks "opts" with
-    | [ "opts"; br; gap; itol; heur; warm; kernel; wave ], i ->
-      if kernel <> "sparse" then fail i (Printf.sprintf "bad kernel %S" kernel);
+    | [ "opts"; br; gap; itol; heur; warm; wave ], i ->
       {
         default_options with
         branching =
@@ -834,19 +543,6 @@ let ck_decode ~path body =
     | _ -> List.rev acc
   in
   let s_pc = pc_rows [] in
-  let nprngs =
-    match toks "prngs" with
-    | [ "prngs"; c ], i -> pint i c
-    | _, i -> fail i "bad prngs record"
-  in
-  let s_prngs =
-    Array.init nprngs (fun w ->
-        match toks "g" with
-        | [ "g"; slot; st; gm ], i ->
-          if pint i slot <> w then fail i "prng slots out of order";
-          (pint64 i st, pint64 i gm)
-        | _, i -> fail i "bad g record")
-  in
   let hlen =
     match toks "heap" with
     | [ "heap"; c ], i -> pint i c
@@ -946,7 +642,6 @@ let ck_decode ~path body =
     s_infeasible_root;
     s_incumbent;
     s_pc;
-    s_prngs;
     s_heap_keys;
     s_heap_nodes;
   }
@@ -982,7 +677,6 @@ let solve_gen ~options ~(restore : saved option) model =
   ignore (Lazy.force m_nodes);
   ignore (Lazy.force m_incumbents);
   ignore (Lazy.force m_prunes);
-  ignore (Lazy.force m_steals);
   ignore (Lazy.force m_g_incumbent);
   ignore (Lazy.force m_g_bound);
   ignore (Lazy.force m_g_gap);
@@ -1257,20 +951,6 @@ let solve_gen ~options ~(restore : saved option) model =
   in
   let jobs = resolved_jobs options in
   let wave_size = max 1 options.wave in
-  (* steal-victim sweep order comes from per-worker split streams:
-     deterministic to construct, irrelevant to results (stealing only
-     moves a node between domains) *)
-  let worker_prngs =
-    (* restored positions keep the steal streams where the crashed run
-       left them; on a jobs mismatch fresh streams are equally valid —
-       steal order never affects results *)
-    match restore with
-    | Some s when Array.length s.s_prngs = jobs ->
-      Array.map Prng.of_state s.s_prngs
-    | _ ->
-      let base = Prng.create 0x6d6f6e50 in
-      Array.init jobs (fun _ -> Prng.split base)
-  in
   let root =
     {
       lower =
@@ -1317,7 +997,7 @@ let solve_gen ~options ~(restore : saved option) model =
      The coordinator repeats: pop up to [wave] nodes from the
      best-bound heap (assigning node numbers, emitting bb_node events
      and deciding stop conditions — all heap-order-deterministic),
-     dispatch them to the worker deques, barrier, then merge the LP
+     publish them to the wave pool, barrier, then merge the LP
      outcomes in wave order. Everything order-sensitive — pseudocost
      updates, branching decisions, child seq assignment, bound
      pruning, chaos draws — happens at the merge, on this domain, in
@@ -1384,32 +1064,26 @@ let solve_gen ~options ~(restore : saved option) model =
           O_optimal
             { raw; primal = sol.Simplex.primal; basis = sol.Simplex.basis }
     in
-    let inline_nodes = lazy (m_nodes_w 0) in
+    (* the pool runs the root (a singleton wave) inline on this
+       domain, so the root LP forces every kernel-internal lazy before
+       a worker domain can race it; a serial solve needs no pool *)
     let pool =
-      lazy
-        (create_pool ~jobs ~prngs:worker_prngs
-           ~process:(fun _w t -> process_task t)
-           ~sink)
+      if jobs = 1 then None
+      else
+        Some
+          (Wave_pool.create ~jobs ~process:(fun _w t -> process_task t) ~sink)
     in
-    let process_inline t =
-      process_task t;
-      if jobs > 1 then Metrics.incr (Lazy.force inline_nodes)
-    in
-    (* singleton waves (the root above all) run inline on this domain:
-       trivial solves never pay a spawn, and the root LP forces every
-       kernel-internal lazy before a worker domain can race it *)
-    let run_tasks = function
-      | [] -> ()
-      | [ t ] -> process_inline t
-      | ts when jobs = 1 -> List.iter process_inline ts
-      | ts -> run_wave (Lazy.force pool) worker_prngs.(0) ts
+    let run_tasks ts =
+      match pool with
+      | None -> List.iter process_task ts
+      | Some pool -> Wave_pool.run pool ts
     in
     let searching = ref true in
     let merge (t : task) =
       let node = t.t_node in
       match t.t_outcome with
       | O_pending ->
-        (* unreachable: a worker failure re-raises from run_wave
+        (* unreachable: a worker failure re-raises from Wave_pool.run
            before the merge runs *)
         assert false
       | O_infeasible -> ()
@@ -1517,7 +1191,7 @@ let solve_gen ~options ~(restore : saved option) model =
             ~stopped:!merge_stopped ~deadline_stop:!merge_deadline
             ~infeasible_root:!infeasible_root
             ~incumbent:(Incumbent.get incumbent)
-            ~pc ~prngs:worker_prngs ~queue
+            ~pc ~queue
         in
         Ckpt.write ~path ~magic:ck_magic ~version:ck_version lines;
         let dt = Clock.now () -. t0 in
@@ -1532,7 +1206,7 @@ let solve_gen ~options ~(restore : saved option) model =
         process_kill_site ()
     in
     Fun.protect
-      ~finally:(fun () -> if Lazy.is_val pool then shutdown (Lazy.force pool))
+      ~finally:(fun () -> Option.iter Wave_pool.shutdown pool)
     @@ fun () ->
     while !searching do
       if Preempt.requested () then begin
@@ -1604,7 +1278,6 @@ let solve_gen ~options ~(restore : saved option) model =
                   t_bound = parent_bound;
                   t_num = !nodes;
                   t_dive;
-                  t_tries = 0;
                   t_outcome = O_pending;
                 }
                 :: !rev_tasks

@@ -15,9 +15,9 @@
     counts). Node and wall-clock limits turn the solver into an
     anytime heuristic that reports the remaining gap.
 
-    With [jobs > 1] the search runs on OCaml 5 domains: node LPs are
-    dealt to per-domain workers with work-stealing deques, and the
-    incumbent lives in a shared atomic cell. The tree is explored in
+    With [jobs > 1] the search runs on OCaml 5 domains: the node LPs
+    of a wave are claimed from one shared index by every domain
+    ({!Wave_pool}), and the incumbent lives in a shared atomic cell. The tree is explored in
     fixed-size waves whose composition, branching decisions and
     incumbent updates are all decided in a scheduling-independent
     order, so the reported

@@ -10,8 +10,8 @@
      whose whole point is to stay large, so only a drop below half the
      baseline regresses (small-instance speedups swing a lot between
      otherwise-identical runs);
-   - scheduler- and machine-dependent series (work-steal counts,
-     per-domain "{domain=...}" splits, core counts, measured-overhead
+   - scheduler- and machine-dependent series (per-domain
+     "{domain=...}" splits, core counts, measured-overhead
      percentages): artifacts of which worker happened to grab which
      node, of the hardware the run landed on, or of background load
      during a timed A/B, so they are compared for coverage but never
@@ -55,7 +55,7 @@ type klass = Time | Ratio | Exact | Sched
 
 let classify key =
   if
-    contains ~sub:"{domain=" key || contains ~sub:"steals" key
+    contains ~sub:"{domain=" key
     || contains ~sub:"cores" key
     || contains ~sub:"overhead_pct" key
   then Sched

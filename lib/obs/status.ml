@@ -1,8 +1,8 @@
 (* Live process status for the scrape responder's /healthz and
    /statusz endpoints: the run manifest, uptime, the solve phase in
    flight, and the solver watermarks published as gauges into the
-   default registry (incumbent, bound, gap, per-domain node counts,
-   steal/idle accounting). Everything here is last-writer-wins
+   default registry (incumbent, bound, gap, per-domain node and idle
+   accounting). Everything here is last-writer-wins
    monitoring state — written from whichever domain is solving, read
    by the serve loop — so atomics are used where a torn read could
    surface a nonsense value and plain stores where they cannot. *)
@@ -85,7 +85,6 @@ let to_json ?(registry = Metrics.default) () =
             ("gap", gauge_json snap "mip.gap");
             ("nodes", Json.Int (Metrics.sum_counter snap "mip.nodes"));
             ("nodes_by_domain", Json.Obj (by_domain snap "mip.nodes"));
-            ("steals", Json.Int (Metrics.sum_counter snap "mip.steals"));
             ( "idle_seconds_by_domain",
               Json.Obj (by_domain snap "mip.idle_seconds") );
           ] );

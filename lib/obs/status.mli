@@ -3,8 +3,7 @@
 
     All state is last-writer-wins monitoring data: the solving domain
     publishes, the serve loop reads. The solver watermarks themselves
-    (incumbent, bound, gap, per-domain node counts, steal/idle
-    accounting) live as ordinary gauges and counters in
+    (incumbent, bound, gap, per-domain node and idle accounting) live as ordinary gauges and counters in
     {!Metrics.default}; {!to_json} snapshots them into one document
     together with the run manifest, uptime and in-flight phase. *)
 

@@ -1,14 +1,10 @@
-type t = { mutable state : int64; gamma : int64 }
+type t = { mutable state : int64 }
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed; gamma = golden_gamma }
+let create seed = { state = Int64.of_int seed }
 
-let copy g = { state = g.state; gamma = g.gamma }
-
-let state g = (g.state, g.gamma)
-
-let of_state (state, gamma) = { state; gamma }
+let copy g = { state = g.state }
 
 (* SplitMix64 output function (Steele, Lea & Flood 2014). *)
 let mix z =
@@ -17,38 +13,8 @@ let mix z =
   Int64.logxor z (Int64.shift_right_logical z 31)
 
 let bits64 g =
-  g.state <- Int64.add g.state g.gamma;
+  g.state <- Int64.add g.state golden_gamma;
   mix g.state
-
-(* Gamma derivation for [split] (mixGamma from the same paper): a
-   variant-13 mix forced odd, with a popcount guard that rejects
-   gammas whose bit pattern is too regular to advance the state well.
-   Deriving a fresh gamma per child is what makes the streams
-   non-overlapping: a child that merely re-seeded with the parent's
-   gamma would walk the parent's own state sequence from a different
-   offset, and the two streams would eventually emit identical runs. *)
-let popcount z =
-  let rec go z acc =
-    if z = 0L then acc
-    else go (Int64.logand z (Int64.sub z 1L)) (acc + 1)
-  in
-  go z 0
-
-let mix_gamma z =
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 33)) 0xFF51AFD7ED558CCDL in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 33)) 0xC4CEB9FE1A85EC53L in
-  let z = Int64.logor (Int64.logxor z (Int64.shift_right_logical z 33)) 1L in
-  if popcount (Int64.logxor z (Int64.shift_right_logical z 1)) < 24 then
-    Int64.logxor z 0xAAAAAAAAAAAAAAAAL
-  else z
-
-let split g =
-  let s = bits64 g in
-  let raw =
-    g.state <- Int64.add g.state g.gamma;
-    g.state
-  in
-  { state = s; gamma = mix_gamma raw }
 
 let int g n =
   assert (n > 0);

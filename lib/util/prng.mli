@@ -3,8 +3,9 @@
     All randomized components of the library (topology generation,
     traffic matrices, solver tie-breaking) draw from this generator so
     that every experiment is reproducible from a single integer seed.
-    The core is SplitMix64, which has good statistical quality, a
-    trivially serializable state, and supports cheap stream splitting. *)
+    The core is SplitMix64 (one 64-bit state advanced by a fixed odd
+    increment), which has good statistical quality at the cost of one
+    addition and one mix per draw. *)
 
 type t
 (** Mutable generator state. *)
@@ -15,26 +16,6 @@ val create : int -> t
 
 val copy : t -> t
 (** [copy g] is an independent generator with the same current state. *)
-
-val state : t -> int64 * int64
-(** [state g] is the full serializable state [(state, gamma)] of [g].
-    Together with {!of_state} it round-trips the generator exactly:
-    [of_state (state g)] continues [g]'s stream from the same position.
-    Used by checkpoint/resume to persist stream positions. *)
-
-val of_state : int64 * int64 -> t
-(** [of_state (s, gamma)] rebuilds a generator from a {!state}
-    snapshot. *)
-
-val split : t -> t
-(** [split g] advances [g] (by two steps) and returns a new generator
-    whose stream is statistically independent from the remainder of
-    [g]'s stream: the child gets both a fresh state and a fresh odd
-    gamma (SplitMix64 stream splitting), so parent and child never
-    walk the same state sequence. Splitting is itself deterministic —
-    replaying the same parent seed yields the same children — which is
-    how each solver domain gets an independent, reproducible stream:
-    split once per worker, in worker order, before spawning. *)
 
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)

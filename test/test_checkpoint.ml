@@ -139,18 +139,6 @@ let test_heap_snapshot_restore () =
       Alcotest.(check int) "payload order (ties included)" va vb)
     a b
 
-let test_prng_state_roundtrip () =
-  let g = Prng.create 1234 in
-  for _ = 1 to 57 do
-    ignore (Prng.int g 1000)
-  done;
-  let g' = Prng.of_state (Prng.state g) in
-  for i = 1 to 100 do
-    Alcotest.(check int)
-      (Printf.sprintf "draw %d" i)
-      (Prng.int g 1_000_000) (Prng.int g' 1_000_000)
-  done
-
 (* ---------- kill at a random wave + resume, random models ---------- *)
 
 let random_model rng =
@@ -419,17 +407,31 @@ let test_resume_version_mismatch () =
   Fun.protect ~finally:(fun () -> cleanup path) @@ fun () ->
   ignore (mip_checkpoint_fixture path);
   let text = read_all path in
-  (* the header is outside the checksum, so a version bump alone must
-     be rejected by the version gate, not the corruption check *)
+  (* the header is outside the checksum, so a version change alone must
+     be rejected by the version gate (line 1), not the corruption
+     check: a future version, and version 1, whose opts record carried
+     a kernel token and which also stored per-worker PRNG streams *)
   let nl = String.index text '\n' in
   let header = String.sub text 0 nl in
-  let header =
-    match String.rindex_opt header ' ' with
-    | Some sp -> String.sub header 0 sp ^ " 99"
-    | None -> Alcotest.fail "unexpected header shape"
-  in
-  write_all path (header ^ String.sub text nl (String.length text - nl));
-  expect_parse_error "future version" (fun () -> Mip.resume path)
+  List.iter
+    (fun version ->
+      let header =
+        match String.rindex_opt header ' ' with
+        | Some sp -> String.sub header 0 sp ^ " " ^ version
+        | None -> Alcotest.fail "unexpected header shape"
+      in
+      write_all path (header ^ String.sub text nl (String.length text - nl));
+      match Mip.resume path with
+      | _ -> Alcotest.failf "version %s: expected a Parse_error" version
+      | exception Rerror.Error (Rerror.Parse_error { line; msg; _ }) ->
+        Alcotest.(check int) ("version " ^ version ^ " located") 1 line;
+        Alcotest.(check string)
+          ("version " ^ version ^ " message")
+          (Printf.sprintf
+             "unsupported checkpoint version %s (this build reads version 2)"
+             version)
+          msg)
+    [ "99"; "1" ]
 
 let test_resume_corrupt_and_missing () =
   let path = tmp "mipcorrupt.ckpt" in
@@ -442,25 +444,26 @@ let test_resume_corrupt_and_missing () =
   in
   write_all path (String.concat "\n" dropped);
   expect_parse_error "dropped line" (fun () -> Mip.resume path);
-  (* a well-sealed file naming a kernel this build does not have (the
-     retired dense one) is rejected at its opts record, body line 2 *)
+  (* a well-sealed current-version file whose opts record still has
+     version 1's kernel token is rejected at that record, body line 2 *)
   ignore (mip_checkpoint_fixture path);
   let version, body = Ckpt.load ~path ~magic:"monpos-mip-checkpoint" in
   let body =
     List.map
       (fun l ->
         match String.split_on_char ' ' l with
-        | "opts" :: br :: gap :: itol :: heur :: warm :: "sparse" :: rest ->
-          String.concat " " ("opts" :: br :: gap :: itol :: heur :: warm :: "dense" :: rest)
+        | "opts" :: br :: gap :: itol :: heur :: warm :: rest ->
+          String.concat " "
+            ("opts" :: br :: gap :: itol :: heur :: warm :: "sparse" :: rest)
         | _ -> l)
       body
   in
   Ckpt.write ~path ~magic:"monpos-mip-checkpoint" ~version body;
   (match Mip.resume path with
-  | _ -> Alcotest.fail "dense kernel token: expected a Parse_error"
+  | _ -> Alcotest.fail "kernel token: expected a Parse_error"
   | exception Rerror.Error (Rerror.Parse_error { line; msg; _ }) ->
-    Alcotest.(check int) "dense kernel token located" 3 line;
-    Alcotest.(check string) "dense kernel token message" "bad kernel \"dense\"" msg);
+    Alcotest.(check int) "kernel token located" 3 line;
+    Alcotest.(check string) "kernel token message" "bad opts record" msg);
   cleanup path;
   expect_io_error "missing checkpoint" (fun () -> Mip.resume path)
 
@@ -527,8 +530,6 @@ let suite =
       test_container_detects_corruption;
     Alcotest.test_case "heap snapshot/restore preserves ties" `Quick
       test_heap_snapshot_restore;
-    Alcotest.test_case "prng state round-trip" `Quick
-      test_prng_state_roundtrip;
     Alcotest.test_case "random models: kill + resume identity" `Slow
       test_random_kill_resume_identity;
     Alcotest.test_case "double kill + resume identity" `Quick

@@ -2,8 +2,8 @@
    jobs-invariance contract (same incumbent, objective, bound, node
    count and gap for any worker-domain count) on random models and on
    the paper's seed MIPs, the chaos degradation ladder under parallel
-   solves, and the shared incumbent cell under a multi-domain
-   hammer. *)
+   solves, the shared incumbent cell under a multi-domain hammer, and
+   the wave pool's supervision driven by a fake task processor. *)
 
 module Instance = Monpos.Instance
 module Passive = Monpos.Passive
@@ -15,6 +15,9 @@ module Model = Monpos_lp.Model
 module Mip = Monpos_lp.Mip
 module Prng = Monpos_util.Prng
 module Chaos = Monpos_resilience.Chaos
+module Rerror = Monpos_resilience.Error
+module Metrics = Monpos_obs.Metrics
+module Wave_pool = Monpos_lp.Wave_pool
 
 let jobs_list = [ 1; 2; 4 ]
 
@@ -205,10 +208,9 @@ let test_incumbent_stress () =
      mode's incumbent filtering rests on *)
   let domains = 8 in
   let per_domain = 10_000 in
-  let parent = Prng.create 9090 in
   let batches =
-    Array.init domains (fun _ ->
-        let rng = Prng.split parent in
+    Array.init domains (fun d ->
+        let rng = Prng.create (9090 + d) in
         Array.init per_domain (fun i ->
             {
               Mip.Incumbent.score = float_of_int (Prng.int rng 500);
@@ -248,6 +250,130 @@ let test_incumbent_stress () =
   | None, _ -> Alcotest.fail "cell empty after publishes"
   | _, None -> Alcotest.fail "no candidates drawn"
 
+(* ---------- the wave pool under a fake process ---------- *)
+
+(* Each case scripts the failures itself, so the chaos lottery (whose
+   [domain.die] site would add deaths of its own) is disarmed for the
+   pool's lifetime, and slots are made to meet by holding one of them
+   inside [process] until another has claimed, so the scripted
+   failures land on the slots each case names. *)
+let with_pool ~jobs process f =
+  let saved = Chaos.seed () in
+  Chaos.set_seed None;
+  let pool = Wave_pool.create ~jobs ~process ~sink:Monpos_obs.Trace.null in
+  Fun.protect
+    ~finally:(fun () ->
+      Wave_pool.shutdown pool;
+      Chaos.set_seed saved)
+    (fun () -> f pool)
+
+let worker_failures () =
+  Metrics.sum_counter
+    (Metrics.snapshot Metrics.default)
+    "mip.worker_failures"
+
+(* wait (sleeping, not spinning: the box may have fewer cores than
+   slots) until [cond] holds; a timeout fails the test instead of
+   letting it hang *)
+let hold what cond =
+  let t0 = Unix.gettimeofday () in
+  while not (cond ()) do
+    if Unix.gettimeofday () -. t0 > 30.0 then
+      Alcotest.failf "timed out waiting until %s" what;
+    Unix.sleepf 0.001
+  done
+
+let test_pool_supervises_death () =
+  let n = 16 in
+  let completed = Array.init n (fun _ -> Atomic.make 0) in
+  let worker_claimed = Atomic.make false in
+  let slot1_fresh = Atomic.make true in
+  let process w i =
+    if w > 0 then Atomic.set worker_claimed true;
+    if w = 1 && Atomic.exchange slot1_fresh false then
+      failwith "slot 1 dies on its first claim";
+    if w = 0 then hold "a worker claims" (fun () -> Atomic.get worker_claimed);
+    Atomic.incr completed.(i)
+  in
+  with_pool ~jobs:2 process @@ fun pool ->
+  let before = worker_failures () in
+  Wave_pool.run pool (List.init n Fun.id);
+  Array.iteri
+    (fun i c ->
+      Alcotest.(check int) (Printf.sprintf "task %d completed once" i) 1
+        (Atomic.get c))
+    completed;
+  Alcotest.(check int) "one supervised death" (before + 1) (worker_failures ());
+  (* slot 1 stays dead: slot 0 alone finishes the next wave *)
+  Wave_pool.run pool (List.init n Fun.id);
+  Array.iteri
+    (fun i c ->
+      Alcotest.(check int) (Printf.sprintf "task %d completed twice" i) 2
+        (Atomic.get c))
+    completed;
+  Alcotest.(check int) "no further death" (before + 1) (worker_failures ())
+
+let expect_raise what f check =
+  match f () with
+  | () -> Alcotest.failf "%s: run returned instead of raising" what
+  | exception e -> check e
+
+let test_pool_propagates () =
+  (* a failure on slot 0 propagates: held workers make sure slot 0
+     claims at least one task *)
+  let slot0_claimed = Atomic.make false in
+  let process w _ =
+    if w = 0 then begin
+      Atomic.set slot0_claimed true;
+      failwith "slot 0 fails"
+    end
+    else hold "slot 0 claims" (fun () -> Atomic.get slot0_claimed)
+  in
+  let before = worker_failures () in
+  with_pool ~jobs:2 process (fun pool ->
+      expect_raise "slot 0"
+        (fun () -> Wave_pool.run pool [ 0; 1; 2; 3 ])
+        (function
+          | Failure m ->
+            Alcotest.(check string) "slot 0 failure" "slot 0 fails" m
+          | e -> raise e));
+  Alcotest.(check int) "slot 0 is not supervised" before (worker_failures ());
+  (* a typed solver error on a worker propagates *)
+  let worker_claimed = Atomic.make false in
+  let process w _ =
+    if w > 0 then begin
+      Atomic.set worker_claimed true;
+      Rerror.internal "typed failure"
+    end
+    else hold "a worker claims" (fun () -> Atomic.get worker_claimed)
+  in
+  with_pool ~jobs:2 process (fun pool ->
+      expect_raise "typed error"
+        (fun () -> Wave_pool.run pool [ 0; 1; 2; 3 ])
+        (function Rerror.Error (Rerror.Internal _) -> () | e -> raise e));
+  Alcotest.(check int) "typed errors are not supervised" before
+    (worker_failures ());
+  (* a task that kills every worker slot it lands on: the first two
+     failures are supervised deaths, the third propagates. Slot 0 holds
+     its own task until then, so all three attempts land on workers. *)
+  let attempts = Atomic.make 0 in
+  let process w _ =
+    if w > 0 then begin
+      Atomic.incr attempts;
+      failwith "the task's own bug"
+    end
+    else hold "three attempts" (fun () -> Atomic.get attempts >= 3)
+  in
+  with_pool ~jobs:4 process (fun pool ->
+      expect_raise "third failure"
+        (fun () -> Wave_pool.run pool [ 0; 1 ])
+        (function
+          | Failure m ->
+            Alcotest.(check string) "task failure" "the task's own bug" m
+          | e -> raise e));
+  Alcotest.(check int) "three attempts, no fourth" 3 (Atomic.get attempts);
+  Alcotest.(check int) "two supervised deaths" (before + 2) (worker_failures ())
+
 let suite =
   [
     Alcotest.test_case "random models jobs-invariant" `Quick
@@ -262,4 +388,8 @@ let suite =
       test_chaos_ladder_jobs_invariant;
     Alcotest.test_case "incumbent cell 8-domain stress" `Quick
       test_incumbent_stress;
+    Alcotest.test_case "wave pool supervises a worker death" `Quick
+      test_pool_supervises_death;
+    Alcotest.test_case "wave pool propagates unsupervised failures"
+      `Quick test_pool_propagates;
   ]

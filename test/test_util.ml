@@ -11,7 +11,13 @@ let test_prng_deterministic () =
   let a = Prng.create 42 and b = Prng.create 42 in
   for _ = 1 to 100 do
     Alcotest.(check int64) "same stream" (Prng.bits64 a) (Prng.bits64 b)
-  done
+  done;
+  (* pinned SplitMix64 outputs: every seeded topology, traffic matrix
+     and bench instance depends on these exact values *)
+  let g = Prng.create 42 in
+  List.iter
+    (fun want -> Alcotest.(check int64) "pinned output" want (Prng.bits64 g))
+    [ -4767286540954276203L; 2949826092126892291L; 5139283748462763858L ]
 
 let test_prng_seed_sensitivity () =
   let a = Prng.create 1 and b = Prng.create 2 in
@@ -171,135 +177,9 @@ let test_table_render () =
   Alcotest.(check bool) "pads short rows" true
     (List.length (String.split_on_char '\n' s) = 5)
 
-(* ---------- Prng.split stream derivation ---------- *)
-
-let test_prng_split_replay () =
-  (* splitting is deterministic: replaying the parent seed replays
-     every child stream, which is what makes per-domain streams
-     reproducible *)
-  let children seed =
-    let parent = Prng.create seed in
-    List.init 4 (fun _ -> Prng.split parent)
-  in
-  let a = children 99 and b = children 99 in
-  List.iter2
-    (fun ga gb ->
-      for _ = 1 to 50 do
-        Alcotest.(check int64) "replayed child stream" (Prng.bits64 ga)
-          (Prng.bits64 gb)
-      done)
-    a b
-
-let test_prng_split_non_overlap () =
-  (* parent and children must not walk the same state sequence: their
-     output prefixes are pairwise disjoint (deterministic check under
-     a fixed seed; a collision would mean correlated solver streams) *)
-  let parent = Prng.create 1234 in
-  let kids = List.init 4 (fun _ -> Prng.split parent) in
-  let streams = parent :: kids in
-  let prefixes =
-    List.map (fun g -> Array.init 1000 (fun _ -> Prng.bits64 g)) streams
-  in
-  let seen = Hashtbl.create 4096 in
-  List.iteri
-    (fun i prefix ->
-      Array.iter
-        (fun v ->
-          (match Hashtbl.find_opt seen v with
-          | Some j when j <> i ->
-            Alcotest.failf "streams %d and %d share output %Ld" j i v
-          | _ -> ());
-          Hashtbl.replace seen v i)
-        prefix)
-    prefixes
-
-let test_prng_split_children_differ () =
-  let parent = Prng.create 7 in
-  let a = Prng.split parent and b = Prng.split parent in
-  let differs = ref false in
-  for _ = 1 to 10 do
-    if Prng.bits64 a <> Prng.bits64 b then differs := true
-  done;
-  Alcotest.(check bool) "sibling streams differ" true !differs
-
-(* ---------- work-stealing deque ---------- *)
-
-module Wsdeque = Monpos_util.Wsdeque
-
-let test_wsdeque_lifo_fifo () =
-  let d = Wsdeque.create () in
-  List.iter (Wsdeque.push d) [ 1; 2; 3; 4 ];
-  Alcotest.(check int) "size" 4 (Wsdeque.size d);
-  (* owner pops the newest... *)
-  Alcotest.(check (option int)) "pop bottom" (Some 4) (Wsdeque.pop d);
-  (* ...thieves steal the oldest *)
-  Alcotest.(check (option int)) "steal top" (Some 1) (Wsdeque.steal d);
-  Alcotest.(check (option int)) "steal next" (Some 2) (Wsdeque.steal d);
-  Alcotest.(check (option int)) "pop last" (Some 3) (Wsdeque.pop d);
-  Alcotest.(check (option int)) "pop empty" None (Wsdeque.pop d);
-  Alcotest.(check (option int)) "steal empty" None (Wsdeque.steal d)
-
-let test_wsdeque_drain () =
-  let d = Wsdeque.create () in
-  List.iter (Wsdeque.push d) [ 10; 20; 30 ];
-  Alcotest.(check (list int)) "drain bottom-first" [ 30; 20; 10 ]
-    (Wsdeque.drain d);
-  Alcotest.(check int) "empty after drain" 0 (Wsdeque.size d)
-
-let test_wsdeque_stress () =
-  (* one owner pushing/popping, three thieves stealing: every pushed
-     item is consumed exactly once *)
-  let d = Wsdeque.create () in
-  let n = 20_000 in
-  let thieves = 3 in
-  let stop = Atomic.make false in
-  let stolen =
-    Array.init thieves (fun _ ->
-        Domain.spawn (fun () ->
-            let acc = ref [] in
-            while not (Atomic.get stop) do
-              match Wsdeque.steal d with
-              | Some v -> acc := v :: !acc
-              | None -> Domain.cpu_relax ()
-            done;
-            (* sweep the leftovers so nothing is lost at shutdown *)
-            let rec sweep () =
-              match Wsdeque.steal d with
-              | Some v ->
-                acc := v :: !acc;
-                sweep ()
-              | None -> ()
-            in
-            sweep ();
-            !acc))
-  in
-  let popped = ref [] in
-  for i = 1 to n do
-    Wsdeque.push d i;
-    if i mod 3 = 0 then
-      match Wsdeque.pop d with
-      | Some v -> popped := v :: !popped
-      | None -> ()
-  done;
-  Atomic.set stop true;
-  let stolen = Array.to_list (Array.map Domain.join stolen) in
-  let all = List.concat (!popped :: stolen) in
-  let sorted = List.sort compare all in
-  Alcotest.(check int) "every item consumed once" n (List.length sorted);
-  List.iteri
-    (fun i v -> if v <> i + 1 then Alcotest.failf "item %d seen as %d" (i + 1) v)
-    sorted
-
 let suite =
   [
     Alcotest.test_case "prng deterministic" `Quick test_prng_deterministic;
-    Alcotest.test_case "prng split replay" `Quick test_prng_split_replay;
-    Alcotest.test_case "prng split non-overlap" `Quick test_prng_split_non_overlap;
-    Alcotest.test_case "prng split siblings differ" `Quick
-      test_prng_split_children_differ;
-    Alcotest.test_case "wsdeque lifo/fifo" `Quick test_wsdeque_lifo_fifo;
-    Alcotest.test_case "wsdeque drain" `Quick test_wsdeque_drain;
-    Alcotest.test_case "wsdeque owner/thief stress" `Quick test_wsdeque_stress;
     Alcotest.test_case "prng seed sensitivity" `Quick test_prng_seed_sensitivity;
     Alcotest.test_case "prng int range" `Quick test_prng_int_range;
     Alcotest.test_case "prng uniformity" `Quick test_prng_uniformity;
