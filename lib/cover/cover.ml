@@ -47,40 +47,132 @@ let is_cover ?target inst chosen =
 
 let slack = 1e-9
 
-let greedy ?target inst =
-  let target = match target with Some t -> t | None -> total_weight inst in
-  let sink = Trace.current () in
-  let nsets = Array.length inst.sets in
-  let covered = Bitset.create inst.num_items in
-  let covered_w = ref 0.0 in
-  let chosen = ref [] in
-  let gain j =
-    List.fold_left
-      (fun acc u -> if Bitset.mem covered u then acc else acc +. inst.item_weight.(u))
-      0.0 inst.sets.(j)
-  in
-  let continue = ref (!covered_w < target -. slack) in
-  while !continue do
-    let best = ref (-1) and best_gain = ref 0.0 in
-    for j = 0 to nsets - 1 do
-      let g = gain j in
-      if g > !best_gain +. 1e-12 then begin
-        best := j;
-        best_gain := g
-      end
-    done;
-    if !best = -1 then Error.infeasible "Cover.greedy: target unreachable"
-    else begin
-      chosen := !best :: !chosen;
-      List.iter (fun u -> Bitset.add covered u) inst.sets.(!best);
-      covered_w := !covered_w +. !best_gain;
-      Metrics.incr (Lazy.force m_greedy_picks);
-      if Trace.enabled sink then
-        Trace.greedy_pick sink ~pick:!best ~gain:!best_gain ~covered:!covered_w;
-      if !covered_w >= target -. slack then continue := false
+(* The flat view of an instance that the solvers below work on, built
+   once per solve. Set [j] lists the items
+   [items.(start.(j)) .. items.(start.(j+1) - 1)] in the order of
+   [inst.sets.(j)], so every gain sums its weights in list order. Item
+   [u] is listed by the sets [sets_of.(first.(u)) .. sets_of.(first.(u+1) - 1)],
+   in increasing order, once per listing. *)
+type flat = {
+  start : int array;
+  items : int array;
+  first : int array;
+  sets_of : int array;
+}
+
+let flatten inst =
+  let nsets = Array.length inst.sets and n = inst.num_items in
+  let start = Array.make (nsets + 1) 0 in
+  Array.iteri (fun j s -> start.(j + 1) <- start.(j) + List.length s) inst.sets;
+  let items = Array.make start.(nsets) 0 in
+  Array.iteri
+    (fun j s -> List.iteri (fun k u -> items.(start.(j) + k) <- u) s)
+    inst.sets;
+  (* [first.(u)] counts down from the end of item [u]'s range to its
+     start as the sets are placed, last set first *)
+  let first = Array.make (n + 1) 0 in
+  Array.iter (fun u -> first.(u) <- first.(u) + 1) items;
+  for u = 1 to n do
+    first.(u) <- first.(u) + first.(u - 1)
+  done;
+  let sets_of = Array.make (Array.length items) 0 in
+  for j = nsets - 1 downto 0 do
+    for p = start.(j + 1) - 1 downto start.(j) do
+      let u = items.(p) in
+      first.(u) <- first.(u) - 1;
+      sets_of.(first.(u)) <- j
+    done
+  done;
+  { start; items; first; sets_of }
+
+(* [gains.(j) <-] the weight of set [j]'s items not marked in [covered].
+   Stored rather than returned, so the float is never boxed. *)
+let store_gain inst fl covered gains j =
+  let acc = ref 0.0 in
+  for p = fl.start.(j) to fl.start.(j + 1) - 1 do
+    let u = fl.items.(p) in
+    if Bytes.get covered u = '\000' then acc := !acc +. inst.item_weight.(u)
+  done;
+  gains.(j) <- !acc
+
+(* Mark set [j]'s uncovered items covered and append them to [trail]
+   from index [len]. Returns the new trail length. *)
+let cover_set fl covered trail len j =
+  let len = ref len in
+  for p = fl.start.(j) to fl.start.(j + 1) - 1 do
+    let u = fl.items.(p) in
+    if Bytes.get covered u = '\000' then begin
+      Bytes.set covered u '\001';
+      trail.(!len) <- u;
+      incr len
     end
   done;
+  !len
+
+(* Recompute the gains of the sets not [excluded] that list one of the
+   items [trail.(from) .. trail.(upto - 1)], all just covered. No other
+   gain changed, so [gains] ends as a full recomputation would leave it.
+   [touched] is all zeros on entry and on return; [dirty] is working space. *)
+let update_gains inst fl covered gains ~excluded ~touched ~dirty trail from upto =
+  let nd = ref 0 in
+  for t = from to upto - 1 do
+    let u = trail.(t) in
+    for q = fl.first.(u) to fl.first.(u + 1) - 1 do
+      let s = fl.sets_of.(q) in
+      if (not excluded.(s)) && Bytes.get touched s = '\000' then begin
+        Bytes.set touched s '\001';
+        dirty.(!nd) <- s;
+        incr nd
+      end
+    done
+  done;
+  for d = 0 to !nd - 1 do
+    let s = dirty.(d) in
+    Bytes.set touched s '\000';
+    store_gain inst fl covered gains s
+  done
+
+(* Each pick is the set with the largest gain; a later set must beat the
+   best so far by more than 1e-12, so ties go to the smallest index.
+   After a pick only the gains of the sets listing a newly covered item
+   are recomputed. *)
+let greedy_flat inst fl target =
+  let sink = Trace.current () in
+  let nsets = Array.length inst.sets in
+  let covered = Bytes.make inst.num_items '\000' in
+  let gains = Array.make nsets 0.0 and longest = ref 0 in
+  for j = 0 to nsets - 1 do
+    store_gain inst fl covered gains j;
+    longest := Int.max !longest (fl.start.(j + 1) - fl.start.(j))
+  done;
+  let trail = Array.make !longest 0 in
+  let excluded = Array.make nsets false in
+  let touched = Bytes.make nsets '\000' and dirty = Array.make nsets 0 in
+  let covered_w = ref 0.0 in
+  let chosen = ref [] in
+  while !covered_w < target -. slack do
+    let best = ref (-1) and best_gain = ref 0.0 in
+    for j = 0 to nsets - 1 do
+      if gains.(j) > !best_gain +. 1e-12 then begin
+        best := j;
+        best_gain := gains.(j)
+      end
+    done;
+    let best = !best in
+    if best = -1 then Error.infeasible "Cover.greedy: target unreachable";
+    chosen := best :: !chosen;
+    let n = cover_set fl covered trail 0 best in
+    update_gains inst fl covered gains ~excluded ~touched ~dirty trail 0 n;
+    covered_w := !covered_w +. !best_gain;
+    Metrics.incr (Lazy.force m_greedy_picks);
+    if Trace.enabled sink then
+      Trace.greedy_pick sink ~pick:best ~gain:!best_gain ~covered:!covered_w
+  done;
   List.rev !chosen
+
+let greedy ?target inst =
+  let target = match target with Some t -> t | None -> total_weight inst in
+  greedy_flat inst (flatten inst) target
 
 let greedy_guarantee inst =
   let d =
@@ -92,18 +184,15 @@ let greedy_guarantee inst =
   done;
   !h
 
-(* Exact branch and bound. Branch on the set with the largest current
-   gain: either it is in the solution, or it is excluded for good.
-   Bound: the fewest remaining sets whose (current, independent) gains
-   could reach the missing weight. *)
 type exact_result = { chosen : int list; proven_optimal : bool; nodes : int }
 
 (* Local-search polish for full covers: drop redundant sets, then
    (2,1)-exchanges — replace two chosen sets by one set that covers
    everything the pair was needed for. Seeds the branch and bound with
    a tighter incumbent, which shrinks the search tree directly. *)
-let polish_full_cover inst set_bits solution =
+let polish_full_cover inst solution =
   let nsets = Array.length inst.sets in
+  let set_bits = Array.map (Bitset.of_list inst.num_items) inst.sets in
   let current = ref (List.sort_uniq compare solution) in
   let union_of sets =
     let u = Bitset.create inst.num_items in
@@ -155,37 +244,37 @@ let polish_full_cover inst set_bits solution =
   done;
   !current
 
-(* Core branch and bound over a (possibly reduced) instance. Branch on
-   the set with the largest current gain: either it is in the solution
-   or it is excluded for good. Bounds: (a) the fewest remaining sets
-   whose independent gains reach the missing weight; (b) for full
-   covers, a disjoint-items bound — items whose candidate sets are
-   pairwise disjoint each require their own set. *)
+(* Exact branch and bound over a (possibly reduced) instance, on its
+   flat view: a [Bytes] mask marks the covered items, and an undo trail
+   lists them in the order they were covered, so a branch is undone by
+   popping the trail and the uncovered count is [num_items] minus the
+   trail length. A node allocates nothing.
+
+   Partial covers branch on the set with the largest current gain, ties
+   going to the highest set index: either it is in the solution or it is
+   excluded for good. A node is pruned unless the [r] largest gains, [r]
+   being the sets the incumbent still leaves room for, could reach the
+   missing weight. An include recomputes the gains of the sets that list
+   a newly covered item; the gains are saved per tree level across the
+   include child, and the exclude child inherits them.
+
+   Full covers branch on the uncovered item with the fewest available
+   covering sets, enumerating which of them covers it (each alternative
+   excludes the previously tried sets, so the subtrees partition the
+   space). Bounds: the uncovered items over the largest set, and a
+   disjoint-items bound: items whose candidate sets are pairwise
+   disjoint each require their own set. *)
 let exact_core ?(node_limit = 20_000_000) inst target ~full_cover =
   let sink = Trace.current () in
   let nsets = Array.length inst.sets in
-  let set_bits =
-    Array.map (fun s -> Bitset.of_list inst.num_items s) inst.sets
-  in
-  (* per-item covering-set bitsets, for the disjoint bound *)
-  let item_cover = Array.init inst.num_items (fun _ -> Bitset.create nsets) in
-  Array.iteri
-    (fun j items -> List.iter (fun u -> Bitset.add item_cover.(u) j) items)
-    inst.sets;
-  let item_order =
-    let order = Array.init inst.num_items (fun i -> i) in
-    Array.sort
-      (fun a b ->
-        compare (Bitset.cardinal item_cover.(a)) (Bitset.cardinal item_cover.(b)))
-      order;
-    order
-  in
+  let n_items = inst.num_items in
+  let fl = flatten inst in
   (* incumbent: greedy, polished by local search on full covers *)
   let best_sol =
     ref
       (try
-         let g = greedy ~target inst in
-         Some (if full_cover then polish_full_cover inst set_bits g else g)
+         let g = greedy_flat inst fl target in
+         Some (if full_cover then polish_full_cover inst g else g)
        with Error.Error (Error.Infeasible_model _) -> None)
   in
   let best_card =
@@ -198,10 +287,12 @@ let exact_core ?(node_limit = 20_000_000) inst target ~full_cover =
       Trace.incumbent sink ~solver:"cover" ~node:0
         ~objective:(float_of_int !best_card)
   end;
-  let covered = Bitset.create inst.num_items in
+  let covered = Bytes.make n_items '\000' in
+  let trail = Array.make n_items 0 in
+  let trail_len = ref 0 in
   let excluded = Array.make nsets false in
-  let excluded_bits = Bitset.create nsets in
-  let gains = Array.make nsets 0.0 in
+  (* the sets chosen on the current path, by depth *)
+  let path = Array.make (nsets + 1) 0 in
   let node_count = ref 0 in
   let truncated = ref false in
   let enter_node depth =
@@ -214,168 +305,215 @@ let exact_core ?(node_limit = 20_000_000) inst target ~full_cover =
           ~depth ()
     end
   in
-  let record_incumbent depth chosen =
+  let record_incumbent depth =
     best_card := depth;
-    best_sol := Some (List.rev chosen);
+    best_sol := Some (Array.to_list (Array.sub path 0 depth));
     Metrics.incr (Lazy.force m_incumbents);
     if Trace.enabled sink then
       Trace.incumbent sink ~solver:"cover" ~node:!node_count
         ~objective:(float_of_int depth)
   in
-  let gain j =
-    List.fold_left
-      (fun acc u -> if Bitset.mem covered u then acc else acc +. inst.item_weight.(u))
-      0.0 inst.sets.(j)
+  let undo_to mark =
+    while !trail_len > mark do
+      decr trail_len;
+      Bytes.set covered trail.(!trail_len) '\000'
+    done
   in
-  (* full covers only: every uncovered item whose available sets are
-     disjoint from previously counted items' sets needs its own set *)
-  let disjoint_bound () =
-    let blocked = Bitset.create nsets in
-    let count = ref 0 in
-    let infeasible = ref false in
-    Array.iter
-      (fun i ->
-        if (not !infeasible) && not (Bitset.mem covered i) then begin
-          let avail = Bitset.copy item_cover.(i) in
-          Bitset.diff_into avail excluded_bits;
-          if Bitset.is_empty avail then infeasible := true
-          else if Bitset.inter_cardinal avail blocked = 0 then begin
-            incr count;
-            Bitset.union_into blocked avail
-          end
-        end)
-      item_order;
-    if !infeasible then max_int else !count
+  (* Partial covers. [gains.(j)] is set j's current gain for every
+     non-excluded j; [covered_w.(0)] is the covered weight, kept unboxed;
+     [top.(0 .. m-1)] holds the [r] largest gains in decreasing order. *)
+  let gains = Array.make nsets 0.0 in
+  let saved_gains =
+    Array.make (if full_cover then 0 else (nsets + 1) * nsets) 0.0
   in
-  (* Partial covers: binary include/exclude branching on the
-     max-gain set. *)
-  let rec go chosen depth covered_w =
+  let covered_w = [| 0.0 |] in
+  let top = Array.make nsets 0.0 in
+  let touched = Bytes.make nsets '\000' and dirty = Array.make nsets 0 in
+  let rec go level depth =
     enter_node depth;
     if !node_count > node_limit then truncated := true
-    else if covered_w >= target -. slack then begin
-      if depth < !best_card then record_incumbent depth chosen
+    else if covered_w.(0) >= target -. slack then begin
+      if depth < !best_card then record_incumbent depth
     end
     else if depth + 1 < !best_card then begin
-      (* gains of available sets *)
-      let avail = ref [] in
+      let r = Int.min nsets (!best_card - depth - 1) in
+      let pick = ref (-1) and m = ref 0 in
       for j = 0 to nsets - 1 do
-        if not excluded.(j) then begin
-          let g = gain j in
-          gains.(j) <- g;
-          if g > slack then avail := j :: !avail
+        let g = gains.(j) in
+        if (not excluded.(j)) && g > slack then begin
+          if !pick < 0 || g >= gains.(!pick) then pick := j;
+          if !m < r || g > top.(!m - 1) then begin
+            let p = ref (Int.min !m (r - 1)) in
+            while !p > 0 && top.(!p - 1) < g do
+              top.(!p) <- top.(!p - 1);
+              decr p
+            done;
+            top.(!p) <- g;
+            if !m < r then incr m
+          end
         end
       done;
-      let avail = !avail in
-      if avail <> [] then begin
-        let sorted =
-          List.sort (fun a b -> compare gains.(b) gains.(a)) avail
-        in
-        let needed = target -. covered_w in
-        let rec count_bound acc k = function
-          | [] -> if acc >= needed -. slack then k else max_int
-          | j :: rest ->
-            if acc >= needed -. slack then k
-            else count_bound (acc +. gains.(j)) (k + 1) rest
-        in
-        let lb = count_bound 0.0 0 sorted in
-        if lb <> max_int && depth + lb < !best_card then begin
-          let pick = List.hd sorted in
+      if !pick >= 0 then begin
+        let needed = target -. covered_w.(0) in
+        let acc = ref 0.0 and k = ref 0 in
+        while !k < !m && !acc < needed -. slack do
+          acc := !acc +. top.(!k);
+          incr k
+        done;
+        if !acc >= needed -. slack then begin
+          let pick = !pick in
+          let w0 = covered_w.(0) in
+          let mark = !trail_len in
+          Array.blit gains 0 saved_gains (level * nsets) nsets;
           (* include branch *)
-          let saved = Bitset.copy covered in
-          Bitset.union_into covered set_bits.(pick);
-          go (pick :: chosen) (depth + 1) (covered_w +. gains.(pick));
-          Bitset.clear covered;
-          Bitset.union_into covered saved;
+          path.(depth) <- pick;
+          covered_w.(0) <- w0 +. gains.(pick);
+          trail_len := cover_set fl covered trail mark pick;
+          update_gains inst fl covered gains ~excluded ~touched ~dirty trail
+            mark !trail_len;
+          go (level + 1) (depth + 1);
+          undo_to mark;
+          covered_w.(0) <- w0;
+          Array.blit saved_gains (level * nsets) gains 0 nsets;
           (* exclude branch *)
           excluded.(pick) <- true;
-          Bitset.add excluded_bits pick;
-          go chosen depth covered_w;
-          excluded.(pick) <- false;
-          Bitset.remove excluded_bits pick
+          go (level + 1) depth;
+          excluded.(pick) <- false
         end
       end
     end
   in
-  (* Full covers: branch on the uncovered item with the fewest
-     available covering sets, enumerating which of them covers it
-     (each alternative excludes the previously tried sets, so the
-     subtrees partition the space). Unit items propagate as 1-way
-     branches. *)
-  let int_gain j =
-    List.fold_left
-      (fun acc u -> if Bitset.mem covered u then acc else acc + 1)
-      0 inst.sets.(j)
+  (* Full covers. [left.(j)] counts set j's listings of uncovered items. *)
+  let left = Array.init nsets (fun j -> fl.start.(j + 1) - fl.start.(j)) in
+  let adjust_left mark delta =
+    for t = mark to !trail_len - 1 do
+      let u = trail.(t) in
+      for q = fl.first.(u) to fl.first.(u + 1) - 1 do
+        let s = fl.sets_of.(q) in
+        left.(s) <- left.(s) + delta
+      done
+    done
   in
-  let uncovered_count () = inst.num_items - Bitset.cardinal covered in
-  let rec go_full chosen depth =
+  (* per-item covering-set bitsets, and the items by increasing number
+     of covering sets *)
+  let item_cover, item_order =
+    if not full_cover then ([||], [||])
+    else begin
+      let item_cover = Array.init n_items (fun _ -> Bitset.create nsets) in
+      Array.iteri
+        (fun j s -> List.iter (fun u -> Bitset.add item_cover.(u) j) s)
+        inst.sets;
+      let card = Array.map Bitset.cardinal item_cover in
+      let order = Array.init n_items (fun i -> i) in
+      Array.sort (fun a b -> compare card.(a) card.(b)) order;
+      (item_cover, order)
+    end
+  in
+  let excluded_bits = Bitset.create nsets in
+  let blocked = Bitset.create nsets in
+  (* every uncovered item whose available sets are disjoint from
+     previously counted items' sets needs its own set *)
+  let disjoint_bound () =
+    Bitset.clear blocked;
+    let count = ref 0 and infeasible = ref false and k = ref 0 in
+    while (not !infeasible) && !k < n_items do
+      let i = item_order.(!k) in
+      if Bytes.get covered i = '\000' then begin
+        let c = item_cover.(i) in
+        if Bitset.diff_cardinal c excluded_bits = 0 then infeasible := true
+        else if not (Bitset.diff_meets c excluded_bits blocked) then begin
+          incr count;
+          Bitset.union_diff_into blocked c excluded_bits
+        end
+      end;
+      incr k
+    done;
+    if !infeasible then max_int else !count
+  in
+  (* the alternatives tried at each depth *)
+  let alt = Array.make (if full_cover then (nsets + 1) * nsets else 0) 0 in
+  let rec go_full depth =
     enter_node depth;
     if !node_count > node_limit then truncated := true
     else begin
       (* pick the uncovered item with fewest available sets *)
-      let best_item = ref (-1) and best_avail = ref max_int in
-      Array.iter
-        (fun i ->
-          if !best_avail > 1 && not (Bitset.mem covered i) then begin
-            let avail = Bitset.copy item_cover.(i) in
-            Bitset.diff_into avail excluded_bits;
-            let c = Bitset.cardinal avail in
-            if c < !best_avail then begin
-              best_avail := c;
-              best_item := i
-            end
-          end)
-        item_order;
+      let best_item = ref (-1) and best_avail = ref max_int and k = ref 0 in
+      while !best_avail > 1 && !k < n_items do
+        let i = item_order.(!k) in
+        if Bytes.get covered i = '\000' then begin
+          let c = Bitset.diff_cardinal item_cover.(i) excluded_bits in
+          if c < !best_avail then begin
+            best_avail := c;
+            best_item := i
+          end
+        end;
+        incr k
+      done;
       if !best_item = -1 then begin
         (* everything covered *)
-        if depth < !best_card then record_incumbent depth chosen
+        if depth < !best_card then record_incumbent depth
       end
       else if !best_avail = 0 then () (* dead branch *)
       else if depth + 1 < !best_card then begin
-        (* bounds *)
-        let remaining = uncovered_count () in
-        let max_gain =
-          let m = ref 0 in
-          for j = 0 to nsets - 1 do
-            if not excluded.(j) then m := max !m (int_gain j)
-          done;
-          !m
-        in
-        let lb1 =
+        let max_gain = ref 0 in
+        for j = 0 to nsets - 1 do
+          if not excluded.(j) then max_gain := Int.max !max_gain left.(j)
+        done;
+        let max_gain = !max_gain in
+        let lb =
           if max_gain = 0 then max_int
-          else (remaining + max_gain - 1) / max_gain
+          else
+            max
+              ((n_items - !trail_len + max_gain - 1) / max_gain)
+              (disjoint_bound ())
         in
-        let lb = if lb1 = max_int then max_int else max lb1 (disjoint_bound ()) in
         if lb <> max_int && depth + lb < !best_card then begin
-          let avail = Bitset.copy item_cover.(!best_item) in
-          Bitset.diff_into avail excluded_bits;
-          let alternatives =
-            List.sort
-              (fun a b -> compare (int_gain b) (int_gain a))
-              (Bitset.elements avail)
-          in
-          let newly_excluded = ref [] in
-          List.iter
-            (fun j ->
-              let saved = Bitset.copy covered in
-              Bitset.union_into covered set_bits.(j);
-              go_full (j :: chosen) (depth + 1);
-              Bitset.clear covered;
-              Bitset.union_into covered saved;
-              (* exclude j for the remaining alternatives *)
-              excluded.(j) <- true;
-              Bitset.add excluded_bits j;
-              newly_excluded := j :: !newly_excluded)
-            alternatives;
-          List.iter
-            (fun j ->
-              excluded.(j) <- false;
-              Bitset.remove excluded_bits j)
-            !newly_excluded
+          (* the item's available sets by decreasing gain; ties keep
+             increasing index *)
+          let base = depth * nsets and na = ref 0 in
+          let b = !best_item in
+          for q = fl.first.(b) to fl.first.(b + 1) - 1 do
+            let j = fl.sets_of.(q) in
+            if (not excluded.(j)) && (q = fl.first.(b) || fl.sets_of.(q - 1) <> j)
+            then begin
+              let p = ref !na in
+              while !p > 0 && left.(alt.(base + !p - 1)) < left.(j) do
+                alt.(base + !p) <- alt.(base + !p - 1);
+                decr p
+              done;
+              alt.(base + !p) <- j;
+              incr na
+            end
+          done;
+          for a = 0 to !na - 1 do
+            let j = alt.(base + a) in
+            let mark = !trail_len in
+            path.(depth) <- j;
+            trail_len := cover_set fl covered trail mark j;
+            adjust_left mark (-1);
+            go_full (depth + 1);
+            adjust_left mark 1;
+            undo_to mark;
+            (* exclude j for the remaining alternatives *)
+            excluded.(j) <- true;
+            Bitset.add excluded_bits j
+          done;
+          for a = 0 to !na - 1 do
+            let j = alt.(base + a) in
+            excluded.(j) <- false;
+            Bitset.remove excluded_bits j
+          done
         end
       end
     end
   in
-  if full_cover then go_full [] 0 else go [] 0 0.0;
+  if full_cover then go_full 0
+  else begin
+    for j = 0 to nsets - 1 do
+      store_gain inst fl covered gains j
+    done;
+    go 0 0
+  end;
   match !best_sol with
   | Some s ->
     { chosen = s; proven_optimal = not !truncated; nodes = !node_count }

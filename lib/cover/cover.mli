@@ -41,13 +41,15 @@ val greedy : ?target:float -> instance -> int list
 (** Greedy partial cover: repeatedly pick the set covering the largest
     uncovered weight, stopping once [target] is reached (default: full
     cover). Returns chosen sets in pick order; ties are broken by the
-    smallest set index. Raises [Failure] if the target is
-    unreachable. *)
+    smallest set index. Raises
+    [Monpos_resilience.Error.Error (Infeasible_model _)] if the target
+    is unreachable. *)
 
 val exact : ?target:float -> instance -> int list
 (** Minimum-cardinality (partial) cover by branch and bound. Intended
     for instances up to a few dozen sets; used as the optimum oracle.
-    Raises [Failure] if the target is unreachable. *)
+    Raises [Monpos_resilience.Error.Error (Infeasible_model _)] if the
+    target is unreachable. *)
 
 type exact_result = {
   chosen : int list;  (** best cover found *)
@@ -59,7 +61,8 @@ val exact_detailed : ?target:float -> ?node_limit:int -> instance -> exact_resul
 (** Same solver with an explicit node budget (default 20 million).
     When the budget runs out the incumbent (at least as good as
     greedy) is returned with [proven_optimal = false]. Raises
-    [Failure] if no solution reaching [target] exists at all. *)
+    [Monpos_resilience.Error.Error (Infeasible_model _)] if no solution
+    reaching [target] exists at all. *)
 
 val greedy_guarantee : instance -> float
 (** The classic [H_d] harmonic guarantee for full covers, where [d] is

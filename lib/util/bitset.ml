@@ -57,13 +57,39 @@ let inter_cardinal a b =
   done;
   !acc
 
+let diff_cardinal a b =
+  same_cap a b;
+  let acc = ref 0 in
+  for i = 0 to Array.length a.words - 1 do
+    acc := !acc + popcount (a.words.(i) land lnot b.words.(i))
+  done;
+  !acc
+
+let diff_meets a b c =
+  same_cap a b;
+  same_cap a c;
+  let n = Array.length a.words in
+  let i = ref 0 in
+  while !i < n && a.words.(!i) land lnot b.words.(!i) land c.words.(!i) = 0 do
+    incr i
+  done;
+  !i < n
+
+let union_diff_into dst a b =
+  same_cap dst a;
+  same_cap a b;
+  for i = 0 to Array.length dst.words - 1 do
+    dst.words.(i) <- dst.words.(i) lor (a.words.(i) land lnot b.words.(i))
+  done
+
 let subset a b =
   same_cap a b;
-  let ok = ref true in
-  for i = 0 to Array.length a.words - 1 do
-    if a.words.(i) land lnot b.words.(i) <> 0 then ok := false
+  let n = Array.length a.words in
+  let i = ref 0 in
+  while !i < n && a.words.(!i) land lnot b.words.(!i) = 0 do
+    incr i
   done;
-  !ok
+  !i = n
 
 let equal a b =
   same_cap a b;

@@ -42,6 +42,17 @@ val diff_into : t -> t -> unit
 val inter_cardinal : t -> t -> int
 (** [inter_cardinal a b] is [|a ∩ b|] without allocating. *)
 
+val diff_cardinal : t -> t -> int
+(** [diff_cardinal a b] is [|a \ b|] without allocating. *)
+
+val diff_meets : t -> t -> t -> bool
+(** [diff_meets a b c] is true iff [(a \ b) ∩ c] is non-empty, without
+    allocating. *)
+
+val union_diff_into : t -> t -> t -> unit
+(** [union_diff_into dst a b] sets [dst := dst ∪ (a \ b)]. Capacities
+    must be equal. *)
+
 val subset : t -> t -> bool
 (** [subset a b] is true iff [a ⊆ b]. *)
 

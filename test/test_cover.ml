@@ -5,6 +5,11 @@
 module Cover = Monpos_cover.Cover
 module Graph = Monpos_graph.Graph
 module Prng = Monpos_util.Prng
+module Instance = Monpos.Instance
+module Pop = Monpos_topo.Pop
+module Traffic = Monpos_traffic.Traffic
+module Trace = Monpos_obs.Trace
+module Json = Monpos_obs.Json
 
 let mk ?weights sets = Cover.make ~num_items:(
     1 + List.fold_left (fun acc s -> List.fold_left max acc s) 0
@@ -90,6 +95,275 @@ let brute_force_cover ?target inst =
       | _ -> best := Some chosen
   done;
   !best
+
+(* The branch and bound must explore the same tree as the list-based
+   solver it replaced. The node counts, answers and incumbent events
+   below were recorded from that solver on the Pop15 instances of
+   fig8; any change to the branching order, the tie rule or a bound
+   moves them. *)
+
+let pop15_cover topo =
+  let pop = Pop.make_preset `Pop15 ~seed:topo in
+  let matrix =
+    Traffic.generate pop.Pop.graph ~endpoints:(Pop.endpoints pop)
+      ~seed:(topo * 131)
+  in
+  let inst = Instance.make pop.Pop.graph matrix in
+  (Instance.cover_view inst, inst.Instance.total_volume)
+
+(* [f ()] with the [(node, objective)] of every incumbent event. *)
+let with_incumbents f =
+  let incs = ref [] in
+  let sink =
+    Trace.custom (fun _ ev fields ->
+        if ev = "incumbent" then
+          match (List.assoc "node" fields, List.assoc "objective" fields) with
+          | Json.Int n, Json.Float o -> incs := (n, int_of_float o) :: !incs
+          | _ -> ())
+  in
+  let r = Trace.with_current sink f in
+  (r, List.rev !incs)
+
+type pinned_tree = {
+  topo : int;
+  k : int;  (** coverage target in percent; 100 is a full cover *)
+  node_limit : int option;
+  nodes : int;
+  proven : bool;
+  chosen : int list;
+  incumbents : (int * int) list;
+}
+
+let solve_pinned (cover, total) p =
+  let target = float_of_int p.k /. 100.0 *. total in
+  with_incumbents (fun () ->
+      if p.k = 100 then Cover.exact_detailed ?node_limit:p.node_limit cover
+      else Cover.exact_detailed ~target ?node_limit:p.node_limit cover)
+
+let pinned_trees =
+  [
+    {
+      topo = 1;
+      k = 75;
+      node_limit = None;
+      nodes = 15;
+      proven = true;
+      chosen = [ 5; 7; 8; 10; 20 ];
+      incumbents = [ (0, 5) ];
+    };
+    {
+      topo = 1;
+      k = 80;
+      node_limit = None;
+      nodes = 29;
+      proven = true;
+      chosen = [ 5; 7; 8; 10; 20; 24 ];
+      incumbents = [ (0, 6) ];
+    };
+    {
+      topo = 1;
+      k = 85;
+      node_limit = None;
+      nodes = 45;
+      proven = true;
+      chosen = [ 5; 7; 8; 10; 14; 20; 24 ];
+      incumbents = [ (0, 7) ];
+    };
+    {
+      topo = 1;
+      k = 90;
+      node_limit = None;
+      nodes = 313;
+      proven = true;
+      chosen = [ 5; 7; 8; 9; 10; 14; 17; 20; 24; 59 ];
+      incumbents = [ (0, 10) ];
+    };
+    {
+      topo = 1;
+      k = 95;
+      node_limit = None;
+      nodes = 8241;
+      proven = true;
+      chosen = [ 5; 6; 7; 8; 9; 10; 14; 17; 20; 24; 26; 29; 30; 51; 59 ];
+      incumbents = [ (0, 15) ];
+    };
+    {
+      topo = 5;
+      k = 75;
+      node_limit = None;
+      nodes = 7;
+      proven = true;
+      chosen = [ 6; 7; 12; 14; 19 ];
+      incumbents = [ (0, 5) ];
+    };
+    {
+      topo = 5;
+      k = 80;
+      node_limit = None;
+      nodes = 15;
+      proven = true;
+      chosen = [ 6; 7; 8; 12; 14; 19 ];
+      incumbents = [ (0, 6) ];
+    };
+    {
+      topo = 5;
+      k = 85;
+      node_limit = None;
+      nodes = 17;
+      proven = true;
+      chosen = [ 6; 7; 8; 12; 14; 19; 29 ];
+      incumbents = [ (0, 7) ];
+    };
+    {
+      topo = 5;
+      k = 90;
+      node_limit = None;
+      nodes = 41;
+      proven = true;
+      chosen = [ 6; 7; 8; 12; 13; 14; 19; 24; 29 ];
+      incumbents = [ (0, 9) ];
+    };
+    {
+      topo = 5;
+      k = 95;
+      node_limit = None;
+      nodes = 4547;
+      proven = true;
+      chosen = [ 6; 7; 8; 9; 11; 12; 13; 14; 19; 24; 27; 29; 32; 47; 59; 60 ];
+      incumbents = [ (0, 16) ];
+    };
+    {
+      topo = 1;
+      k = 100;
+      node_limit = Some 20_000;
+      nodes = 20037;
+      proven = false;
+      chosen =
+        [
+          5; 7; 8; 9; 10; 14; 24; 26; 27; 29; 30; 31; 32; 33; 34; 35; 36; 37;
+          38; 39; 40; 41; 42; 43; 44; 45; 46; 47; 48; 49; 50; 51; 52; 53; 55;
+          56; 57; 58; 59; 61; 64; 65; 66; 67
+        ];
+      incumbents = [ (0, 44) ];
+    };
+  ]
+
+let test_pinned_trees () =
+  let covers = List.map (fun t -> (t, pop15_cover t)) [ 1; 5 ] in
+  List.iter
+    (fun p ->
+      let r, incumbents = solve_pinned (List.assoc p.topo covers) p in
+      let name what = Printf.sprintf "topology %d k=%d%% %s" p.topo p.k what in
+      Alcotest.(check int) (name "nodes") p.nodes r.Cover.nodes;
+      Alcotest.(check bool) (name "proven") p.proven r.Cover.proven_optimal;
+      Alcotest.(check (list int)) (name "chosen") p.chosen r.Cover.chosen;
+      Alcotest.(check (list (pair int int)))
+        (name "incumbents") p.incumbents incumbents)
+    pinned_trees
+
+(* Tie-heavy instances: unit or {1,2,3} weights, so many sets share a
+   gain, with targets at an attainable weight, half a unit below one,
+   or the full weight. *)
+let tie_heavy_instance i =
+  let rng = Prng.create (7_000 + i) in
+  let n = 12 + Prng.int rng 12 in
+  let nsets = 8 + Prng.int rng 5 in
+  let sets =
+    Array.init nsets (fun _ ->
+        List.filter (fun _ -> Prng.int rng 3 = 0) (List.init n Fun.id))
+  in
+  let weights =
+    if i mod 2 = 0 then Array.make n 1.0
+    else Array.init n (fun _ -> float_of_int (1 + Prng.int rng 3))
+  in
+  let inst = Cover.make ~num_items:n ~weights sets in
+  let attainable () =
+    Cover.covered_weight inst
+      (List.filter (fun _ -> Prng.bool rng) (List.init nsets Fun.id))
+  in
+  let target =
+    match Prng.int rng 3 with
+    | 0 -> None
+    | 1 -> Some (attainable ())
+    | _ -> Some (Float.max 0.5 (attainable () -. 0.5))
+  in
+  (inst, target)
+
+let tie_heavy_count = 400
+
+(* B&B nodes over the tie-heavy instances, recorded from the list-based
+   solver: the total, and the sum of [(i + 1) * nodes_i], which moves when
+   any one instance's tree does. A tie broken the other way changes them. *)
+let tie_heavy_nodes = (1837, 377_109)
+
+(* Greedy as specified: the largest uncovered weight, summed in set
+   order, first index on ties. *)
+let reference_greedy ?target inst =
+  let target =
+    match target with Some t -> t | None -> Cover.total_weight inst
+  in
+  let covered = Array.make inst.Cover.num_items false in
+  let gain s =
+    List.fold_left
+      (fun acc u -> if covered.(u) then acc else acc +. inst.Cover.item_weight.(u))
+      0.0 s
+  in
+  let rec go covered_w picks =
+    if covered_w >= target -. 1e-9 then Some (List.rev picks)
+    else begin
+      let best = ref (-1) and best_gain = ref 0.0 in
+      Array.iteri
+        (fun j s ->
+          let g = gain s in
+          if g > !best_gain +. 1e-12 then begin
+            best := j;
+            best_gain := g
+          end)
+        inst.Cover.sets;
+      if !best < 0 then None
+      else begin
+        List.iter (fun u -> covered.(u) <- true) inst.Cover.sets.(!best);
+        go (covered_w +. !best_gain) (!best :: picks)
+      end
+    end
+  in
+  go 0.0 []
+
+let infeasible f =
+  try
+    ignore (f ());
+    false
+  with
+  | Monpos_resilience.Error.Error (Monpos_resilience.Error.Infeasible_model _)
+    ->
+    true
+
+let test_tie_heavy () =
+  let nodes = ref 0 and weighted = ref 0 in
+  for i = 0 to tie_heavy_count - 1 do
+    let inst, target = tie_heavy_instance i in
+    let name what = Printf.sprintf "instance %d %s" i what in
+    (match reference_greedy ?target inst with
+     | None ->
+       Alcotest.(check bool) (name "greedy infeasible") true
+         (infeasible (fun () -> Cover.greedy ?target inst))
+     | Some picks ->
+       Alcotest.(check (list int)) (name "greedy picks") picks
+         (Cover.greedy ?target inst));
+    match brute_force_cover ?target inst with
+    | None ->
+      Alcotest.(check bool) (name "exact infeasible") true
+        (infeasible (fun () -> Cover.exact_detailed ?target inst))
+    | Some bf ->
+      let r = Cover.exact_detailed ?target inst in
+      nodes := !nodes + r.Cover.nodes;
+      weighted := !weighted + ((i + 1) * r.Cover.nodes);
+      Alcotest.(check int) (name "optimum") (List.length bf)
+        (List.length r.Cover.chosen);
+      Alcotest.(check bool) (name "is a cover") true
+        (Cover.is_cover ?target inst r.Cover.chosen)
+  done;
+  Alcotest.(check (pair int int)) "nodes" tie_heavy_nodes (!nodes, !weighted)
 
 let prop_exact_matches_brute_force =
   let gen = QCheck2.Gen.int_range 0 1_000_000 in
@@ -276,4 +550,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_greedy_feasible_and_bounded;
     QCheck_alcotest.to_alcotest prop_reduction_preserves_optimum;
     QCheck_alcotest.to_alcotest prop_round_trip_of_monitoring;
+    Alcotest.test_case "pinned pop15 search trees" `Quick test_pinned_trees;
+    Alcotest.test_case "tie-heavy instances vs brute force" `Quick test_tie_heavy;
   ]
