@@ -113,7 +113,11 @@ let passive_figure ~name ~preset ~seeds:sds ~node_limit ~paper_note () =
     ~header:
       [ "monitored %"; "greedy(load)"; "greedy(adapt)"; "ILP"; "load/ILP" ]
     rows;
-  if List.exists (fun p -> not p.Scenario.ilp_optimal) points then
+  if
+    List.exists
+      (fun (p : Scenario.passive_point) -> not p.Scenario.ilp_optimal)
+      points
+  then
     note "* incumbent under a branch-and-bound node budget (not proven optimal)";
   note "%s" paper_note;
   note "(%d seeds, %.1fs)" (List.length sds) elapsed;
@@ -160,7 +164,8 @@ let active_figure ~name ~preset ~seeds:sds ~sizes ~paper_note () =
           Table.float_cell ~decimals:1 p.Scenario.probes;
           Table.float_cell ~decimals:1 p.Scenario.thiran_beacons;
           Table.float_cell ~decimals:1 p.Scenario.greedy_beacons;
-          Table.float_cell ~decimals:1 p.Scenario.ilp_beacons;
+          Table.float_cell ~decimals:1 p.Scenario.ilp_beacons
+          ^ (if p.Scenario.ilp_optimal then "" else " *");
           Table.float_cell
             (p.Scenario.ilp_beacons /. max 1e-9 p.Scenario.thiran_beacons);
         ])
@@ -169,8 +174,22 @@ let active_figure ~name ~preset ~seeds:sds ~sizes ~paper_note () =
   Table.print
     ~header:[ "|V_B|"; "probes"; "Thiran"; "greedy"; "ILP"; "ILP/Thiran" ]
     rows;
+  if
+    List.exists
+      (fun (p : Scenario.active_point) -> not p.Scenario.ilp_optimal)
+      points
+  then
+    note "* incumbent under a branch-and-bound node budget (not proven optimal)";
   note "%s" paper_note;
-  note "(%d seeds, %.1fs)" (List.length sds) elapsed
+  note "(%d seeds, %.1fs)" (List.length sds) elapsed;
+  List.iter
+    (fun (p : Scenario.active_point) ->
+      let vb = string_of_int p.Scenario.vb_size in
+      kv_float ("ilp_beacons_vb" ^ vb) p.Scenario.ilp_beacons;
+      kv_float ("greedy_beacons_vb" ^ vb) p.Scenario.greedy_beacons;
+      kv_float ("thiran_beacons_vb" ^ vb) p.Scenario.thiran_beacons;
+      kv_float ("probes_vb" ^ vb) p.Scenario.probes)
+    points
 
 let sizes_up_to ?(step = 1) n =
   let rec go i acc = if i > n then List.rev acc else go (i + step) (i :: acc) in
@@ -482,23 +501,8 @@ let warmstart () =
         ignore (Sampling.solve_milp ~options pb))
       [ 0.7; 0.9 ]
   in
-  let active warm_on () =
-    let pop = Pop.make_preset `Pop15 ~seed:1 in
-    let routers = Array.of_list (Pop.routers pop) in
-    let rng = Prng.create 7 in
-    Prng.shuffle rng routers;
-    let vb = List.sort compare (Array.to_list (Array.sub routers 0 10)) in
-    let probes =
-      Active.compute_probes ~targets:vb pop.Pop.graph ~candidates:vb
-    in
-    ignore (Active.place_ilp ~options:(mip_opts warm_on) probes ~candidates:vb)
-  in
   let suites =
-    [
-      ("ppm", "PPM(k) Pop10 x seeds", ppm);
-      ("ppme", "PPME LP3 Pop10", ppme);
-      ("active", "beacon ILP Pop15", active);
-    ]
+    [ ("ppm", "PPM(k) Pop10 x seeds", ppm); ("ppme", "PPME LP3 Pop10", ppme) ]
   in
   let ppm_ratio = ref 0.0 in
   let rows =

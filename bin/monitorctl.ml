@@ -396,7 +396,7 @@ let solver_term =
 let strict_arg =
   let doc =
     "Fail (with a typed error and exit code 2/3/4) instead of degrading: \
-     the MIP-backed methods normally run through the resilience ladder \
+     the exact methods normally run through the resilience ladder \
      and fall back to LP rounding or the greedy cover on deadline or \
      numerical trouble; $(b,--strict) demands the first rung's answer \
      or nothing."
@@ -713,13 +713,8 @@ let active_cmd =
     let doc = "Placement: thiran, greedy or ilp." in
     Arg.(value & opt string "ilp" & info [ "method"; "m" ] ~doc)
   in
-  let run obs tune strict preset seed vb method_ =
-    let options = tune Mip.default_options in
-    with_obs
-      ~jobs:(Mip.resolved_jobs options)
-      ~scheduler:(Mip.scheduler_mode options)
-      ?checkpoint:options.Mip.checkpoint obs
-    @@ fun () ->
+  let run obs strict preset seed vb method_ =
+    with_obs obs @@ fun () ->
     let pop = Pop.make_preset preset ~seed in
     let routers = Array.of_list (Pop.routers pop) in
     let rng = Prng.create ((seed * 104729) + vb) in
@@ -743,10 +738,9 @@ let active_cmd =
         | "thiran" -> (Active.place_thiran probes ~candidates, 0)
         | "greedy" -> (Active.place_greedy probes ~candidates, 0)
         | "ilp" ->
-          if strict then (Active.place_ilp ~options probes ~candidates, 0)
+          if strict then (Active.place_ilp probes ~candidates, 0)
           else
-            report_outcome "beacons"
-              (Resilient.place_beacons ~options probes ~candidates)
+            report_outcome "beacons" (Resilient.place_beacons probes ~candidates)
         | other ->
           bad_input
             (Printf.sprintf "unknown method %S (thiran|greedy|ilp)" other)
@@ -766,8 +760,8 @@ let active_cmd =
   Cmd.v
     (Cmd.info "active" ~doc ~exits)
     Term.(
-      const run $ obs_term $ solver_term $ strict_arg $ preset_arg $ seed_arg
-      $ vb_arg $ method_arg)
+      const run $ obs_term $ strict_arg $ preset_arg $ seed_arg $ vb_arg
+      $ method_arg)
 
 (* ------------------------------------------------------------------ *)
 (* dynamic                                                             *)
@@ -906,7 +900,8 @@ let sweep_cmd =
                Table.float_cell ~decimals:1 p.Scenario.probes;
                Table.float_cell ~decimals:1 p.Scenario.thiran_beacons;
                Table.float_cell ~decimals:1 p.Scenario.greedy_beacons;
-               Table.float_cell ~decimals:1 p.Scenario.ilp_beacons;
+               Table.float_cell ~decimals:1 p.Scenario.ilp_beacons
+               ^ (if p.Scenario.ilp_optimal then "" else " *");
              ])
            points)
     | other ->

@@ -1,7 +1,7 @@
 module Graph = Monpos_graph.Graph
 module Paths = Monpos_graph.Paths
-module Model = Monpos_lp.Model
 module Mip = Monpos_lp.Mip
+module Cover = Monpos_cover.Cover
 
 type probe = {
   endpoint_a : Graph.node;
@@ -193,37 +193,29 @@ let place_greedy probes ~candidates =
   done;
   mk_placement ~optimal:false ~method_name:"greedy" !beacons
 
-let place_ilp ?options probes ~candidates =
-  let m = Model.create Model.Minimize ~name:"beacons" in
-  let y = Hashtbl.create 16 in
-  List.iter
-    (fun c ->
-      Hashtbl.replace y c
-        (Model.add_var m ~name:(Printf.sprintf "y_%d" c) ~obj:1.0 Model.Binary))
-    candidates;
-  List.iter
-    (fun p ->
-      let terms =
-        List.filter_map
-          (fun v -> Option.map (fun yv -> (1.0, yv)) (Hashtbl.find_opt y v))
+(* The §6 ILP is a set cover: one set per candidate (ascending), one
+   item per probe, and a candidate's set holds the probes it can send.
+   [Cover]'s exact branch and bound answers it. *)
+let place_ilp ?(options = Mip.default_options) probes ~candidates =
+  let cands = Array.of_list (List.sort_uniq compare candidates) in
+  let set_of = Hashtbl.create 16 in
+  Array.iteri (fun j c -> Hashtbl.replace set_of c j) cands;
+  let sets = Array.make (Array.length cands) [] in
+  List.iteri
+    (fun i p ->
+      match
+        List.filter_map (Hashtbl.find_opt set_of)
           (List.sort_uniq compare [ p.endpoint_a; p.endpoint_b ])
-      in
-      if terms = [] then
+      with
+      | [] ->
         Monpos_resilience.Error.infeasible
           "Active.place_ilp: probe with no candidate extremity"
-      else Model.add_constr m terms Model.Ge 1.0)
+      | owners -> List.iter (fun j -> sets.(j) <- i :: sets.(j)) owners)
     probes;
-  let r = Mip.solve ?options m in
-  match (r.Mip.status, r.Mip.solution) with
-  | (Mip.Optimal | Mip.Feasible), Some x ->
-    let beacons =
-      Hashtbl.fold
-        (fun c v acc -> if x.(Model.var_index v) > 0.5 then c :: acc else acc)
-        y []
-    in
-    mk_placement ~optimal:(r.Mip.status = Mip.Optimal) ~method_name:"ilp" beacons
-  | Mip.Optimal, None | Mip.Feasible, None -> assert false
-  | _ -> Mip.fail ?options ~stage:"Active.place_ilp" r
+  let inst = Cover.make ~num_items:(List.length probes) (Array.map List.rev sets) in
+  let r = Cover.exact_detailed ~node_limit:options.Mip.max_nodes inst in
+  mk_placement ~optimal:r.Cover.proven_optimal ~method_name:"ilp"
+    (List.map (fun j -> cands.(j)) r.Cover.chosen)
 
 type traffic_overhead = {
   messages : int;

@@ -12,7 +12,8 @@
     The placement phase is the paper's contribution: a 0–1 ILP
     (vertex-cover style) and a max-coverage greedy, both compared
     against the original algorithm of [15] (beacons picked in
-    arbitrary order). *)
+    arbitrary order). The ILP runs on the exact set-cover branch and
+    bound that also solves §4.2's PPM(k). *)
 
 type probe = {
   endpoint_a : Monpos_graph.Graph.node;
@@ -68,7 +69,12 @@ val place_ilp :
   placement
 (** The paper's 0–1 ILP: minimize [Σ y_i] subject to
     [y_{φu} + y_{φv} >= 1] per probe and [y_i = 0] outside [V_B].
-    Raises [Failure] if some probe has no candidate extremity. *)
+    Solved as a set cover (a candidate covers the probes it can send)
+    by {!Monpos_cover.Cover.exact_detailed}. Only [options.max_nodes]
+    is read, as the node budget (default
+    [Mip.default_options.max_nodes]); [optimal = false] when it runs
+    out. Raises [Monpos_resilience.Error.Error (Infeasible_model _)]
+    if some probe has no candidate extremity. *)
 
 val validate :
   probe list ->

@@ -196,47 +196,46 @@ let joint_placement ?k_paths ?(coverage = 1.0) ?(options = default_joint_options
   in
   Model.add_constr m ~name:"global" !coverage_terms Model.Ge
     (coverage *. inst.Instance.total_volume);
-  let r = Mip.solve ?options m in
-  match (r.Mip.status, r.Mip.solution) with
-  | (Mip.Optimal | Mip.Feasible), Some x ->
-    let monitors =
-      Hashtbl.fold
-        (fun e v acc -> if x.(Model.var_index v) > 0.5 then e :: acc else acc)
-        xvar []
-      |> List.sort compare
-    in
-    let chosen =
-      Array.map
-        (fun zs ->
-          match
-            List.find_opt (fun (z, _) -> x.(Model.var_index z) > 0.5) zs
-          with
-          | Some (_, p) -> p
-          | None -> assert false)
-        zvars
-    in
-    let inst' = rebuild inst chosen in
-    let monitored = Array.make (Graph.num_edges inst.Instance.graph) false in
-    List.iter (fun e -> monitored.(e) <- true) monitors;
-    let coverage_of (d : Traffic.demand) edges =
-      if List.exists (fun e -> monitored.(e)) edges then d.Traffic.volume
-      else 0.0
-    in
-    let placement =
-      {
-        Passive.monitors;
-        coverage = Instance.coverage inst' monitors;
-        fraction = Instance.coverage_fraction inst' monitors;
-        count = List.length monitors;
-        optimal = r.Mip.status = Mip.Optimal;
-        method_name = "campaign-joint";
-      }
-    in
-    ( placement,
-      {
-        instance = inst';
-        moves = moves_of inst inst' coverage_of;
-        coverage_before = Instance.coverage_fraction inst monitors;
-        coverage_after = Instance.coverage_fraction inst' monitors;
-      } )
-  | _ -> Mip.fail ?options ~stage:"Campaign.joint_placement" r
+  let x, optimal =
+    Mip.solve_or_fail ?options ~stage:"Campaign.joint_placement" m
+  in
+  let monitors =
+    Hashtbl.fold
+      (fun e v acc -> if x.(Model.var_index v) > 0.5 then e :: acc else acc)
+      xvar []
+    |> List.sort compare
+  in
+  let chosen =
+    Array.map
+      (fun zs ->
+        match
+          List.find_opt (fun (z, _) -> x.(Model.var_index z) > 0.5) zs
+        with
+        | Some (_, p) -> p
+        | None -> assert false)
+      zvars
+  in
+  let inst' = rebuild inst chosen in
+  let monitored = Array.make (Graph.num_edges inst.Instance.graph) false in
+  List.iter (fun e -> monitored.(e) <- true) monitors;
+  let coverage_of (d : Traffic.demand) edges =
+    if List.exists (fun e -> monitored.(e)) edges then d.Traffic.volume
+    else 0.0
+  in
+  let placement =
+    {
+      Passive.monitors;
+      coverage = Instance.coverage inst' monitors;
+      fraction = Instance.coverage_fraction inst' monitors;
+      count = List.length monitors;
+      optimal;
+      method_name = "campaign-joint";
+    }
+  in
+  ( placement,
+    {
+      instance = inst';
+      moves = moves_of inst inst' coverage_of;
+      coverage_before = Instance.coverage_fraction inst monitors;
+      coverage_after = Instance.coverage_fraction inst' monitors;
+    } )

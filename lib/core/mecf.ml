@@ -111,25 +111,21 @@ let solve_mip ?(k = 1.0) ?options inst =
     (Array.to_list (Array.map (fun v -> (1.0, v)) h))
     Model.Ge
     (k *. inst.Instance.total_volume);
-  let r = Mip.solve ?options m in
-  match (r.Mip.status, r.Mip.solution) with
-  | (Mip.Optimal | Mip.Feasible), Some x ->
-    let monitors =
-      Hashtbl.fold
-        (fun e v acc ->
-          if x.(Model.var_index v) > 0.5 then e :: acc else acc)
-        y []
-    in
-    let monitors = List.sort compare monitors in
-    {
-      Passive.monitors;
-      coverage = Instance.coverage inst monitors;
-      fraction = Instance.coverage_fraction inst monitors;
-      count = List.length monitors;
-      optimal = r.Mip.status = Mip.Optimal;
-      method_name = "mecf-mip";
-    }
-  | _ -> Mip.fail ?options ~stage:"Mecf.solve_mip" r
+  let x, optimal = Mip.solve_or_fail ?options ~stage:"Mecf.solve_mip" m in
+  let monitors =
+    Hashtbl.fold
+      (fun e v acc -> if x.(Model.var_index v) > 0.5 then e :: acc else acc)
+      y []
+  in
+  let monitors = List.sort compare monitors in
+  {
+    Passive.monitors;
+    coverage = Instance.coverage inst monitors;
+    fraction = Instance.coverage_fraction inst monitors;
+    count = List.length monitors;
+    optimal;
+    method_name = "mecf-mip";
+  }
 
 let flow_heuristic ?(k = 1.0) ?(algo = Mincost.Ssp) inst =
   Span.run "mecf.flow_heuristic" @@ fun () ->

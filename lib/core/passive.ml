@@ -207,16 +207,9 @@ let solve_mip ?(k = 1.0) ?(formulation = `Lp2) ?options inst =
     | `Lp2 -> build_lp2 ~k ~maximize_coverage:false inst
     | `Lp1 -> build_lp1 ~k inst
   in
-  let r = Mip.solve ?options m in
-  match (r.Mip.status, r.Mip.solution) with
-  | (Mip.Optimal | Mip.Feasible), Some x ->
-    let name =
-      match formulation with `Lp2 -> "mip-lp2" | `Lp1 -> "mip-lp1"
-    in
-    mk_solution inst
-      ~optimal:(r.Mip.status = Mip.Optimal)
-      ~method_name:name (extract_monitors xvar x)
-  | _ -> Mip.fail ?options ~stage:"Passive.solve_mip" r
+  let x, optimal = Mip.solve_or_fail ?options ~stage:"Passive.solve_mip" m in
+  let name = match formulation with `Lp2 -> "mip-lp2" | `Lp1 -> "mip-lp1" in
+  mk_solution inst ~optimal ~method_name:name (extract_monitors xvar x)
 
 let lp_bound ?(k = 1.0) ?deadline inst =
   Span.run "passive.lp_bound" @@ fun () ->
@@ -314,38 +307,28 @@ let randomized_rounding ?(k = 1.0) ?(trials = 32) ?(seed = 1) ?deadline inst =
 let incremental ?(k = 1.0) ?options ~installed inst =
   Span.run "passive.incremental" @@ fun () ->
   let m, xvar = build_lp2 ~k ~installed ~maximize_coverage:false inst in
-  let r = Mip.solve ?options m in
-  match (r.Mip.status, r.Mip.solution) with
-  | (Mip.Optimal | Mip.Feasible), Some x ->
-    let all = extract_monitors xvar x in
-    let installed_set = List.sort_uniq compare installed in
-    let fresh = List.filter (fun e -> not (List.mem e installed_set)) all in
-    let sol = mk_solution inst ~optimal:(r.Mip.status = Mip.Optimal)
-        ~method_name:"incremental" fresh
-    in
-    (* coverage must account for the installed devices as well *)
-    let covered = Instance.coverage inst (fresh @ installed_set) in
-    {
-      sol with
-      coverage = covered;
-      fraction =
-        (if inst.Instance.total_volume <= 0.0 then 1.0
-         else covered /. inst.Instance.total_volume);
-    }
-  | _ -> Mip.fail ?options ~stage:"Passive.incremental" r
+  let x, optimal = Mip.solve_or_fail ?options ~stage:"Passive.incremental" m in
+  let all = extract_monitors xvar x in
+  let installed_set = List.sort_uniq compare installed in
+  let fresh = List.filter (fun e -> not (List.mem e installed_set)) all in
+  let sol = mk_solution inst ~optimal ~method_name:"incremental" fresh in
+  (* coverage must account for the installed devices as well *)
+  let covered = Instance.coverage inst (fresh @ installed_set) in
+  {
+    sol with
+    coverage = covered;
+    fraction =
+      (if inst.Instance.total_volume <= 0.0 then 1.0
+       else covered /. inst.Instance.total_volume);
+  }
 
 let budgeted ~budget ?options inst =
   Span.run "passive.budgeted" @@ fun () ->
   let m, xvar =
     build_lp2 ~budget ~maximize_coverage:true inst
   in
-  let r = Mip.solve ?options m in
-  match (r.Mip.status, r.Mip.solution) with
-  | (Mip.Optimal | Mip.Feasible), Some x ->
-    mk_solution inst
-      ~optimal:(r.Mip.status = Mip.Optimal)
-      ~method_name:"budgeted" (extract_monitors xvar x)
-  | _ -> Mip.fail ?options ~stage:"Passive.budgeted" r
+  let x, optimal = Mip.solve_or_fail ?options ~stage:"Passive.budgeted" m in
+  mk_solution inst ~optimal ~method_name:"budgeted" (extract_monitors xvar x)
 
 let marginal_gains ?(max_budget = 8) ?options inst =
   let limit = min max_budget (List.length (used_edges inst)) in

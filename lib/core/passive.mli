@@ -37,14 +37,16 @@ val validate : ?k:float -> Instance.t -> Monpos_graph.Graph.edge list -> bool
 val greedy : ?k:float -> Instance.t -> solution
 (** §4.3's adaptive greedy (the heuristic of [3]/[22]): repeatedly tap
     the link carrying the most not-yet-monitored volume. Raises
-    [Failure] if [k] is unreachable. *)
+    [Monpos_resilience.Error.Error (Infeasible_model _)] if [k] is
+    unreachable. *)
 
 val greedy_static : ?k:float -> Instance.t -> solution
 (** The literal "most loaded link is chosen first, and so on and so
     forth" reading of §4.3: links are taken in decreasing static load
     order, without discounting already-monitored traffic. This is the
     weaker baseline whose gap to the ILP matches the paper's Figures
-    7-8. Raises [Failure] if [k] is unreachable. *)
+    7-8. Raises [Monpos_resilience.Error.Error (Infeasible_model _)]
+    if [k] is unreachable. *)
 
 val solve_exact : ?k:float -> ?node_limit:int -> Instance.t -> solution
 (** Exact minimum placement via combinatorial branch and bound on the
@@ -60,8 +62,8 @@ val solve_mip :
   solution
 (** Solve the paper's MIP (default [`Lp2]). [`Lp1] is the arc-path
     flow formulation with variables [f_t^e]; [`Lp2] the compact one
-    with [δ_t]. Raises [Failure] when the MIP solver stops without an
-    incumbent. *)
+    with [δ_t]. Raises {!Monpos_lp.Mip.solve_or_fail}'s typed error
+    when the solver stops without an incumbent. *)
 
 val lp_bound :
   ?k:float ->

@@ -162,12 +162,12 @@ let solve_ppme ?options (pb : Sampling.problem) =
           ("saturate", sol, Float.nan, Float.nan) );
     ]
 
-let place_beacons ?options probes ~candidates =
+let place_beacons probes ~candidates =
   run_ladder ~solver:"beacons"
     [
       ( "ilp",
         fun () ->
-          let p = Active.place_ilp ?options probes ~candidates in
+          let p = Active.place_ilp probes ~candidates in
           if p.Active.optimal then
             ("ilp", p, float_of_int (List.length p.Active.beacons), 0.0)
           else ("ilp_incumbent", p, Float.nan, Float.nan) );

@@ -81,11 +81,12 @@ val solve_ppme :
     reach it). *)
 
 val place_beacons :
-  ?options:Monpos_lp.Mip.options ->
   Active.probe list ->
   candidates:Monpos_graph.Graph.node list ->
   Active.placement outcome
-(** §6 beacon placement through the ladder. *)
+(** §6 beacon placement through the ladder. The top rung is
+    {!Active.place_ilp} under its default node budget; it answers as
+    ["ilp_incumbent"] when the budget runs out before a proof. *)
 
 val pp_outcome : Format.formatter -> 'a outcome -> unit
 (** "rung mip_incumbent, gap 4.2%, bound 11" plus one line per

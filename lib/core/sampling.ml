@@ -202,14 +202,10 @@ let default_milp_options =
 
 let solve_milp ?(options = default_milp_options) pb =
   Span.run "sampling.milp" @@ fun () ->
-  let options = Some options in
   let candidates = used_edges pb.instance in
   let m, rvar, _xvar, delta = build pb ~candidates ~with_binaries:true in
-  let r = Mip.solve ?options m in
-  match (r.Mip.status, r.Mip.solution) with
-  | (Mip.Optimal | Mip.Feasible), Some x ->
-    assemble pb ~rvar ~delta ~optimal:(r.Mip.status = Mip.Optimal) x
-  | _ -> Mip.fail ?options ~stage:"Sampling.solve_milp" r
+  let x, optimal = Mip.solve_or_fail ~options ~stage:"Sampling.solve_milp" m in
+  assemble pb ~rvar ~delta ~optimal x
 
 let reoptimize pb ~installed =
   Span.run "sampling.reoptimize" @@ fun () ->

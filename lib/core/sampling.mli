@@ -71,15 +71,16 @@ val solve_milp : ?options:Monpos_lp.Mip.options -> problem -> solution
     to a 1% relative gap under a 15-second budget (LP3's relaxation is
     weak, so closing the last gap fraction is disproportionately
     expensive); [solution.optimal] means "proved within the configured
-    gap". Pass explicit [options] for exact proofs. Raises [Failure]
-    when no feasible placement exists or the solver stops without an
-    incumbent. *)
+    gap". Pass explicit [options] for exact proofs. Raises
+    {!Monpos_lp.Mip.solve_or_fail}'s typed error when the solver stops
+    without an incumbent. *)
 
 val reoptimize : problem -> installed:Monpos_graph.Graph.edge list -> solution
 (** PPME*(x,h,k): [installed] fixed, find the cheapest rates meeting
     the [h]/[k] constraints — a pure LP, solved in polynomial time.
-    Raises [Failure] when the installed set cannot reach the
-    targets. *)
+    Raises [Monpos_resilience.Error.Error (Infeasible_model _)] when
+    the installed set cannot reach the targets, and [Numerical] when
+    the LP is not solved. *)
 
 val reoptimize_flow :
   ?algo:Monpos_flow.Mincost.algo ->
@@ -101,8 +102,8 @@ val reoptimize_flow :
     path at its own effective ratio (vs. LP3's single ratio per device
     accumulated along the path), so its optimal exploitation cost is a
     lower bound on {!reoptimize}'s; both meet the same coverage floors.
-    Raises [Failure] when the installed set cannot reach the
-    targets.
+    Raises [Monpos_resilience.Error.Error (Infeasible_model _)] when
+    the installed set cannot reach the targets.
 
     [algo] picks the min-cost-flow kernel (default
     {!Monpos_flow.Mincost.Ssp}); both kernels return the same rates up
@@ -132,7 +133,8 @@ val reopt_solve : reopt -> problem -> solution
     lower bounds and supplies are refreshed in place, then the kernel
     re-solves — warm under [Net_simplex]. If the traffic or demand
     count changed, the network is silently rebuilt (cold). Raises
-    [Failure] when the drifted targets are unreachable. *)
+    [Monpos_resilience.Error.Error (Infeasible_model _)] when the
+    drifted targets are unreachable. *)
 
 type kernel =
   | Lp  (** the {!reoptimize} LP — the historical default *)

@@ -70,6 +70,7 @@ type active_point = {
   thiran_beacons : float;
   greedy_beacons : float;
   ilp_beacons : float;
+  ilp_optimal : bool;
   probes : float;
 }
 
@@ -86,6 +87,7 @@ let active_sweep ?(preset = `Pop15) ?(seeds = default_seeds) ?sizes () =
   List.map
     (fun vb_size ->
       let th = ref [] and gr = ref [] and il = ref [] and pr = ref [] in
+      let all_optimal = ref true in
       List.iter
         (fun (seed, pop) ->
           let routers = Array.of_list (Pop.routers pop) in
@@ -105,6 +107,7 @@ let active_sweep ?(preset = `Pop15) ?(seeds = default_seeds) ?sizes () =
             th := float_of_int (List.length t.Active.beacons) :: !th;
             gr := float_of_int (List.length g.Active.beacons) :: !gr;
             il := float_of_int (List.length i.Active.beacons) :: !il;
+            all_optimal := !all_optimal && i.Active.optimal;
             pr := float_of_int (List.length probes) :: !pr
           end)
         pops;
@@ -113,6 +116,7 @@ let active_sweep ?(preset = `Pop15) ?(seeds = default_seeds) ?sizes () =
         thiran_beacons = Monpos_util.Stats.mean (Array.of_list !th);
         greedy_beacons = Monpos_util.Stats.mean (Array.of_list !gr);
         ilp_beacons = Monpos_util.Stats.mean (Array.of_list !il);
+        ilp_optimal = !all_optimal;
         probes = Monpos_util.Stats.mean (Array.of_list !pr);
       })
     sizes

@@ -41,6 +41,7 @@ type active_point = {
   thiran_beacons : float;  (** mean beacons placed by [15]'s algorithm *)
   greedy_beacons : float;  (** mean beacons placed by the paper's greedy *)
   ilp_beacons : float;  (** mean beacons placed by the paper's ILP *)
+  ilp_optimal : bool;  (** every ILP placement proved minimum *)
   probes : float;  (** mean size of the optimal probe set *)
 }
 

@@ -1388,14 +1388,16 @@ let resume ?(options = default_options) path =
   in
   solve_gen ~options ~restore:(Some s) s.s_model
 
-(* Shared by every caller that needs a typed error out of a result
-   that carries no usable solution: infeasibility and unboundedness
-   are properties of the model, a deadline stop is a deadline error,
-   anything else (node budget, iteration limits) is internal. *)
-let fail ?options ~stage r =
-  match r.status with
-  | Infeasible -> Error.infeasible (stage ^ ": no feasible solution exists")
-  | Unbounded -> Error.numerical ~stage ~detail:"relaxation unbounded"
+(* A result without a usable solution becomes a typed error:
+   infeasibility and unboundedness are properties of the model, a
+   deadline stop is a deadline error, anything else (node budget,
+   iteration limits) is internal. *)
+let solve_or_fail ?options ~stage model =
+  let r = solve ?options model in
+  match (r.status, r.solution) with
+  | (Optimal | Feasible), Some x -> (x, r.status = Optimal)
+  | Infeasible, _ -> Error.infeasible (stage ^ ": no feasible solution exists")
+  | Unbounded, _ -> Error.numerical ~stage ~detail:"relaxation unbounded"
   | _ when r.deadline_hit ->
     let limit = (Option.value options ~default:default_options).time_limit in
     Error.deadline_exceeded ~phase:stage ~elapsed:limit
@@ -1403,9 +1405,3 @@ let fail ?options ~stage r =
     Error.internal
       (Printf.sprintf "%s: solver stopped without a solution after %d nodes"
          stage r.nodes)
-
-let solve_or_fail ?options model =
-  let r = solve ?options model in
-  match (r.status, r.solution) with
-  | Optimal, Some x -> (x, r.objective)
-  | _ -> fail ?options ~stage:"Mip.solve_or_fail" r

@@ -197,18 +197,12 @@ val resume : ?options:options -> string -> result
     version. Raises [Invalid_argument] when [options.deterministic] is
     [false]. *)
 
-val fail : ?options:options -> stage:string -> result -> 'a
-(** Raise the {!Monpos_resilience.Error.Error} that best describes why
-    [result] carries no usable solution: [Infeasible_model] /
-    [Numerical] for infeasible and unbounded models,
-    [Deadline_exceeded] when {!result.deadline_hit} is set, [Internal]
-    for limit stops. [options] only supplies the budget quoted in the
-    deadline error (defaults to {!default_options}). *)
-
-val solve_or_fail : ?options:options -> Model.t -> float array * float
-(** Convenience for callers that require an optimal solution: returns
-    (assignment, objective) and raises {!Monpos_resilience.Error.Error}
-    when the solver stops without proving optimality —
-    [Infeasible_model] when no integer point exists,
-    [Deadline_exceeded] when the wall clock ran out, [Numerical] on an
-    unbounded relaxation, [Internal] otherwise. *)
+val solve_or_fail :
+  ?options:options -> stage:string -> Model.t -> float array * bool
+(** {!solve}, for callers that need an assignment: returns
+    [(assignment, proven_optimal)] when the solver stops [Optimal] or
+    [Feasible] with an incumbent. Otherwise raises the
+    {!Monpos_resilience.Error.Error} naming [stage] that best says why:
+    [Infeasible_model] / [Numerical] for infeasible and unbounded
+    models, [Deadline_exceeded] (quoting [options.time_limit]) when
+    {!result.deadline_hit} is set, [Internal] for limit stops. *)

@@ -64,6 +64,8 @@ type 'a t = {
   idle : float array;
   nodes_w : Metrics.counter Lazy.t array;
   mutable domains : unit Domain.t array;
+  (* set by the first claim any worker makes in the pool's lifetime *)
+  worker_claimed : bool Atomic.t;
 }
 
 let create ~jobs ~process ~sink =
@@ -83,6 +85,7 @@ let create ~jobs ~process ~sink =
     idle = Array.make jobs 0.0;
     nodes_w = Array.init jobs (fun w -> lazy (nodes_counter w));
     domains = [||];
+    worker_claimed = Atomic.make false;
   }
 
 let claim pool wave =
@@ -126,13 +129,22 @@ let rec drain pool w wave =
   if not pool.dead.(w) then
     match claim pool wave with
     | Some entry -> (
+      let first_worker_claim =
+        w > 0 && not (Atomic.exchange pool.worker_claimed true)
+      in
+      if first_worker_claim then
+        Mutex.protect pool.lock (fun () -> Condition.broadcast pool.cond);
       match
         (* the die site fires only on a task's first attempt: a slot
            picking up a requeued task must not die on it again, or a
-           single unlucky task could fell every slot in turn *)
+           single unlucky task could fell every slot in turn. The
+           pool's first worker claim always dies, so an armed seed
+           injects a death however the slots happen to be scheduled *)
         if
           w > 0 && entry.tries = 0
-          && Chaos.fire ~scoped:false ~site:"domain.die" ~p:0.02 ()
+          && Chaos.fire ~scoped:false ~site:"domain.die"
+               ~p:(if first_worker_claim then 1.0 else 0.02)
+               ()
         then raise (Worker_killed w)
         else pool.process w entry.task
       with
@@ -207,6 +219,14 @@ let run pool = function
         pool.wave <- wave;
         pool.remaining <- Array.length wave.tasks;
         Condition.broadcast pool.cond);
+    (* under an armed chaos seed slot 0 waits for a worker's first
+       claim: on a busy machine it could otherwise finish whole waves
+       before any worker wakes, and [domain.die] would never draw *)
+    if pool.jobs > 1 && Chaos.active () then
+      Mutex.protect pool.lock (fun () ->
+          while not (Atomic.get pool.worker_claimed) do
+            Condition.wait pool.cond pool.lock
+          done);
     (* slot 0 is never dead and nothing else publishes a wave, so this
        returns exactly at the barrier *)
     drain pool 0 wave;

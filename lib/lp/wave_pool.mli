@@ -21,7 +21,11 @@
     any slot, and a task's third failure. Each supervised death bumps the
     [mip.worker_failures] counter, emits a [worker_failure] trace event
     and triggers a flight-recorder dump. The chaos site [domain.die]
-    ([p = 0.02], unscoped) kills slot [w > 0] on a task's first claim.
+    (unscoped) kills slot [w > 0] on a task's first claim: always on
+    the first claim any worker makes in the pool's lifetime, then with
+    [p = 0.02]. While a seed is armed, slot 0 waits for that first
+    worker claim before it claims anything itself, so the death lands
+    however the machine schedules the slots.
 
     Per-slot series: [mip.nodes{domain=w}] counts the tasks slot [w]
     completed and [mip.idle_seconds{domain=w}] (added at {!shutdown})

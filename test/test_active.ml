@@ -129,6 +129,56 @@ let test_overhead_accounting () =
         (List.mem b ilp.Active.beacons))
     cost.Active.per_beacon
 
+(* The set-cover engine against the beacon ILP solved as a 0-1 MIP, on
+   fig9's candidate draws: Pop15 seeds 1..10, |V_B| = 1..15, probes
+   towards the candidates as in Scenario.active_sweep. Among equal-size
+   optima the two engines may pick different beacons, so the contract
+   is the count, the proof and validity. *)
+let test_ilp_matches_mip_oracle () =
+  let placements = ref 0 in
+  List.iter
+    (fun seed ->
+      let pop = Pop.make_preset `Pop15 ~seed in
+      for vb_size = 1 to 15 do
+        let routers = Array.of_list (Pop.routers pop) in
+        Prng.shuffle (Prng.create ((seed * 104729) + vb_size)) routers;
+        let candidates =
+          List.sort compare (Array.to_list (Array.sub routers 0 vb_size))
+        in
+        let probes =
+          Active.compute_probes ~targets:candidates pop.Pop.graph ~candidates
+        in
+        if probes <> [] then begin
+          incr placements;
+          let what = Printf.sprintf "seed %d, |V_B| %d" seed vb_size in
+          let ilp = Active.place_ilp probes ~candidates in
+          let mip = Beacon_oracle.place probes ~candidates in
+          Alcotest.(check int) (what ^ ": count")
+            (List.length mip.Active.beacons)
+            (List.length ilp.Active.beacons);
+          Alcotest.(check bool) (what ^ ": both proven") true
+            (ilp.Active.optimal && mip.Active.optimal);
+          List.iter
+            (fun (p : Active.placement) ->
+              Alcotest.(check bool) (what ^ ": valid") true
+                (Active.validate probes ~beacons:p.Active.beacons ~candidates))
+            [ ilp; mip ]
+        end
+      done)
+    (List.init 10 (fun i -> i + 1));
+  Alcotest.(check int) "placements compared" 140 !placements
+
+(* A probe neither of whose extremities is a candidate cannot be sent. *)
+let test_ilp_unplaceable_probe () =
+  let g = Synthetic.ring 6 in
+  let probes = Active.compute_probes g ~candidates:[ 0; 3 ] in
+  match Active.place_ilp probes ~candidates:[ 1 ] with
+  | _ -> Alcotest.fail "expected Infeasible_model"
+  | exception
+      Monpos_resilience.Error.Error
+        (Monpos_resilience.Error.Infeasible_model _) ->
+    ()
+
 let brute_force_vertex_cover probes candidates =
   let cands = Array.of_list candidates in
   let n = Array.length cands in
@@ -203,6 +253,8 @@ let suite =
     Alcotest.test_case "single candidate" `Quick test_single_candidate;
     Alcotest.test_case "probe set small" `Quick test_probe_set_is_minimal_enough;
     Alcotest.test_case "overhead accounting" `Quick test_overhead_accounting;
+    Alcotest.test_case "ilp matches mip oracle" `Quick test_ilp_matches_mip_oracle;
+    Alcotest.test_case "ilp unplaceable probe" `Quick test_ilp_unplaceable_probe;
     QCheck_alcotest.to_alcotest prop_ilp_matches_brute_force;
     QCheck_alcotest.to_alcotest prop_greedy_between_ilp_and_thiran;
   ]

@@ -382,7 +382,7 @@ let test_beacon_kill_resume_identity () =
   ignore
     (family_identity "beacon" ~path (fun () ->
          let p =
-           Active.place_ilp
+           Beacon_oracle.place
              ~options:(opts ~wave:1 ~checkpoint:path 1)
              probes ~candidates:vb
          in
@@ -495,11 +495,12 @@ let worker_failures () =
     "mip.worker_failures"
 
 let test_worker_death_supervised () =
-  (* with chaos armed, the domain.die site kills workers mid-wave
-     (p = 0.02 per task); supervision must requeue the dead slot's
-     work and finish with a result identical to the untroubled jobs=1
-     solve. Trials run until at least one death was actually injected,
-     so the test proves recovery, not luck. *)
+  (* with chaos armed, the domain.die site kills the pool's first
+     worker claim (slot 0 waits for it) and later ones with p = 0.02;
+     supervision must requeue the dead slot's work and finish with a
+     result identical to the untroubled jobs=1 solve. Trials run until
+     at least one death was actually injected, so the test proves
+     recovery, not luck. *)
   let rng = Prng.create 140586 in
   let deaths_seen = ref 0 in
   let trials = ref 0 in

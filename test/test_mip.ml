@@ -95,9 +95,20 @@ let test_solve_or_fail () =
   let m = Model.create Model.Minimize in
   let x = Model.add_var m ~obj:1.0 ~lb:2.0 ~ub:9.0 Model.Integer in
   ignore x;
-  let sol, obj = Mip.solve_or_fail m in
-  check_float "obj" 2.0 obj;
-  check_float "x" 2.0 sol.(0)
+  let sol, proven = Mip.solve_or_fail ~stage:"test" m in
+  Alcotest.(check bool) "proven" true proven;
+  check_float "x" 2.0 sol.(0);
+  (* no integer point: the error names the caller's stage *)
+  let bad = Model.create Model.Minimize in
+  let y = Model.add_var bad ~obj:1.0 Model.Binary in
+  Model.add_constr bad [ (2.0, y) ] Model.Eq 1.0;
+  match Mip.solve_or_fail ~stage:"test.stage" bad with
+  | _ -> Alcotest.fail "expected Infeasible_model"
+  | exception
+      Monpos_resilience.Error.Error
+        (Monpos_resilience.Error.Infeasible_model { what }) ->
+    Alcotest.(check bool) "stage named" true
+      (String.starts_with ~prefix:"test.stage" what)
 
 (* the wave scheduler is the only one: asking for another is refused *)
 let test_nondeterministic_refused () =
@@ -421,9 +432,9 @@ let test_warm_start_determinism () =
   Monpos_util.Prng.shuffle rng routers;
   let vb = List.sort compare (Array.to_list (Array.sub routers 0 10)) in
   let probes = Active.compute_probes ~targets:vb pop15.Pop.graph ~candidates:vb in
-  let cold = Active.place_ilp ~options:(opts false) probes ~candidates:vb in
-  let warm = Active.place_ilp ~options:(opts true) probes ~candidates:vb in
-  let warm' = Active.place_ilp ~options:(opts true) probes ~candidates:vb in
+  let cold = Beacon_oracle.place ~options:(opts false) probes ~candidates:vb in
+  let warm = Beacon_oracle.place ~options:(opts true) probes ~candidates:vb in
+  let warm' = Beacon_oracle.place ~options:(opts true) probes ~candidates:vb in
   Alcotest.(check int) "beacon count"
     (List.length cold.Active.beacons)
     (List.length warm.Active.beacons);

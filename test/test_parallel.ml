@@ -156,7 +156,8 @@ let test_beacon_jobs_invariant () =
   let probes = Active.compute_probes ~targets:vb pop.Pop.graph ~candidates:vb in
   let runs =
     List.map
-      (fun jobs -> Active.place_ilp ~options:(opts jobs) probes ~candidates:vb)
+      (fun jobs ->
+        Beacon_oracle.place ~options:(opts jobs) probes ~candidates:vb)
       jobs_list
   in
   match runs with

@@ -48,6 +48,7 @@ let test_active_sweep_small () =
         (p.Scenario.ilp_beacons <= p.Scenario.greedy_beacons +. 1e-9);
       Alcotest.(check bool) "ilp <= thiran" true
         (p.Scenario.ilp_beacons <= p.Scenario.thiran_beacons +. 1e-9);
+      Alcotest.(check bool) "ilp proved" true p.Scenario.ilp_optimal;
       Alcotest.(check bool) "some probes" true (p.Scenario.probes > 0.0))
     points
 
