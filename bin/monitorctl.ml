@@ -27,6 +27,7 @@ module Graph = Monpos_graph.Graph
 module Table = Monpos_util.Table
 module Prng = Monpos_util.Prng
 module Obs_trace = Monpos_obs.Trace
+module Obs_event = Monpos_obs.Event
 module Obs_metrics = Monpos_obs.Metrics
 module Mip = Monpos_lp.Mip
 module Mincost = Monpos_flow.Mincost
@@ -184,8 +185,10 @@ let start_stack_ticker sink hz =
           if not (Atomic.get stop) then
             List.iter
               (fun (domain, names) ->
-                Obs_trace.stack_sample sink ~domain
-                  ~stack:(String.concat ";" names))
+                if Obs_trace.enabled sink then
+                  Obs_trace.emit sink
+                    (Obs_event.Stack_sample
+                       { stack = String.concat ";" names; domain }))
               (Monpos_obs.Span.live_stacks ())
         done)
   in
@@ -281,8 +284,7 @@ let with_obs ?jobs ?scheduler ?checkpoint obs f =
         in
         Monpos_obs.Runinfo.emit sink ri;
         Monpos_obs.Status.set_manifest (Monpos_obs.Runinfo.to_json ri);
-        Monpos_obs.Flightrec.set_manifest recorder
-          (Monpos_obs.Runinfo.to_fields ri);
+        Monpos_obs.Flightrec.set_manifest recorder ri;
         let r =
           try f () with
           | Rerror.Error e ->
@@ -1209,7 +1211,9 @@ let metrics_serve_cmd =
       Prom.serve ?max_requests:requests ~should_stop:Preempt.requested
         ~registry:Obs_metrics.default fd
     in
-    Obs_trace.server_shutdown (Obs_trace.current ()) ~served;
+    (let sink = Obs_trace.current () in
+     if Obs_trace.enabled sink then
+       Obs_trace.emit sink (Obs_event.Server_shutdown { served }));
     (try Unix.close fd with Unix.Unix_error _ -> ());
     if Preempt.requested () then
       Format.printf "shutdown requested; served %d request(s)@." served;

@@ -1,5 +1,6 @@
 module Metrics = Monpos_obs.Metrics
 module Trace = Monpos_obs.Trace
+module Event = Monpos_obs.Event
 module Error = Monpos_resilience.Error
 module Chaos = Monpos_resilience.Chaos
 module Deadline = Monpos_resilience.Deadline
@@ -53,10 +54,12 @@ let run_ladder ~solver rungs =
     | _ ->
       Metrics.incr (m_recoveries solver);
       if Trace.enabled sink then
-        Trace.recovery sink ~stage:solver
-          ~detail:
-            (Printf.sprintf "rung %s answered after %d descent(s)" rung
-               (List.length descents)));
+        Trace.emit sink
+          (Event.Recovery
+             { stage = solver;
+               detail =
+                 Printf.sprintf "rung %s answered after %d descent(s)" rung
+                   (List.length descents) }));
     { value; rung; bound; gap; descents = List.rev descents }
   in
   let rec go descents = function
@@ -71,8 +74,9 @@ let run_ladder ~solver rungs =
         let reason = Error.to_string e in
         Metrics.incr (m_fallbacks solver);
         if Trace.enabled sink then
-          Trace.ladder_descent sink ~solver ~from_rung:label
-            ~to_rung:next_label ~reason;
+          Trace.emit sink
+            (Event.Ladder_descent
+               { solver; from_rung = label; to_rung = next_label; reason });
         Monpos_obs.Flightrec.trigger ~reason:"ladder_descent";
         go ({ from_rung = label; to_rung = next_label; reason } :: descents)
           rest)

@@ -5,6 +5,7 @@ module Simplex = Monpos_lp.Simplex
 module Mincost = Monpos_flow.Mincost
 module Span = Monpos_obs.Span
 module Trace = Monpos_obs.Trace
+module Event = Monpos_obs.Event
 module Metrics = Monpos_obs.Metrics
 module Error = Monpos_resilience.Error
 module Chaos = Monpos_resilience.Chaos
@@ -191,7 +192,7 @@ let assemble pb ~rvar ~delta ~optimal x =
 
 (* LP3's relaxation is weak (install variables ride on x_e >= r_e), so
    proving the last fraction of a percent of optimality can dominate
-   runtime. Default to a 1% relative gap under a 15s budget — callers
+   runtime. Default to a 1% relative gap under a 6s budget — callers
    needing proofs pass their own options. *)
 let default_milp_options =
   {
@@ -550,8 +551,10 @@ let run_dynamic ?(kernel = Lp) pb ~installed ~threshold ~steps ~sigma ~seed =
   let stale_descent reason =
     Metrics.incr (Lazy.force m_stale);
     if Trace.enabled sink then
-      Trace.ladder_descent sink ~solver:"ppme-dynamic" ~from_rung:"reoptimize"
-        ~to_rung:"previous_placement" ~reason;
+      Trace.emit sink
+        (Event.Ladder_descent
+           { solver = "ppme-dynamic"; from_rung = "reoptimize";
+             to_rung = "previous_placement"; reason });
     Monpos_obs.Flightrec.trigger ~reason:"ladder_descent"
   in
   (* With a flow kernel the network is built once here and every tick

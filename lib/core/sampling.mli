@@ -68,7 +68,7 @@ val default_milp_options : Monpos_lp.Mip.options
 val solve_milp : ?options:Monpos_lp.Mip.options -> problem -> solution
 (** Linear program 3: joint placement and rate assignment minimizing
     install + exploitation cost. By default the branch and bound runs
-    to a 1% relative gap under a 15-second budget (LP3's relaxation is
+    to a 1% relative gap under a 6-second budget (LP3's relaxation is
     weak, so closing the last gap fraction is disproportionately
     expensive); [solution.optimal] means "proved within the configured
     gap". Pass explicit [options] for exact proofs. Raises

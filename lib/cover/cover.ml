@@ -1,6 +1,7 @@
 module Bitset = Monpos_util.Bitset
 module Graph = Monpos_graph.Graph
 module Trace = Monpos_obs.Trace
+module Event = Monpos_obs.Event
 module Metrics = Monpos_obs.Metrics
 module Sampler = Monpos_obs.Sampler
 module Error = Monpos_resilience.Error
@@ -166,7 +167,8 @@ let greedy_flat inst fl target =
     covered_w := !covered_w +. !best_gain;
     Metrics.incr (Lazy.force m_greedy_picks);
     if Trace.enabled sink then
-      Trace.greedy_pick sink ~pick:best ~gain:!best_gain ~covered:!covered_w
+      Trace.emit sink
+        (Event.Greedy_pick { pick = best; gain = !best_gain; covered = !covered_w })
   done;
   List.rev !chosen
 
@@ -284,8 +286,9 @@ let exact_core ?(node_limit = 20_000_000) inst target ~full_cover =
   if !best_sol <> None then begin
     Metrics.incr (Lazy.force m_incumbents);
     if Trace.enabled sink then
-      Trace.incumbent sink ~solver:"cover" ~node:0
-        ~objective:(float_of_int !best_card)
+      Trace.emit sink
+        (Event.Incumbent
+           { solver = "cover"; node = 0; objective = float_of_int !best_card })
   end;
   let covered = Bytes.make n_items '\000' in
   let trail = Array.make n_items 0 in
@@ -301,8 +304,10 @@ let exact_core ?(node_limit = 20_000_000) inst target ~full_cover =
     if Trace.enabled sink then begin
       let w = Sampler.decide Sampler.Bb_node in
       if w > 0 then
-        Trace.bb_node sink ~sampled_of:w ~solver:"cover" ~node:!node_count
-          ~depth ()
+        Trace.emit sink
+          (Event.Bb_node
+             { solver = "cover"; node = !node_count; depth; bound = None;
+               sampled_of = w })
     end
   in
   let record_incumbent depth =
@@ -310,8 +315,9 @@ let exact_core ?(node_limit = 20_000_000) inst target ~full_cover =
     best_sol := Some (Array.to_list (Array.sub path 0 depth));
     Metrics.incr (Lazy.force m_incumbents);
     if Trace.enabled sink then
-      Trace.incumbent sink ~solver:"cover" ~node:!node_count
-        ~objective:(float_of_int depth)
+      Trace.emit sink
+        (Event.Incumbent
+           { solver = "cover"; node = !node_count; objective = float_of_int depth })
   in
   let undo_to mark =
     while !trail_len > mark do

@@ -8,6 +8,7 @@
    previous basis. *)
 
 module Trace = Monpos_obs.Trace
+module Event = Monpos_obs.Event
 module Metrics = Monpos_obs.Metrics
 module Span = Monpos_obs.Span
 module Sampler = Monpos_obs.Sampler
@@ -226,8 +227,10 @@ let solve_ssp t sink =
       if Trace.enabled sink then begin
         let w = Sampler.decide Sampler.Flow_pivot in
         if w > 0 then
-          Trace.flow_augmentation sink ~sampled_of:w ~amount:!bott
-            ~path_cost:dist.(super_t) ~routed:!routed ()
+          Trace.emit sink
+            (Event.Flow_augmentation
+               { amount = !bott; path_cost = dist.(super_t); routed = !routed;
+                 sampled_of = w })
       end;
       if !routed >= !required -. 1e-9 then continue := false
     end
@@ -301,17 +304,19 @@ let solve ?(algo = Ssp) t =
     let st = solve_ssp t sink in
     t.last_potentials <- None;
     if Trace.enabled sink then
-      Trace.flow_solve sink ~algo:"ssp" ~pivots:0 ~warm:false
-        ~status:(status_string st);
+      Trace.emit sink
+        (Event.Flow_solve
+           { algo = "ssp"; pivots = 0; warm = false; status = status_string st });
     st
   | Net_simplex ->
     Metrics.incr (Lazy.force m_solves_ns);
     let ns, st = solve_netsimplex t in
     if st = Infeasible then t.last_potentials <- None;
     if Trace.enabled sink then
-      Trace.flow_solve sink ~algo:"netsimplex" ~pivots:(Netsimplex.pivots ns)
-        ~warm:(Netsimplex.warm_started ns)
-        ~status:(status_string st);
+      Trace.emit sink
+        (Event.Flow_solve
+           { algo = "netsimplex"; pivots = Netsimplex.pivots ns;
+             warm = Netsimplex.warm_started ns; status = status_string st });
     st
 
 let flow t a =

@@ -19,6 +19,7 @@
 
 module Metrics = Monpos_obs.Metrics
 module Trace = Monpos_obs.Trace
+module Event = Monpos_obs.Event
 module Sampler = Monpos_obs.Sampler
 module Error = Monpos_resilience.Error
 
@@ -589,8 +590,10 @@ let solve ?(warm = true) t =
         if !pivots land 63 = 0 && Trace.enabled sink then begin
           let w = Sampler.decide Sampler.Flow_pivot in
           if w > 0 then
-            Trace.flow_pivots sink ~sampled_of:w ~algo:"netsimplex"
-              ~pivots:!pivots ~objective:(running_objective ()) ()
+            Trace.emit sink
+              (Event.Flow_pivots
+                 { algo = "netsimplex"; pivots = !pivots;
+                   objective = running_objective (); sampled_of = w })
         end
       end
     done;

@@ -1,4 +1,5 @@
 module Trace = Monpos_obs.Trace
+module Event = Monpos_obs.Event
 module Metrics = Monpos_obs.Metrics
 module Clock = Monpos_obs.Clock
 module Sampler = Monpos_obs.Sampler
@@ -877,8 +878,9 @@ let solve_gen ~options ~(restore : saved option) model =
           Metrics.incr (Lazy.force m_incumbents);
           Metrics.set (Lazy.force m_g_incumbent) (of_score score);
           if Trace.enabled sink then
-            Trace.incumbent sink ~solver:"mip" ~node:(fst key)
-              ~objective:(of_score score);
+            Trace.emit sink
+              (Event.Incumbent
+                 { solver = "mip"; node = fst key; objective = of_score score });
           if options.log then
             Printf.eprintf "[mip] incumbent %.6f\n%!" (of_score score)
         end
@@ -1024,8 +1026,9 @@ let solve_gen ~options ~(restore : saved option) model =
           end)
         s.s_pc;
       if Trace.enabled sink then
-        Trace.checkpoint_resume sink ~path:s.s_path ~nodes:s.s_nodes
-          ~frontier:(H.size queue)
+        Trace.emit sink
+          (Event.Checkpoint_resume
+             { path = s.s_path; nodes = s.s_nodes; frontier = H.size queue })
     | None -> H.push queue neg_infinity root);
     let process_task (t : task) =
       (* Scoped chaos is suppressed during node processing: a fault
@@ -1128,9 +1131,10 @@ let solve_gen ~options ~(restore : saved option) model =
         if within_gap_of_incumbent score then begin
           Metrics.incr (Lazy.force m_prunes);
           if Trace.enabled sink then
-            Trace.bound_pruned sink ~solver:"mip" ~node:t.t_num
-              ~bound:(of_score score)
-              ~incumbent:(of_score (inc_score_now ()))
+            Trace.emit sink
+              (Event.Bound_pruned
+                 { solver = "mip"; node = t.t_num; bound = Some (of_score score);
+                   incumbent = Some (of_score (inc_score_now ())) })
         end
         else (
           match branch_var pc primal with
@@ -1200,8 +1204,9 @@ let solve_gen ~options ~(restore : saved option) model =
         Metrics.set (Lazy.force m_g_ck_clock) (Clock.now ());
         Metrics.set (Lazy.force m_g_ck_seconds) !ck_seconds;
         if Trace.enabled sink then
-          Trace.checkpoint_write sink ~path ~nodes:!nodes
-            ~frontier:(H.size queue) ~seconds:dt;
+          Trace.emit sink
+            (Event.Checkpoint_write
+               { path; nodes = !nodes; frontier = H.size queue; seconds = dt });
         last_ck := Clock.now ();
         process_kill_site ()
     in
@@ -1217,7 +1222,7 @@ let solve_gen ~options ~(restore : saved option) model =
         stopped_at_limit := true;
         searching := false;
         if Trace.enabled sink then
-          Trace.preempt_stop sink ~phase:"mip" ~nodes:!nodes;
+          Trace.emit sink (Event.Preempt_stop { phase = "mip"; nodes = !nodes });
         Flightrec.trigger ~reason:"preempt"
       end
       else begin
@@ -1248,9 +1253,11 @@ let solve_gen ~options ~(restore : saved option) model =
               if !count = 0 then begin
                 ignore (H.pop_min queue);
                 if Trace.enabled sink then
-                  Trace.bound_pruned sink ~solver:"mip" ~node:!nodes
-                    ~bound:(of_score parent_bound)
-                    ~incumbent:(of_score (inc_score_now ()));
+                  Trace.emit sink
+                    (Event.Bound_pruned
+                       { solver = "mip"; node = !nodes;
+                         bound = Some (of_score parent_bound);
+                         incumbent = Some (of_score (inc_score_now ())) });
                 best_open_bound := min !best_open_bound parent_bound;
                 halt := true
               end;
@@ -1265,8 +1272,10 @@ let solve_gen ~options ~(restore : saved option) model =
               if Trace.enabled sink then begin
                 let w = Sampler.decide Sampler.Bb_node in
                 if w > 0 then
-                  Trace.bb_node sink ~sampled_of:w ~solver:"mip" ~node:!nodes
-                    ~depth:node.depth ~bound:(of_score parent_bound) ()
+                  Trace.emit sink
+                    (Event.Bb_node
+                       { solver = "mip"; node = !nodes; depth = node.depth;
+                         bound = Some (of_score parent_bound); sampled_of = w })
               end;
               let t_dive =
                 options.heuristic_period > 0
@@ -1335,8 +1344,10 @@ let solve_gen ~options ~(restore : saved option) model =
   in
   if !deadline_stop then begin
     if Trace.enabled sink then
-      Trace.deadline_hit sink ~phase:"mip" ~elapsed:(Deadline.elapsed deadline)
-        ~budget;
+      Trace.emit sink
+        (Event.Deadline_hit
+           { phase = "mip"; elapsed = Deadline.elapsed deadline;
+             budget = Some budget });
     if options.log then
       Printf.eprintf "[mip] deadline hit after %.3fs (budget %.3fs)\n%!"
         (Deadline.elapsed deadline) budget

@@ -1,9 +1,10 @@
 (** Branch-and-bound mixed-integer programming solver.
 
     This is the replacement for the CPLEX runs of the paper: it solves
-    the 0–1 programs of §4 (Linear programs 1 and 2), the MILP of §5
-    (Linear program 3) and the beacon-placement ILP of §6 to proven
-    optimality on the instance sizes of the evaluation.
+    the 0–1 programs of §4 (Linear programs 1 and 2) and the MILP of
+    §5 (Linear program 3) to proven optimality on the instance sizes
+    of the evaluation. (§6's beacon-placement ILP is a set cover and
+    runs on [Cover], not here.)
 
     Strategy: best-bound node selection over LP relaxations solved by
     {!Simplex}, each node warm-started with the dual simplex from its

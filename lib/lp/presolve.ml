@@ -1,4 +1,5 @@
 module Trace = Monpos_obs.Trace
+module Event = Monpos_obs.Event
 module Metrics = Monpos_obs.Metrics
 
 let m_runs = lazy (Metrics.counter Metrics.default "presolve.runs")
@@ -285,8 +286,10 @@ let reduce ?(deadline = Deadline.none) model =
   Metrics.add (Lazy.force m_bounds) !bounds_tightened;
   let sink = Trace.current () in
   if Trace.enabled sink then
-    Trace.presolve_reduction sink ~rows_dropped:!rows_dropped
-      ~bounds_tightened:!bounds_tightened ~fixed_vars:!fixed_vars;
+    Trace.emit sink
+      (Event.Presolve_reduction
+         { rows_dropped = !rows_dropped; bounds_tightened = !bounds_tightened;
+           fixed_vars = !fixed_vars });
   ( reduced,
     {
       rows_dropped = !rows_dropped;

@@ -26,6 +26,7 @@
    phase is purely an accelerator. *)
 
 module Trace = Monpos_obs.Trace
+module Event = Monpos_obs.Event
 module Metrics = Monpos_obs.Metrics
 module Span = Monpos_obs.Span
 module Deadline = Monpos_resilience.Deadline
@@ -845,8 +846,10 @@ let solve ?max_iterations ?lower ?upper ?basis ?(deadline = Deadline.none) p =
       if not !warm_dual then begin
         let sink = Trace.current () in
         if Trace.enabled sink then
-          Trace.warm_start sink ~dual_feasible:false ~iterations:0
-            ~kernel:kernel_name ~outcome:"primal_fallback"
+          Trace.emit sink
+            (Event.Warm_start
+               { dual_feasible = false; iterations = 0; kernel = kernel_name;
+                 outcome = "primal_fallback" })
       end
     end;
     let dual_iters = ref 0 in
@@ -889,15 +892,16 @@ let solve ?max_iterations ?lower ?upper ?basis ?(deadline = Deadline.none) p =
       if Trace.enabled sink then begin
         let w = Monpos_obs.Sampler.decide Monpos_obs.Sampler.Simplex_phase in
         if w > 0 then
-          Trace.simplex_phase sink ~sampled_of:w ~phase ~iterations
-            ~outcome:
-              (match result with
-              | `Done -> if phase = 1 then "feasible" else "optimal"
-              | `Infeasible -> "infeasible"
-              | `Unbounded -> "unbounded"
-              | `Iteration_limit -> "iteration_limit"
-              | `Deadline -> "deadline")
-            ()
+          let outcome =
+            match result with
+            | `Done -> if phase = 1 then "feasible" else "optimal"
+            | `Infeasible -> "infeasible"
+            | `Unbounded -> "unbounded"
+            | `Iteration_limit -> "iteration_limit"
+            | `Deadline -> "deadline"
+          in
+          Trace.emit sink
+            (Event.Simplex_phase { phase; iterations; outcome; sampled_of = w })
       end
     in
     let run () =
@@ -913,15 +917,18 @@ let solve ?max_iterations ?lower ?upper ?basis ?(deadline = Deadline.none) p =
         dual_iters := !dual_iters + pivots;
         Metrics.add (Lazy.force m_dual_iterations) pivots;
         if Trace.enabled sink then
-          Trace.warm_start sink ~dual_feasible:true ~iterations:pivots
-            ~kernel:kernel_name
-            ~outcome:
-              (match outcome with
-              | `Done -> "reoptimal"
-              | `No_pivot -> "infeasible_guess"
-              | `Numerical -> "primal_fallback"
-              | `Iteration_limit -> "iteration_limit"
-              | `Deadline -> "deadline")
+          let outcome =
+            match outcome with
+            | `Done -> "reoptimal"
+            | `No_pivot -> "infeasible_guess"
+            | `Numerical -> "primal_fallback"
+            | `Iteration_limit -> "iteration_limit"
+            | `Deadline -> "deadline"
+          in
+          Trace.emit sink
+            (Event.Warm_start
+               { dual_feasible = true; iterations = pivots; kernel = kernel_name;
+                 outcome })
       end;
       let r1 =
         if total_infeasibility st > feas_tol then begin
@@ -972,8 +979,10 @@ let solve ?max_iterations ?lower ?upper ?basis ?(deadline = Deadline.none) p =
             | sol ->
               Metrics.incr (Lazy.force m_recoveries);
               if Trace.enabled sink then
-                Trace.recovery sink ~stage:"simplex"
-                  ~detail:"singular basis: cold restart under Bland's rule";
+                Trace.emit sink
+                  (Event.Recovery
+                     { stage = "simplex";
+                       detail = "singular basis: cold restart under Bland's rule" });
               sol
             | exception Singular_basis -> finish Iteration_limit)
     in

@@ -1,4 +1,5 @@
 module Trace = Monpos_obs.Trace
+module Event = Monpos_obs.Event
 module Metrics = Monpos_obs.Metrics
 module Clock = Monpos_obs.Clock
 module Flightrec = Monpos_obs.Flightrec
@@ -119,7 +120,8 @@ let supervise_failure pool w entry e =
       Metrics.incr (Lazy.force m_failures);
       Condition.broadcast pool.cond);
   if Trace.enabled pool.sink then
-    Trace.worker_failure pool.sink ~slot:w ~reason:(Printexc.to_string e);
+    Trace.emit pool.sink
+      (Event.Worker_failure { slot = w; reason = Printexc.to_string e });
   Flightrec.trigger ~reason:"worker_failure"
 
 (* Slot [w] works on [wave] until it is done: claim, process, repeat;

@@ -16,6 +16,9 @@
      node, of the hardware the run landed on, or of background load
      during a timed A/B, so they are compared for coverage but never
      regress (the derived 0/1 "..._gate" flags still do);
+   - allocation keys ("*alloc_words*", from trace diffs): stable but
+     jittering with GC timing, so only growth beyond +10% (plus 16k
+     words of slack) regresses;
    - everything else (device counts, coverage fractions, pivot and
      node counters): deterministic under fixed seeds, so anything
      beyond ±1% relative regresses.
@@ -51,7 +54,7 @@ let contains ~sub s =
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   n = 0 || go 0
 
-type klass = Time | Ratio | Exact | Sched
+type klass = Time | Ratio | Alloc | Exact | Sched
 
 let classify key =
   if
@@ -59,6 +62,7 @@ let classify key =
     || contains ~sub:"cores" key
     || contains ~sub:"overhead_pct" key
   then Sched
+  else if contains ~sub:"alloc_words" key then Alloc
   else if key = "seconds" || contains ~sub:"seconds" key then Time
   else if contains ~sub:"speedup" key || contains ~sub:"pivot_ratio" key then
     Ratio
@@ -72,33 +76,42 @@ let ratio_rel = 0.50
 
 let exact_rel = 0.01
 
-(* Some (finding) when the pair violates its class threshold *)
-let judge ~phase ~key ~base ~cur =
-  match cur with
-  | None when base = 0.0 ->
+(* allocation is stable but jitters with GC timing: one-sided, with
+   slack for small spans *)
+let alloc_rel = 0.10
+
+let alloc_abs_words = 16384.0
+
+let violation ~key ~baseline ~current =
+  match current with
+  | None when baseline = 0.0 ->
     (* a never-incremented series: registries register lazily, so which
        zero-valued series a phase snapshot carries depends on which
        experiments ran earlier in the process (a full bench run vs a
        --compare-* subset), not on anything the gate guards *)
     None
-  | None ->
-    Some { phase; key; baseline = base; current = None; limit = "missing" }
-  | Some cur ->
-    let fail limit =
-      Some { phase; key; baseline = base; current = Some cur; limit }
-    in
-    (match classify key with
+  | None -> Some "missing"
+  | Some cur -> (
+    match classify key with
     | Time ->
-      if cur > (base *. (1.0 +. time_rel)) +. time_abs then
-        fail (Printf.sprintf "<= %+.0f%% + %.1fs" (100.0 *. time_rel) time_abs)
+      if cur > (baseline *. (1.0 +. time_rel)) +. time_abs then
+        Some (Printf.sprintf "<= %+.0f%% + %.1fs" (100.0 *. time_rel) time_abs)
       else None
     | Ratio ->
-      if cur < base *. (1.0 -. ratio_rel) then
-        fail (Printf.sprintf ">= %.0f%% of baseline" (100.0 *. (1.0 -. ratio_rel)))
+      if cur < baseline *. (1.0 -. ratio_rel) then
+        Some (Printf.sprintf ">= %.0f%% of baseline" (100.0 *. (1.0 -. ratio_rel)))
+      else None
+    | Alloc ->
+      if cur > (baseline *. (1.0 +. alloc_rel)) +. alloc_abs_words then
+        Some
+          (Printf.sprintf "<= %+.0f%% + %.0f words" (100.0 *. alloc_rel)
+             alloc_abs_words)
       else None
     | Exact ->
-      if Float.abs (cur -. base) > exact_rel *. Float.max 1.0 (Float.abs base)
-      then fail (Printf.sprintf "within %.0f%%" (100.0 *. exact_rel))
+      if
+        Float.abs (cur -. baseline)
+        > exact_rel *. Float.max 1.0 (Float.abs baseline)
+      then Some (Printf.sprintf "within %.0f%%" (100.0 *. exact_rel))
       else None
     | Sched -> None)
 
@@ -127,10 +140,10 @@ let numerics p field =
 let compare_phase ~base ~cur =
   let phase = phase_name base in
   let compared = ref 0 and findings = ref [] in
-  let pair key base_v cur_v =
+  let pair key baseline current =
     incr compared;
-    match judge ~phase ~key ~base:base_v ~cur:cur_v with
-    | Some f -> findings := f :: !findings
+    match violation ~key ~baseline ~current with
+    | Some limit -> findings := { phase; key; baseline; current; limit } :: !findings
     | None -> ()
   in
   (match

@@ -33,6 +33,16 @@ type report = {
   missing_phases : string list;
 }
 
+val violation :
+  key:string -> baseline:float -> current:float option -> string option
+(** The threshold table shared with {!Diff}: [Some limit] names the
+    threshold the pair breaks under [key]'s class, [None] when within
+    bounds. Time-like keys (containing ["seconds"]) tolerate +50% plus
+    0.1s, speedup and pivot-ratio keys a drop to half, allocation keys
+    (containing ["alloc_words"]) +10% plus 16k words, scheduler- and
+    machine-dependent keys anything, and the rest ±1%. A missing
+    [current] is ["missing"], unless [baseline] is 0. *)
+
 val compare_reports :
   baseline:Json.t -> current:Json.t -> (report, string) result
 (** [Error] on schema problems: missing/unsupported ["schema"],

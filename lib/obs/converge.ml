@@ -38,7 +38,12 @@ type resilience = {
   chaos_injections : (string * int) list;
 }
 
-type t = { solvers : solver list; events : int; resilience : resilience }
+type t = {
+  solvers : solver list;
+  events : int;
+  pivots : int;
+  resilience : resilience;
+}
 
 let no_resilience r =
   r.descents = [] && r.recoveries = [] && r.deadline_hits = []
@@ -66,159 +71,179 @@ type state = {
   mutable s_last_ts : float;
 }
 
-let of_records records =
-  let order = ref [] in
-  let tbl : (string, state) Hashtbl.t = Hashtbl.create 4 in
-  let current = ref None in
-  let get name =
-    match Hashtbl.find_opt tbl name with
-    | Some st -> st
-    | None ->
-      let st =
-        {
-          name;
-          s_nodes = 0;
-          s_max_depth = 0;
-          s_prunes = 0;
-          s_incumbents = [];
-          s_incumbent = None;
-          s_bound = None;
-          s_trajectory = [];
-          s_warm = [];
-          s_warm_pivots = 0;
-          s_phases = [];
-          s_first_ts = infinity;
-          s_last_ts = neg_infinity;
-        }
-      in
-      Hashtbl.add tbl name st;
-      order := name :: !order;
-      st
-  in
-  let touch st ts =
-    if ts < st.s_first_ts then st.s_first_ts <- ts;
-    if ts > st.s_last_ts then st.s_last_ts <- ts
-  in
-  let point st ts node =
-    st.s_trajectory <-
+(* The running fold: [of_records] replays a whole trace through it,
+   and live consumers (Progress) feed it one event at a time. *)
+type acc = {
+  tbl : (string, state) Hashtbl.t;
+  mutable order : string list; (* reversed first-seen *)
+  mutable current : state option;
+  mutable n_events : int;
+  mutable n_pivots : int;
+  mutable descents : (float * string * string * string * string) list;
+  mutable recoveries : (float * string * string) list;
+  mutable deadline_hits : (float * string * float * float option) list;
+  mutable chaos : (string * int) list; (* reversed first-seen *)
+}
+
+let create () =
+  {
+    tbl = Hashtbl.create 4;
+    order = [];
+    current = None;
+    n_events = 0;
+    n_pivots = 0;
+    descents = [];
+    recoveries = [];
+    deadline_hits = [];
+    chaos = [];
+  }
+
+let get acc name =
+  match Hashtbl.find_opt acc.tbl name with
+  | Some st -> st
+  | None ->
+    let st =
       {
-        ts;
-        node;
-        incumbent = st.s_incumbent;
-        bound = st.s_bound;
-        gap = gap_of ~incumbent:st.s_incumbent ~bound:st.s_bound;
+        name;
+        s_nodes = 0;
+        s_max_depth = 0;
+        s_prunes = 0;
+        s_incumbents = [];
+        s_incumbent = None;
+        s_bound = None;
+        s_trajectory = [];
+        s_warm = [];
+        s_warm_pivots = 0;
+        s_phases = [];
+        s_first_ts = infinity;
+        s_last_ts = neg_infinity;
       }
-      :: st.s_trajectory
-  in
-  let events = ref 0 in
-  let descents = ref [] in
-  let recoveries = ref [] in
-  let deadline_hits = ref [] in
-  let chaos = ref [] in
-  List.iter
-    (fun (r : Trace_reader.record) ->
-      incr events;
-      let ts = r.Trace_reader.ts in
-      match r.Trace_reader.event with
-      | Trace_reader.Bb_node { solver; depth; bound; sampled_of; _ } ->
-        let st = get solver in
-        current := Some st;
-        touch st ts;
-        (* a head-sampled node event stands for [sampled_of] explored
-           nodes, so the trajectory's node count matches the exact
-           mip.nodes counters within one sampling block *)
-        st.s_nodes <- st.s_nodes + max 1 sampled_of;
-        if depth > st.s_max_depth then st.s_max_depth <- depth;
-        (match bound with Some _ -> st.s_bound <- bound | None -> ())
-      | Trace_reader.Incumbent { solver; node; objective } ->
-        let st = get solver in
-        current := Some st;
-        touch st ts;
-        st.s_incumbent <- Some objective;
-        st.s_incumbents <- (ts, node, objective) :: st.s_incumbents;
-        point st ts node
-      | Trace_reader.Bound_pruned { solver; node; bound; incumbent } ->
-        let st = get solver in
-        current := Some st;
-        touch st ts;
-        st.s_prunes <- st.s_prunes + 1;
-        (match bound with Some _ -> st.s_bound <- bound | None -> ());
-        (match incumbent with
-        | Some _ -> st.s_incumbent <- incumbent
-        | None -> ());
-        point st ts node
-      | Trace_reader.Warm_start { iterations; outcome; _ } -> (
-        match !current with
-        | None -> ()
-        | Some st ->
-          touch st ts;
-          st.s_warm_pivots <- st.s_warm_pivots + iterations;
-          st.s_warm <-
-            (if List.mem_assoc outcome st.s_warm then
-               List.map
-                 (fun (o, c) -> if o = outcome then (o, c + 1) else (o, c))
-                 st.s_warm
-             else (outcome, 1) :: st.s_warm))
-      | Trace_reader.Simplex_phase { phase; iterations; sampled_of; _ } -> (
-        match !current with
-        | None -> ()
-        | Some st ->
-          touch st ts;
-          let w = max 1 sampled_of in
-          st.s_phases <-
-            (if List.exists (fun (p, _, _) -> p = phase) st.s_phases then
-               List.map
-                 (fun (p, n, it) ->
-                   if p = phase then (p, n + w, it + (iterations * w))
-                   else (p, n, it))
-                 st.s_phases
-             else (phase, w, iterations * w) :: st.s_phases))
-      | Trace_reader.Ladder_descent { solver; from_rung; to_rung; reason } ->
-        descents := (ts, solver, from_rung, to_rung, reason) :: !descents
-      | Trace_reader.Recovery { stage; detail } ->
-        recoveries := (ts, stage, detail) :: !recoveries
-      | Trace_reader.Deadline_hit { phase; elapsed; budget } ->
-        deadline_hits := (ts, phase, elapsed, budget) :: !deadline_hits
-      | Trace_reader.Chaos_inject { site } ->
-        chaos :=
-          (if List.mem_assoc site !chaos then
-             List.map
-               (fun (s, c) -> if s = site then (s, c + 1) else (s, c))
-               !chaos
-           else (site, 1) :: !chaos)
-      | _ -> ())
-    records;
-  let solvers =
-    List.rev_map
-      (fun name ->
-        let st = Hashtbl.find tbl name in
-        {
-          solver = name;
-          nodes = st.s_nodes;
-          max_depth = st.s_max_depth;
-          prunes = st.s_prunes;
-          incumbents = List.rev st.s_incumbents;
-          final_incumbent = st.s_incumbent;
-          final_bound = st.s_bound;
-          final_gap = gap_of ~incumbent:st.s_incumbent ~bound:st.s_bound;
-          trajectory = List.rev st.s_trajectory;
-          warm_starts = List.rev st.s_warm;
-          warm_dual_pivots = st.s_warm_pivots;
-          simplex_phases = List.rev st.s_phases;
-          first_ts = (if st.s_first_ts = infinity then 0.0 else st.s_first_ts);
-          last_ts = (if st.s_last_ts = neg_infinity then 0.0 else st.s_last_ts);
-        })
-      !order
-  in
-  let resilience =
+    in
+    Hashtbl.add acc.tbl name st;
+    acc.order <- name :: acc.order;
+    st
+
+let touch st ts =
+  if ts < st.s_first_ts then st.s_first_ts <- ts;
+  if ts > st.s_last_ts then st.s_last_ts <- ts
+
+let point st ts node =
+  st.s_trajectory <-
     {
-      descents = List.rev !descents;
-      recoveries = List.rev !recoveries;
-      deadline_hits = List.rev !deadline_hits;
-      chaos_injections = List.rev !chaos;
+      ts;
+      node;
+      incumbent = st.s_incumbent;
+      bound = st.s_bound;
+      gap = gap_of ~incumbent:st.s_incumbent ~bound:st.s_bound;
     }
-  in
-  { solvers; events = !events; resilience }
+    :: st.s_trajectory
+
+(* the solver a B&B event names becomes the current one *)
+let enter acc solver ts =
+  let st = get acc solver in
+  acc.current <- Some st;
+  touch st ts;
+  st
+
+let bump key = function
+  | l when List.mem_assoc key l ->
+    List.map (fun (k, c) -> if k = key then (k, c + 1) else (k, c)) l
+  | l -> (key, 1) :: l
+
+let add acc (r : Trace_reader.record) =
+  acc.n_events <- acc.n_events + 1;
+  let ts = r.Trace_reader.ts in
+  match r.Trace_reader.event with
+  | Trace_reader.Bb_node { solver; depth; bound; sampled_of; _ } ->
+    let st = enter acc solver ts in
+    (* a head-sampled node event stands for [sampled_of] explored
+       nodes, so the trajectory's node count matches the exact
+       mip.nodes counters within one sampling block *)
+    st.s_nodes <- st.s_nodes + max 1 sampled_of;
+    if depth > st.s_max_depth then st.s_max_depth <- depth;
+    (match bound with Some _ -> st.s_bound <- bound | None -> ())
+  | Trace_reader.Incumbent { solver; node; objective } ->
+    let st = enter acc solver ts in
+    st.s_incumbent <- Some objective;
+    st.s_incumbents <- (ts, node, objective) :: st.s_incumbents;
+    point st ts node
+  | Trace_reader.Bound_pruned { solver; node; bound; incumbent } ->
+    let st = enter acc solver ts in
+    st.s_prunes <- st.s_prunes + 1;
+    (match bound with Some _ -> st.s_bound <- bound | None -> ());
+    (match incumbent with Some _ -> st.s_incumbent <- incumbent | None -> ());
+    point st ts node
+  | Trace_reader.Warm_start { iterations; outcome; _ } -> (
+    acc.n_pivots <- acc.n_pivots + iterations;
+    match acc.current with
+    | None -> ()
+    | Some st ->
+      touch st ts;
+      st.s_warm_pivots <- st.s_warm_pivots + iterations;
+      st.s_warm <- bump outcome st.s_warm)
+  | Trace_reader.Simplex_phase { phase; iterations; sampled_of; _ } -> (
+    let w = max 1 sampled_of in
+    acc.n_pivots <- acc.n_pivots + (iterations * w);
+    match acc.current with
+    | None -> ()
+    | Some st ->
+      touch st ts;
+      st.s_phases <-
+        (if List.exists (fun (p, _, _) -> p = phase) st.s_phases then
+           List.map
+             (fun (p, n, it) ->
+               if p = phase then (p, n + w, it + (iterations * w))
+               else (p, n, it))
+             st.s_phases
+         else (phase, w, iterations * w) :: st.s_phases))
+  | Trace_reader.Ladder_descent { solver; from_rung; to_rung; reason } ->
+    acc.descents <- (ts, solver, from_rung, to_rung, reason) :: acc.descents
+  | Trace_reader.Recovery { stage; detail } ->
+    acc.recoveries <- (ts, stage, detail) :: acc.recoveries
+  | Trace_reader.Deadline_hit { phase; elapsed; budget } ->
+    acc.deadline_hits <- (ts, phase, elapsed, budget) :: acc.deadline_hits
+  | Trace_reader.Chaos_inject { site } -> acc.chaos <- bump site acc.chaos
+  | _ -> ()
+
+let solver_of_state st =
+  {
+    solver = st.name;
+    nodes = st.s_nodes;
+    max_depth = st.s_max_depth;
+    prunes = st.s_prunes;
+    incumbents = List.rev st.s_incumbents;
+    final_incumbent = st.s_incumbent;
+    final_bound = st.s_bound;
+    final_gap = gap_of ~incumbent:st.s_incumbent ~bound:st.s_bound;
+    trajectory = List.rev st.s_trajectory;
+    warm_starts = List.rev st.s_warm;
+    warm_dual_pivots = st.s_warm_pivots;
+    simplex_phases = List.rev st.s_phases;
+    first_ts = (if st.s_first_ts = infinity then 0.0 else st.s_first_ts);
+    last_ts = (if st.s_last_ts = neg_infinity then 0.0 else st.s_last_ts);
+  }
+
+let current acc = Option.map solver_of_state acc.current
+
+let result acc =
+  {
+    solvers =
+      List.rev_map (fun name -> solver_of_state (Hashtbl.find acc.tbl name)) acc.order;
+    events = acc.n_events;
+    pivots = acc.n_pivots;
+    resilience =
+      {
+        descents = List.rev acc.descents;
+        recoveries = List.rev acc.recoveries;
+        deadline_hits = List.rev acc.deadline_hits;
+        chaos_injections = List.rev acc.chaos;
+      };
+  }
+
+let of_records records =
+  let acc = create () in
+  List.iter (add acc) records;
+  result acc
 
 let opt_cell = function
   | None -> "-"

@@ -54,9 +54,36 @@ type resilience = {
     chaos sites fired. Aggregated globally (these events are not tied
     to a branch-and-bound solver). *)
 
-type t = { solvers : solver list; events : int; resilience : resilience }
+type t = {
+  solvers : solver list;
+  events : int;
+  pivots : int;
+      (** simplex pivots over the whole trace, attributed to a solver
+          or not: [simplex_phase] iterations weighted by [sampled_of],
+          plus warm-start dual pivots *)
+  resilience : resilience;
+}
 
 val of_records : Trace_reader.record list -> t
+
+(** {1 Running fold}
+
+    {!of_records} is {!add} over the records, then {!result}. A live
+    consumer (the [--progress] reporter) keeps one accumulator and
+    reads {!current} as events arrive. An accumulator is not
+    thread-safe. *)
+
+type acc
+
+val create : unit -> acc
+
+val add : acc -> Trace_reader.record -> unit
+
+val current : acc -> solver option
+(** The solver of the most recent [bb_node], [incumbent] or
+    [bound_pruned] event, as reconstructed so far. *)
+
+val result : acc -> t
 
 val render : t -> string
 

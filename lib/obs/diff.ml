@@ -1,7 +1,7 @@
 (* Cross-run trace diffing: join two JSONL traces by span name and
    solver, compare wall time, pivot/node work and allocation under the
-   same metric-class thresholds as the bench regression gate
-   (Bench_check), and render verdicts with its OK / REGRESSED
+   bench regression gate's metric-class thresholds
+   (Bench_check.violation), and render verdicts with its OK / REGRESSED
    conventions. The bench-report flavor of [monitorctl diff] reuses
    Bench_check directly; this module handles the trace flavor. *)
 
@@ -20,46 +20,6 @@ type report = {
   tolerated : int;
   notes : string list;
 }
-
-(* thresholds: wall times follow the bench gate (noisy, one-sided);
-   counts are deterministic under fixed seeds; allocation is stable
-   but jitters with GC timing, so it gets its own one-sided band *)
-let time_rel = 0.50
-
-let time_abs = 0.1
-
-let exact_rel = 0.01
-
-let alloc_rel = 0.10
-
-let alloc_abs_words = 16384.0
-
-type klass = Time | Alloc | Exact
-
-let classify key =
-  if Filename.check_suffix key ".seconds" then Time
-  else if Filename.check_suffix key ".alloc_words" then Alloc
-  else Exact
-
-let judge key a b =
-  match b with
-  | None -> Some "missing"
-  | Some b -> (
-    match classify key with
-    | Time ->
-      if b > (a *. (1.0 +. time_rel)) +. time_abs then
-        Some (Printf.sprintf "<= %+.0f%% + %.1fs" (100.0 *. time_rel) time_abs)
-      else None
-    | Alloc ->
-      if b > (a *. (1.0 +. alloc_rel)) +. alloc_abs_words then
-        Some
-          (Printf.sprintf "<= %+.0f%% + %.0f words" (100.0 *. alloc_rel)
-             alloc_abs_words)
-      else None
-    | Exact ->
-      if Float.abs (b -. a) > exact_rel *. Float.max 1.0 (Float.abs a) then
-        Some (Printf.sprintf "within %.0f%%" (100.0 *. exact_rel))
-      else None)
 
 (* ------------------------------------------------------------------ *)
 (* metric extraction from one decoded trace *)
@@ -85,48 +45,39 @@ let summarize (read : Trace_reader.read) =
     (fun (name, words) ->
       if words > 0.0 then put (Printf.sprintf "span.%s.alloc_words" name) words)
     (Profile.alloc_totals profile);
-  (* solver work counters straight off the event stream *)
-  let nodes = Hashtbl.create 4 in
-  let node_order = ref [] in
-  let pivots = ref 0 in
-  let manifest = ref None in
-  let chaos_seed = ref None in
+  (* solver work from the convergence fold, which weighs head-sampled
+     node and simplex-phase events like Profile weighs spans *)
+  let converge = Converge.of_records records in
   List.iter
-    (fun (r : Trace_reader.record) ->
-      match r.Trace_reader.event with
-      | Trace_reader.Bb_node { solver; _ } ->
-        (match Hashtbl.find_opt nodes solver with
-        | Some n -> Hashtbl.replace nodes solver (n + 1)
-        | None ->
-          node_order := solver :: !node_order;
-          Hashtbl.add nodes solver 1)
-      | Trace_reader.Simplex_phase { iterations; _ }
-      | Trace_reader.Warm_start { iterations; _ } ->
-        pivots := !pivots + iterations
-      | Trace_reader.Run_info { run_id; git_rev; hostname; chaos_seed = cs; _ }
-        ->
-        chaos_seed := cs;
-        manifest :=
-          Some
-            (Printf.sprintf "%s rev=%s host=%s%s" run_id
-               (Option.value ~default:"?" git_rev)
-               (Option.value ~default:"?" hostname)
-               (match cs with
-               | Some s -> Printf.sprintf " chaos_seed=%d" s
-               | None -> ""))
-      | _ -> ())
-    records;
-  List.iter
-    (fun solver ->
-      put
-        (Printf.sprintf "solver.%s.nodes" solver)
-        (float_of_int (Hashtbl.find nodes solver)))
-    (List.rev !node_order);
-  if !pivots > 0 then put "simplex.pivots" (float_of_int !pivots);
+    (fun (s : Converge.solver) ->
+      if s.Converge.nodes > 0 then
+        put
+          (Printf.sprintf "solver.%s.nodes" s.Converge.solver)
+          (float_of_int s.Converge.nodes))
+    converge.Converge.solvers;
+  if converge.Converge.pivots > 0 then
+    put "simplex.pivots" (float_of_int converge.Converge.pivots);
+  (* the run manifest (the last, should a trace carry several) *)
+  let manifest, chaos_seed =
+    List.fold_left
+      (fun acc (r : Trace_reader.record) ->
+        match r.Trace_reader.event with
+        | Trace_reader.Run_info { run_id; git_rev; hostname; chaos_seed; _ } ->
+          ( Some
+              (Printf.sprintf "%s rev=%s host=%s%s" run_id
+                 (Option.value ~default:"?" git_rev)
+                 (Option.value ~default:"?" hostname)
+                 (match chaos_seed with
+                 | Some s -> Printf.sprintf " chaos_seed=%d" s
+                 | None -> "")),
+            chaos_seed )
+        | _ -> acc)
+      (None, None) records
+  in
   {
     metrics = List.rev !metrics;
-    manifest = !manifest;
-    chaos_seed = !chaos_seed;
+    manifest;
+    chaos_seed;
     truncated = read.Trace_reader.truncated;
   }
 
@@ -142,7 +93,7 @@ let of_traces ~a ~b =
     List.map
       (fun (key, va) ->
         let vb = List.assoc_opt key sb.metrics in
-        match judge key va vb with
+        match Bench_check.violation ~key ~baseline:va ~current:vb with
         | Some limit -> { key; a = va; b = vb; limit; regressed = true }
         | None -> { key; a = va; b = vb; limit = ""; regressed = false })
       sa.metrics

@@ -2,12 +2,13 @@
 
     Joins two decoded traces by span name and solver, then compares
     per-span wall time ([span.<name>.seconds]), call counts
-    ([span.<name>.calls]), allocation ([span.<name>.alloc_words]),
-    per-solver branch-and-bound nodes ([solver.<s>.nodes]) and total
-    simplex pivots ([simplex.pivots]) under the same metric-class
-    thresholds as {!Bench_check}: wall times tolerate +50% (+0.1s
-    slack), allocation tolerates +10% (+16k words), counts tolerate
-    ±1%, and a metric present in run A but missing from run B
+    ([span.<name>.calls]) and allocation ([span.<name>.alloc_words])
+    from {!Profile}, and per-solver branch-and-bound nodes
+    ([solver.<s>.nodes]) and total simplex pivots ([simplex.pivots])
+    from {!Converge}, so head-sampled traces count their weights. Each
+    pair is judged by {!Bench_check.violation}: wall times tolerate
+    +50% (+0.1s slack), allocation tolerates +10% (+16k words), counts
+    tolerate ±1%, and a metric present in run A but missing from run B
     regresses. When either trace carries a [run_info] with a chaos
     seed, violations are reported but tolerated (do not gate), the
     bench gate's convention for fault-injected runs. *)

@@ -3,7 +3,7 @@
    the typed taxonomy, timestamps and domain stamping are exactly
    those of a --trace file. Recording is a DLS lookup, a tuple box and
    a ring store — cheap enough to leave armed on every run — and a
-   dump renders the merged rings with Trace.render_line, so the
+   dump renders the merged rings with Event.render_line, so the
    resulting JSONL is byte-compatible with the channel sinks and reads
    through Trace_reader/analyze unchanged.
 
@@ -24,7 +24,7 @@ type t = {
   mutable rings : (int * cell) list; (* domain id -> cell, registration order *)
   slot_key : cell option ref Domain.DLS.key;
   seen : int Atomic.t;
-  mutable manifest : (string * Json.t) list option;
+  mutable manifest : Runinfo.t option;
   mutable dump_seq : int; (* under lock *)
 }
 
@@ -43,7 +43,7 @@ let create ?(capacity = default_capacity) () =
 
 let capacity t = t.capacity
 
-let set_manifest t fields = t.manifest <- Some fields
+let set_manifest t m = t.manifest <- Some m
 
 (* A spawned domain records into a fresh ring registered under its
    domain id. Domain ids recycle across solves; re-registration
@@ -111,9 +111,11 @@ let render t =
   in
   let buf = Buffer.create 4096 in
   (match t.manifest with
-  | Some fields -> Trace.render_line buf 0.0 "run_info" fields
+  | Some m ->
+    let ev = Runinfo.to_event m in
+    Event.render_line buf 0.0 (Event.name ev) (Event.encode ev)
   | None -> ());
-  List.iter (fun e -> Trace.render_line buf e.e_ts e.e_ev e.e_fields) sorted;
+  List.iter (fun e -> Event.render_line buf e.e_ts e.e_ev e.e_fields) sorted;
   Buffer.contents buf
 
 (* reasons come from our own trigger sites, but an explicit caller

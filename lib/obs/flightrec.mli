@@ -6,7 +6,7 @@
     timestamps and domain stamping a [--trace] file would, at the cost
     of a DLS lookup and a ring store per event — cheap enough to leave
     armed on every run. {!dump} merges the per-domain rings by
-    timestamp and renders them with {!Trace.render_line}; the dump
+    timestamp and renders them with {!Event.render_line}; the dump
     file is byte-compatible with channel-sink output and reads through
     {!Trace_reader}, [monitorctl analyze] and [monitorctl diff]
     unchanged.
@@ -36,9 +36,9 @@ val record :
     deterministic replay tests, which control [ts]). Records into the
     calling domain's ring. *)
 
-val set_manifest : t -> (string * Json.t) list -> unit
-(** The run manifest ({!Runinfo.to_fields}) to stamp as the leading
-    [run_info] event of every dump. *)
+val set_manifest : t -> Runinfo.t -> unit
+(** The run manifest to stamp as the leading [run_info] event of every
+    dump. *)
 
 val events_seen : t -> int
 (** Total events recorded across all domains (including overwritten

@@ -217,7 +217,7 @@ let folded_of_records records =
   List.iter
     (fun (r : Trace_reader.record) ->
       match r.Trace_reader.event with
-      | Trace_reader.Stack_sample { stack } when stack <> "" -> (
+      | Trace_reader.Stack_sample { stack; _ } when stack <> "" -> (
         match Hashtbl.find_opt tbl stack with
         | Some n -> Hashtbl.replace tbl stack (n + 1)
         | None ->

@@ -11,33 +11,32 @@ type state = {
   oc : out_channel;
   tty : bool;
   interval : float;
-  mutable solver : string;
-  mutable nodes : int;
-  mutable incumbent : float option;
-  mutable bound : float option;
+  lock : Mutex.t; (* worker domains emit into the same sink *)
+  conv : Converge.acc;
   mutable last_ts : float;
   mutable last_render : float; (* Clock time of the last repaint *)
   mutable rendered : bool;
 }
 
+(* The figures are Converge's for the current solver, so a
+   head-sampled trace reports its weighted node count. *)
 let line st =
   let cell name = function
     | None -> Printf.sprintf "%s -" name
     | Some v -> Printf.sprintf "%s %.6g" name v
   in
-  let gap =
-    match (st.incumbent, st.bound) with
-    | Some inc, Some b when Float.is_finite inc && Float.is_finite b ->
-      Printf.sprintf "gap %.2f%%"
-        (100.0 *. Float.abs (inc -. b) /. Float.max 1e-9 (Float.abs inc))
-    | _ -> "gap -"
+  let solver, nodes, incumbent, bound, gap =
+    match Converge.current st.conv with
+    | None -> ("solve", 0, None, None, None)
+    | Some s ->
+      (s.Converge.solver, s.nodes, s.final_incumbent, s.final_bound, s.final_gap)
   in
-  Printf.sprintf "[%s] nodes %d  %s  %s  %s  %.1fs"
-    (if st.solver = "" then "solve" else st.solver)
-    st.nodes
-    (cell "incumbent" st.incumbent)
-    (cell "bound" st.bound)
-    gap st.last_ts
+  Printf.sprintf "[%s] nodes %d  %s  %s  %s  %.1fs" solver nodes
+    (cell "incumbent" incumbent) (cell "bound" bound)
+    (match gap with
+    | Some g -> Printf.sprintf "gap %.2f%%" (100.0 *. g)
+    | None -> "gap -")
+    st.last_ts
 
 let width = 78
 
@@ -77,38 +76,26 @@ let sink ?interval ?(oc = stderr) ?tty () =
       oc;
       tty;
       interval;
-      solver = "";
-      nodes = 0;
-      incumbent = None;
-      bound = None;
+      lock = Mutex.create ();
+      conv = Converge.create ();
       last_ts = 0.0;
       last_render = neg_infinity;
       rendered = false;
     }
   in
   let on_event ts ev fields =
-    st.last_ts <- ts;
-    (match Trace_reader.decode ~ev fields with
-    | Trace_reader.Bb_node { solver; bound; _ } ->
-      st.solver <- solver;
-      st.nodes <- st.nodes + 1;
-      (match bound with Some _ -> st.bound <- bound | None -> ())
-    | Trace_reader.Incumbent { solver; objective; _ } ->
-      st.solver <- solver;
-      st.incumbent <- Some objective
-    | Trace_reader.Bound_pruned { solver; bound; incumbent; _ } ->
-      st.solver <- solver;
-      (match bound with Some _ -> st.bound <- bound | None -> ());
-      (match incumbent with Some _ -> st.incumbent <- incumbent | None -> ())
-    | _ -> ());
-    let now = Clock.now () in
-    if now -. st.last_render >= st.interval then begin
-      st.last_render <- now;
-      repaint st
-    end
+    Mutex.protect st.lock (fun () ->
+        st.last_ts <- ts;
+        Converge.add st.conv
+          { Trace_reader.ts; domain = 0; event = Trace_reader.decode ~ev fields };
+        let now = Clock.now () in
+        if now -. st.last_render >= st.interval then begin
+          st.last_render <- now;
+          repaint st
+        end)
   in
   let close () =
-    if st.rendered || st.nodes > 0 then begin
+    if st.rendered then begin
       repaint st;
       (* the tty repaint leaves the cursor mid-line; the fallback lines
          already end in a newline *)

@@ -58,21 +58,19 @@ let capture ?chaos_seed ?jobs ?scheduler ?argv () =
       | None -> Array.to_list Sys.argv);
   }
 
-let to_fields t =
-  [
-    ("run_id", Json.String t.run_id);
-    ( "git_rev",
-      match t.git_rev with Some r -> Json.String r | None -> Json.Null );
-    ("ocaml_version", Json.String t.ocaml_version);
-    ("hostname", Json.String t.hostname);
-    ( "chaos_seed",
-      match t.chaos_seed with Some s -> Json.Int s | None -> Json.Null );
-    ("jobs", match t.jobs with Some j -> Json.Int j | None -> Json.Null);
-    ( "scheduler",
-      match t.scheduler with Some s -> Json.String s | None -> Json.Null );
-    ("argv", Json.List (List.map (fun a -> Json.String a) t.argv));
-  ]
+let to_event t =
+  Event.Run_info
+    {
+      run_id = t.run_id;
+      git_rev = t.git_rev;
+      ocaml_version = Some t.ocaml_version;
+      hostname = Some t.hostname;
+      chaos_seed = t.chaos_seed;
+      jobs = t.jobs;
+      scheduler = t.scheduler;
+      argv = t.argv;
+    }
 
-let to_json t = Json.Obj (to_fields t)
+let to_json t = Json.Obj (Event.encode (to_event t))
 
-let emit sink t = if Trace.enabled sink then Trace.emit sink "run_info" (to_fields t)
+let emit sink t = if Trace.enabled sink then Trace.emit sink (to_event t)

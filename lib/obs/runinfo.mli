@@ -43,9 +43,11 @@ val capture :
     likewise describe the parallel solver configuration the caller
     resolved. *)
 
-val to_fields : t -> (string * Json.t) list
+val to_event : t -> Event.t
+(** The manifest as the [run_info] event. *)
 
 val to_json : t -> Json.t
+(** The [run_info] event's fields as one JSON object. *)
 
 val emit : Trace.sink -> t -> unit
 (** Emit the [run_info] event (a no-op on the null sink). *)

@@ -2,12 +2,15 @@
    events.
 
    Each event class keeps a per-domain (seen, stride) pair: the first
-   [threshold] events of a class pass 1:1, and every time the class
-   has emitted [threshold] more blocks at the current stride the
-   stride multiplies by 8 (capped). An event is kept iff its sequence
-   number is a multiple of the stride, and a kept event carries the
-   stride as its [sampled_of] weight: the sum of weights over kept
-   events tracks the true event count to within one block, which is
+   [threshold] events of a class pass 1:1, and once the class has
+   emitted [threshold] blocks at the current stride, the stride
+   multiplies by 8 (capped) at the next ordinal that is a multiple of
+   the new stride. An event is kept iff its sequence number is a
+   multiple of the stride, and a kept event carries the stride as its
+   [sampled_of] weight, standing for itself and the stride - 1
+   dropped events after it. Every ordinal therefore belongs to exactly
+   one kept block: over the first N events the weights sum to at
+   least N and to less than N plus the last kept weight, which is
    what lets Profile/Converge rescale exactly while the trace volume
    grows only logarithmically in the event count.
 
@@ -79,8 +82,14 @@ let decide cls =
     let s = cls_state (Domain.DLS.get state_key) cls in
     let n = s.seen in
     s.seen <- n + 1;
-    if s.stride < max_stride && n >= threshold * s.stride then
-      s.stride <- min max_stride (s.stride * 8);
+    (* raise the stride only at a multiple of the new one: the kept
+       event there opens a full block, so no ordinal between the last
+       block of the old stride and the first of the new goes
+       unweighted *)
+    if s.stride < max_stride && n >= threshold * s.stride then begin
+      let next = min max_stride (s.stride * 8) in
+      if n mod next = 0 then s.stride <- next
+    end;
     if n mod s.stride = 0 then s.stride else 0
   end
 

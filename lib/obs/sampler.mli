@@ -4,13 +4,15 @@
     When armed (a positive threshold), each event class — B&B nodes,
     simplex phase reports, flow pivot batches, and each span name —
     passes its first [threshold] events unsampled, then escalates its
-    sampling stride by 8x every [threshold] kept blocks, capped at
-    4096. {!decide} returns the weight to stamp as the event's
+    sampling stride by 8x after every [threshold] kept blocks, capped
+    at 4096; a raise waits for an ordinal that is a multiple of the
+    new stride. {!decide} returns the weight to stamp as the event's
     [sampled_of] field: 0 means drop, [w >= 1] means keep one event on
-    behalf of a block of [w]. The sum of weights over kept events
-    tracks the true count to within one block, so offline analysis
-    rescales exactly; metrics counters are recorded outside the
-    sampler and stay exact.
+    behalf of a block of [w] (itself and the [w - 1] dropped events
+    after it). Over the first [N] events of a class the weights sum to
+    at least [N] and to less than [N] plus the last kept weight, so
+    offline analysis rescales exactly; metrics counters are recorded
+    outside the sampler and stay exact.
 
     Decisions are a pure function of the class's per-domain event
     ordinal (state lives in domain-local storage): no randomness, no

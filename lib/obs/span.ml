@@ -71,11 +71,12 @@ let time ?metrics ?sink name f =
   (* the hot span classes get head-sampled: weight 0 suppresses both
      trace events (the pair drops together, keeping the reader's
      depth-replay consistent) while the metrics observations below
-     stay exact *)
+     stay exact. An untraced span has weight 0 too, so it builds no
+     event at all. *)
   let w =
-    if Trace.enabled sink then Sampler.decide (Sampler.Span name) else 1
+    if Trace.enabled sink then Sampler.decide (Sampler.Span name) else 0
   in
-  if w > 0 then Trace.span_open sink ~name ~depth;
+  if w > 0 then Trace.emit sink (Event.Span_open { name; depth });
   cell.depth <- depth + 1;
   let g0 = Gc.quick_stat () in
   let t0 = Clock.now () in
@@ -105,7 +106,8 @@ let time ?metrics ?sink name f =
       }
     in
     if w > 0 then
-      Trace.span_close sink ~sampled_of:w ~name ~depth ~gc ~seconds:dt ();
+      Trace.emit sink
+        (Event.Span_close { name; depth; seconds = dt; gc = Some gc; sampled_of = w });
     let labels = [ ("span", name) ] in
     Metrics.observe (Metrics.histogram ~labels registry "span.seconds") dt;
     Metrics.observe

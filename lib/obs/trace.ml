@@ -1,6 +1,6 @@
 (* A sink is a pair of closures (emit, close) plus bookkeeping. The
-   null sink is the only one with [on = false]; every typed helper
-   checks the flag before boxing its arguments, so instrumented hot
+   null sink is the only one with [on = false]; call sites check the
+   flag (Trace.enabled) before building an event, so instrumented hot
    paths cost a load and a branch when tracing is off. *)
 
 type sink = {
@@ -31,23 +31,6 @@ let null =
    lines. *)
 let flush_every = 64
 
-(* One event, one line. Shared by the channel sinks and the flight
-   recorder's dump path so a dumped ring renders byte-for-byte like a
-   --trace file of the same events. *)
-let render_line buf ts ev fields =
-  Buffer.add_string buf "{\"ev\":\"";
-  Json.escape_to buf ev;
-  Buffer.add_string buf "\",\"ts\":";
-  Json.float_to buf ts;
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string buf ",\"";
-      Json.escape_to buf k;
-      Buffer.add_string buf "\":";
-      Json.to_buffer buf v)
-    fields;
-  Buffer.add_string buf "}\n"
-
 let to_channel oc =
   let lock = Mutex.create () in
   let buf = Buffer.create 8192 in
@@ -65,7 +48,7 @@ let to_channel oc =
   in
   let emit_fn ts ev fields =
     Mutex.protect lock (fun () ->
-        render_line buf ts ev fields;
+        Event.render_line buf ts ev fields;
         incr pending;
         if !pending >= flush_every then flush_buf ())
   in
@@ -147,215 +130,20 @@ let with_current s f =
 (* Events from spawned domains carry a ["domain"] field so offline
    analysis can separate interleaved per-domain streams; events from
    the initial domain stay unchanged (and pay only the
-   [is_main_domain] check). An event that already carries an explicit
-   ["domain"] field — the stack-sample ticker reporting on behalf of
-   other domains — is passed through untouched. *)
-let emit s ev fields =
+   [is_main_domain] check). *)
+let emit s e =
   if s.on then begin
-    let fields =
-      if Domain.is_main_domain () || List.mem_assoc "domain" fields then fields
-      else fields @ [ ("domain", Json.Int (Domain.self () :> int)) ]
+    let domain =
+      if Domain.is_main_domain () then None else Some (Domain.self () :> int)
     in
-    s.emit_fn (Clock.now () -. s.epoch) ev fields;
+    s.emit_fn (Clock.now () -. s.epoch) (Event.name e) (Event.encode ?domain e);
     Atomic.incr s.events
   end
 
-(* The sampling weight rides as a trailing ["sampled_of"] field and is
-   omitted at weight 1, so unsampled traces stay byte-identical to
-   those of earlier writers. *)
-let weighted sampled_of fields =
-  if sampled_of <= 1 then fields
-  else fields @ [ ("sampled_of", Json.Int sampled_of) ]
-
-type gc_delta = {
+type gc_delta = Event.gc_delta = {
   minor_words : float;
   major_words : float;
   promoted_words : float;
   major_collections : int;
   top_heap_words : int;
 }
-
-let span_open s ~name ~depth =
-  if s.on then
-    emit s "span_open" [ ("name", Json.String name); ("depth", Json.Int depth) ]
-
-let span_close s ?(sampled_of = 1) ~name ~depth ?gc ~seconds () =
-  if s.on then
-    emit s "span_close"
-      (weighted sampled_of
-         ([
-            ("name", Json.String name);
-            ("depth", Json.Int depth);
-            ("seconds", Json.Float seconds);
-          ]
-         @
-         match gc with
-         | None -> []
-         | Some g ->
-           [
-             ("minor_words", Json.Float g.minor_words);
-             ("major_words", Json.Float g.major_words);
-             ("promoted_words", Json.Float g.promoted_words);
-             ("major_collections", Json.Int g.major_collections);
-             ("top_heap_words", Json.Int g.top_heap_words);
-           ]))
-
-let bb_node s ?(sampled_of = 1) ~solver ~node ~depth ?bound () =
-  if s.on then
-    emit s "bb_node"
-      (weighted sampled_of
-         [
-           ("solver", Json.String solver);
-           ("node", Json.Int node);
-           ("depth", Json.Int depth);
-           ( "bound",
-             match bound with Some b -> Json.Float b | None -> Json.Null );
-         ])
-
-let incumbent s ~solver ~node ~objective =
-  if s.on then
-    emit s "incumbent"
-      [
-        ("solver", Json.String solver);
-        ("node", Json.Int node);
-        ("objective", Json.Float objective);
-      ]
-
-let bound_pruned s ~solver ~node ~bound ~incumbent =
-  if s.on then
-    emit s "bound_pruned"
-      [
-        ("solver", Json.String solver);
-        ("node", Json.Int node);
-        ("bound", Json.Float bound);
-        ("incumbent", Json.Float incumbent);
-      ]
-
-let simplex_phase s ?(sampled_of = 1) ~phase ~iterations ~outcome () =
-  if s.on then
-    emit s "simplex_phase"
-      (weighted sampled_of
-         [
-           ("phase", Json.Int phase);
-           ("iterations", Json.Int iterations);
-           ("outcome", Json.String outcome);
-         ])
-
-let warm_start s ~dual_feasible ~iterations ~kernel ~outcome =
-  if s.on then
-    emit s "warm_start"
-      [
-        ("dual_feasible", Json.Bool dual_feasible);
-        ("iterations", Json.Int iterations);
-        ("kernel", Json.String kernel);
-        ("outcome", Json.String outcome);
-      ]
-
-let greedy_pick s ~pick ~gain ~covered =
-  if s.on then
-    emit s "greedy_pick"
-      [
-        ("pick", Json.Int pick);
-        ("gain", Json.Float gain);
-        ("covered", Json.Float covered);
-      ]
-
-let flow_augmentation s ?(sampled_of = 1) ~amount ~path_cost ~routed () =
-  if s.on then
-    emit s "flow_augmentation"
-      (weighted sampled_of
-         [
-           ("amount", Json.Float amount);
-           ("path_cost", Json.Float path_cost);
-           ("routed", Json.Float routed);
-         ])
-
-let flow_pivots s ?(sampled_of = 1) ~algo ~pivots ~objective () =
-  if s.on then
-    emit s "flow_pivots"
-      (weighted sampled_of
-         [
-           ("algo", Json.String algo);
-           ("pivots", Json.Int pivots);
-           ("objective", Json.Float objective);
-         ])
-
-let stack_sample s ~domain ~stack =
-  if s.on then
-    emit s "stack_sample"
-      [ ("stack", Json.String stack); ("domain", Json.Int domain) ]
-
-let flow_solve s ~algo ~pivots ~warm ~status =
-  if s.on then
-    emit s "flow_solve"
-      [
-        ("algo", Json.String algo);
-        ("pivots", Json.Int pivots);
-        ("warm", Json.Bool warm);
-        ("status", Json.String status);
-      ]
-
-let ladder_descent s ~solver ~from_rung ~to_rung ~reason =
-  if s.on then
-    emit s "ladder_descent"
-      [
-        ("solver", Json.String solver);
-        ("from_rung", Json.String from_rung);
-        ("to_rung", Json.String to_rung);
-        ("reason", Json.String reason);
-      ]
-
-let recovery s ~stage ~detail =
-  if s.on then
-    emit s "recovery"
-      [ ("stage", Json.String stage); ("detail", Json.String detail) ]
-
-let deadline_hit s ~phase ~elapsed ~budget =
-  if s.on then
-    emit s "deadline_hit"
-      [
-        ("phase", Json.String phase);
-        ("elapsed", Json.Float elapsed);
-        ("budget", Json.Float budget);
-      ]
-
-let presolve_reduction s ~rows_dropped ~bounds_tightened ~fixed_vars =
-  if s.on then
-    emit s "presolve_reduction"
-      [
-        ("rows_dropped", Json.Int rows_dropped);
-        ("bounds_tightened", Json.Int bounds_tightened);
-        ("fixed_vars", Json.Int fixed_vars);
-      ]
-
-let checkpoint_write s ~path ~nodes ~frontier ~seconds =
-  if s.on then
-    emit s "checkpoint_write"
-      [
-        ("path", Json.String path);
-        ("nodes", Json.Int nodes);
-        ("frontier", Json.Int frontier);
-        ("seconds", Json.Float seconds);
-      ]
-
-let checkpoint_resume s ~path ~nodes ~frontier =
-  if s.on then
-    emit s "checkpoint_resume"
-      [
-        ("path", Json.String path);
-        ("nodes", Json.Int nodes);
-        ("frontier", Json.Int frontier);
-      ]
-
-let worker_failure s ~slot ~reason =
-  if s.on then
-    emit s "worker_failure"
-      [ ("slot", Json.Int slot); ("reason", Json.String reason) ]
-
-let preempt_stop s ~phase ~nodes =
-  if s.on then
-    emit s "preempt_stop"
-      [ ("phase", Json.String phase); ("nodes", Json.Int nodes) ]
-
-let server_shutdown s ~served =
-  if s.on then emit s "server_shutdown" [ ("served", Json.Int served) ]

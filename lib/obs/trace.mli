@@ -1,8 +1,9 @@
 (** Structured trace sink writing JSONL solver events.
 
-    A sink is either the {!null} sink — every emit helper returns
-    immediately, allocating nothing — or a channel-backed sink that
-    writes one JSON object per line. Each event carries its event name
+    A sink is either the {!null} sink — {!emit} returns immediately —
+    or a live sink receiving each typed {!Event.t} as its name and
+    encoded fields; the channel-backed sink writes one JSON object per
+    line ({!Event.render_line}). Each event carries its event name
     under ["ev"] and a relative timestamp in seconds under ["ts"];
     non-finite numeric fields render as [null].
 
@@ -15,7 +16,7 @@
 type sink
 
 val null : sink
-(** The no-op sink: emits are dropped before any formatting work. *)
+(** The no-op sink: emits are dropped before any encoding work. *)
 
 val to_channel : out_channel -> sink
 (** A channel-backed sink. Events are formatted into an internal
@@ -69,166 +70,19 @@ val with_current : sink -> (unit -> 'a) -> 'a
 
 (** {1 Events} *)
 
-val emit : sink -> string -> (string * Json.t) list -> unit
-(** [emit sink ev fields] writes one JSONL event. The typed helpers
-    below are the stable event taxonomy; prefer them. Events emitted
-    from a domain other than the initial one carry an extra ["domain"]
-    field with the emitting domain's id. *)
+val emit : sink -> Event.t -> unit
+(** [emit sink e] writes one event: {!Event.encode} renders its
+    fields, and events emitted from a domain other than the initial
+    one carry an extra ["domain"] field with the emitting domain's id.
+    A no-op on {!null}; call sites on hot paths still guard with
+    {!enabled} so that an untraced run does not even build the
+    event. *)
 
-type gc_delta = {
+type gc_delta = Event.gc_delta = {
   minor_words : float;
   major_words : float;
   promoted_words : float;
   major_collections : int;
   top_heap_words : int;
 }
-(** [Gc.quick_stat] deltas over a span: words allocated on the minor
-    and major heaps, words promoted, major collections run, and growth
-    of the major heap's high-water mark. All fields are differences of
-    monotone GC counters, so they are non-negative. *)
-
-val render_line :
-  Buffer.t -> float -> string -> (string * Json.t) list -> unit
-(** Append one event as the sink line format (one JSON object plus
-    newline). Shared with the flight recorder's dump path so dumped
-    rings are byte-compatible with [--trace] files. *)
-
-(** Several high-frequency helpers below take [?sampled_of] (default
-    1): when the adaptive sampler keeps one event on behalf of a block
-    of [w] suppressed ones, the kept event carries
-    ["sampled_of": w] so offline analysis ({!Profile}, {!Converge})
-    can rescale counts exactly. Weight 1 adds no field — unsampled
-    traces are byte-identical to those of earlier writers. *)
-
-val span_open : sink -> name:string -> depth:int -> unit
-
-val span_close :
-  sink ->
-  ?sampled_of:int ->
-  name:string ->
-  depth:int ->
-  ?gc:gc_delta ->
-  seconds:float ->
-  unit ->
-  unit
-(** [gc], when present, adds the span's allocation accounting as
-    [minor_words]/[major_words]/[promoted_words]/[major_collections]/
-    [top_heap_words] fields on the event. *)
-
-val bb_node :
-  sink ->
-  ?sampled_of:int ->
-  solver:string ->
-  node:int ->
-  depth:int ->
-  ?bound:float ->
-  unit ->
-  unit
-(** A branch-and-bound node was visited. [solver] is ["mip"] for the
-    LP-based solver, ["cover"] for the combinatorial set-cover one. *)
-
-val incumbent : sink -> solver:string -> node:int -> objective:float -> unit
-(** The incumbent improved (the initial heuristic incumbent included). *)
-
-val bound_pruned :
-  sink -> solver:string -> node:int -> bound:float -> incumbent:float -> unit
-
-val simplex_phase :
-  sink ->
-  ?sampled_of:int ->
-  phase:int ->
-  iterations:int ->
-  outcome:string ->
-  unit ->
-  unit
-
-val warm_start :
-  sink ->
-  dual_feasible:bool ->
-  iterations:int ->
-  kernel:string ->
-  outcome:string ->
-  unit
-(** A simplex solve started from a caller-supplied basis. [iterations]
-    counts dual-simplex pivots (0 when the basis was installed but the
-    primal phases ran instead); [kernel] names the linear-algebra
-    kernel the solve ran on (["sparse_lu"] or ["dense"]); [outcome] is
-    ["reoptimal"], ["primal_fallback"], ["infeasible_guess"] or
-    ["iteration_limit"]. *)
-
-val greedy_pick : sink -> pick:int -> gain:float -> covered:float -> unit
-
-val flow_augmentation :
-  sink ->
-  ?sampled_of:int ->
-  amount:float ->
-  path_cost:float ->
-  routed:float ->
-  unit ->
-  unit
-
-val flow_pivots :
-  sink ->
-  ?sampled_of:int ->
-  algo:string ->
-  pivots:int ->
-  objective:float ->
-  unit ->
-  unit
-(** Periodic progress from inside a long network-simplex solve: the
-    pivot count and current (shifted) objective every pivot batch, so
-    a live consumer can watch a flow solve converge. High-frequency
-    and therefore sampled. *)
-
-val stack_sample :
-  sink -> domain:int -> stack:string -> unit
-(** One wall-clock sample of a domain's open-span stack, taken by the
-    profiling ticker on behalf of [domain]: [stack] is the
-    semicolon-joined span names, outermost first. The explicit
-    [domain] field overrides the emitting (ticker) domain's id. *)
-
-val flow_solve :
-  sink -> algo:string -> pivots:int -> warm:bool -> status:string -> unit
-(** One min-cost-flow solve finished. [algo] names the kernel (["ssp"]
-    or ["netsimplex"]), [pivots] counts simplex pivots (0 for SSP),
-    [warm] says whether the spanning-tree basis was reused, [status]
-    is ["optimal"] or ["infeasible"]. *)
-
-val ladder_descent :
-  sink -> solver:string -> from_rung:string -> to_rung:string -> reason:string -> unit
-(** The degradation ladder gave up on one rung and fell to the next
-    (e.g. ["mip_optimal"] to ["lp_rounding"] because of a deadline). *)
-
-val recovery : sink -> stage:string -> detail:string -> unit
-(** A solver recovered internally from a fault (singular basis cold
-    restart, ladder rung answering after a descent). *)
-
-val deadline_hit : sink -> phase:string -> elapsed:float -> budget:float -> unit
-(** A wall-clock deadline expired inside [phase] after [elapsed] of a
-    [budget]-second allowance. *)
-
-val presolve_reduction :
-  sink -> rows_dropped:int -> bounds_tightened:int -> fixed_vars:int -> unit
-
-val checkpoint_write :
-  sink -> path:string -> nodes:int -> frontier:int -> seconds:float -> unit
-(** A branch-and-bound checkpoint was atomically written to [path]:
-    [nodes] nodes explored so far, [frontier] open nodes captured, the
-    write itself took [seconds]. *)
-
-val checkpoint_resume : sink -> path:string -> nodes:int -> frontier:int -> unit
-(** A search resumed from the checkpoint at [path], continuing from
-    [nodes] explored nodes with [frontier] open nodes restored. *)
-
-val worker_failure : sink -> slot:int -> reason:string -> unit
-(** A worker domain died inside the wave scheduler; the supervisor
-    marked slot [slot] dead and requeued its work. [reason] is the
-    printable form of the exception that killed it. *)
-
-val preempt_stop : sink -> phase:string -> nodes:int -> unit
-(** A cooperative preemption request (SIGINT/SIGTERM) stopped the
-    search at a wave barrier inside [phase] after [nodes] nodes. *)
-
-val server_shutdown : sink -> served:int -> unit
-(** The metrics scrape server shut down gracefully after serving
-    [served] requests (SIGINT/SIGTERM or request budget reached). *)
+(** {!Event.gc_delta}, re-exported for span allocation accounting. *)

@@ -1,325 +1,4 @@
-type event =
-  | Span_open of { name : string; depth : int }
-  | Span_close of {
-      name : string;
-      depth : int;
-      seconds : float;
-      gc : Trace.gc_delta option;
-      sampled_of : int;
-    }
-  | Bb_node of {
-      solver : string;
-      node : int;
-      depth : int;
-      bound : float option;
-      sampled_of : int;
-    }
-  | Incumbent of { solver : string; node : int; objective : float }
-  | Bound_pruned of {
-      solver : string;
-      node : int;
-      bound : float option;
-      incumbent : float option;
-    }
-  | Warm_start of {
-      dual_feasible : bool;
-      iterations : int;
-      kernel : string;
-      outcome : string;
-    }
-  | Simplex_phase of {
-      phase : int;
-      iterations : int;
-      outcome : string;
-      sampled_of : int;
-    }
-  | Greedy_pick of { pick : int; gain : float; covered : float }
-  | Flow_augmentation of {
-      amount : float;
-      path_cost : float;
-      routed : float;
-      sampled_of : int;
-    }
-  | Flow_pivots of {
-      algo : string;
-      pivots : int;
-      objective : float;
-      sampled_of : int;
-    }
-  | Flow_solve of { algo : string; pivots : int; warm : bool; status : string }
-  | Presolve_reduction of {
-      rows_dropped : int;
-      bounds_tightened : int;
-      fixed_vars : int;
-    }
-  | Ladder_descent of {
-      solver : string;
-      from_rung : string;
-      to_rung : string;
-      reason : string;
-    }
-  | Recovery of { stage : string; detail : string }
-  | Deadline_hit of { phase : string; elapsed : float; budget : float option }
-  | Chaos_inject of { site : string }
-  | Stack_sample of { stack : string }
-  | Run_info of {
-      run_id : string;
-      git_rev : string option;
-      ocaml_version : string option;
-      hostname : string option;
-      chaos_seed : int option;
-      argv : string list;
-    }
-  | Checkpoint_write of {
-      path : string;
-      nodes : int;
-      frontier : int;
-      seconds : float;
-    }
-  | Checkpoint_resume of { path : string; nodes : int; frontier : int }
-  | Worker_failure of { slot : int; reason : string }
-  | Preempt_stop of { phase : string; nodes : int }
-  | Server_shutdown of { served : int }
-  | Unknown of string
-
-(* [domain] is the emitting domain's id; the writer omits the field
-   for the initial domain, which decodes as 0 here (domain ids of
-   spawned workers are always positive). Old traces therefore read as
-   all-domain-0, which is exactly what they were. *)
-type record = { ts : float; domain : int; event : event }
-
-let event_name = function
-  | Span_open _ -> "span_open"
-  | Span_close _ -> "span_close"
-  | Bb_node _ -> "bb_node"
-  | Incumbent _ -> "incumbent"
-  | Bound_pruned _ -> "bound_pruned"
-  | Warm_start _ -> "warm_start"
-  | Simplex_phase _ -> "simplex_phase"
-  | Greedy_pick _ -> "greedy_pick"
-  | Flow_augmentation _ -> "flow_augmentation"
-  | Flow_pivots _ -> "flow_pivots"
-  | Flow_solve _ -> "flow_solve"
-  | Presolve_reduction _ -> "presolve_reduction"
-  | Ladder_descent _ -> "ladder_descent"
-  | Recovery _ -> "recovery"
-  | Deadline_hit _ -> "deadline_hit"
-  | Chaos_inject _ -> "chaos_inject"
-  | Stack_sample _ -> "stack_sample"
-  | Run_info _ -> "run_info"
-  | Checkpoint_write _ -> "checkpoint_write"
-  | Checkpoint_resume _ -> "checkpoint_resume"
-  | Worker_failure _ -> "worker_failure"
-  | Preempt_stop _ -> "preempt_stop"
-  | Server_shutdown _ -> "server_shutdown"
-  | Unknown ev -> ev
-
-(* Option-monad decoding: a known event missing a required field (or
-   carrying it at the wrong type) degrades to [Unknown] rather than
-   failing the whole read, and extra fields are ignored — the
-   forward-compatibility contract that lets old analyzers read traces
-   from newer writers. A numeric field written as [null] (the writer's
-   rendering of nan/infinities) decodes as [None] where the event
-   models it as optional. *)
-let decode ~ev fields =
-  let ( let* ) = Option.bind in
-  let field k = List.assoc_opt k fields in
-  let str k = Option.bind (field k) Json.as_string in
-  let int k = Option.bind (field k) Json.as_int in
-  let num k = Option.bind (field k) Json.as_float in
-  let bool k = Option.bind (field k) Json.as_bool in
-  (* present-but-null (or absent) numeric fields *)
-  let opt_num k = num k in
-  (* the writer omits [sampled_of] at weight 1 so unsampled traces are
-     byte-identical to pre-sampler writers *)
-  let sampled_of () = Option.value (int "sampled_of") ~default:1 in
-  let decoded =
-    match ev with
-    | "span_open" ->
-      let* name = str "name" in
-      let* depth = int "depth" in
-      Some (Span_open { name; depth })
-    | "span_close" ->
-      let* name = str "name" in
-      let* depth = int "depth" in
-      let* seconds = num "seconds" in
-      (* the gc accounting is all-or-nothing: traces from writers
-         predating it decode with [gc = None] *)
-      let gc =
-        match
-          ( num "minor_words",
-            num "major_words",
-            num "promoted_words",
-            int "major_collections",
-            int "top_heap_words" )
-        with
-        | ( Some minor_words,
-            Some major_words,
-            Some promoted_words,
-            Some major_collections,
-            Some top_heap_words ) ->
-          Some
-            {
-              Trace.minor_words;
-              major_words;
-              promoted_words;
-              major_collections;
-              top_heap_words;
-            }
-        | _ -> None
-      in
-      Some (Span_close { name; depth; seconds; gc; sampled_of = sampled_of () })
-    | "bb_node" ->
-      let* solver = str "solver" in
-      let* node = int "node" in
-      let* depth = int "depth" in
-      Some
-        (Bb_node
-           {
-             solver;
-             node;
-             depth;
-             bound = opt_num "bound";
-             sampled_of = sampled_of ();
-           })
-    | "incumbent" ->
-      let* solver = str "solver" in
-      let* node = int "node" in
-      let* objective = num "objective" in
-      Some (Incumbent { solver; node; objective })
-    | "bound_pruned" ->
-      let* solver = str "solver" in
-      let* node = int "node" in
-      Some
-        (Bound_pruned
-           {
-             solver;
-             node;
-             bound = opt_num "bound";
-             incumbent = opt_num "incumbent";
-           })
-    | "warm_start" ->
-      let* dual_feasible = bool "dual_feasible" in
-      let* iterations = int "iterations" in
-      let* kernel = str "kernel" in
-      let* outcome = str "outcome" in
-      Some (Warm_start { dual_feasible; iterations; kernel; outcome })
-    | "simplex_phase" ->
-      let* phase = int "phase" in
-      let* iterations = int "iterations" in
-      let* outcome = str "outcome" in
-      Some
-        (Simplex_phase { phase; iterations; outcome; sampled_of = sampled_of () })
-    | "greedy_pick" ->
-      let* pick = int "pick" in
-      let* gain = num "gain" in
-      let* covered = num "covered" in
-      Some (Greedy_pick { pick; gain; covered })
-    | "flow_augmentation" ->
-      let* amount = num "amount" in
-      let* path_cost = num "path_cost" in
-      let* routed = num "routed" in
-      Some
-        (Flow_augmentation
-           { amount; path_cost; routed; sampled_of = sampled_of () })
-    | "flow_pivots" ->
-      let* algo = str "algo" in
-      let* pivots = int "pivots" in
-      let* objective = num "objective" in
-      Some (Flow_pivots { algo; pivots; objective; sampled_of = sampled_of () })
-    | "flow_solve" ->
-      let* algo = str "algo" in
-      let* pivots = int "pivots" in
-      let* warm = bool "warm" in
-      let* status = str "status" in
-      Some (Flow_solve { algo; pivots; warm; status })
-    | "presolve_reduction" ->
-      let* rows_dropped = int "rows_dropped" in
-      let* bounds_tightened = int "bounds_tightened" in
-      let* fixed_vars = int "fixed_vars" in
-      Some (Presolve_reduction { rows_dropped; bounds_tightened; fixed_vars })
-    | "ladder_descent" ->
-      let* solver = str "solver" in
-      let* from_rung = str "from_rung" in
-      let* to_rung = str "to_rung" in
-      let* reason = str "reason" in
-      Some (Ladder_descent { solver; from_rung; to_rung; reason })
-    | "recovery" ->
-      let* stage = str "stage" in
-      let* detail = str "detail" in
-      Some (Recovery { stage; detail })
-    | "deadline_hit" ->
-      let* phase = str "phase" in
-      let* elapsed = num "elapsed" in
-      Some (Deadline_hit { phase; elapsed; budget = opt_num "budget" })
-    | "chaos_inject" ->
-      let* site = str "site" in
-      Some (Chaos_inject { site })
-    | "stack_sample" ->
-      let* stack = str "stack" in
-      Some (Stack_sample { stack })
-    | "run_info" ->
-      let* run_id = str "run_id" in
-      let argv =
-        match Option.bind (field "argv") Json.as_list with
-        | None -> []
-        | Some items -> List.filter_map Json.as_string items
-      in
-      Some
-        (Run_info
-           {
-             run_id;
-             git_rev = str "git_rev";
-             ocaml_version = str "ocaml_version";
-             hostname = str "hostname";
-             chaos_seed = int "chaos_seed";
-             argv;
-           })
-    | "checkpoint_write" ->
-      let* path = str "path" in
-      let* nodes = int "nodes" in
-      let* frontier = int "frontier" in
-      let* seconds = num "seconds" in
-      Some (Checkpoint_write { path; nodes; frontier; seconds })
-    | "checkpoint_resume" ->
-      let* path = str "path" in
-      let* nodes = int "nodes" in
-      let* frontier = int "frontier" in
-      Some (Checkpoint_resume { path; nodes; frontier })
-    | "worker_failure" ->
-      let* slot = int "slot" in
-      let* reason = str "reason" in
-      Some (Worker_failure { slot; reason })
-    | "preempt_stop" ->
-      let* phase = str "phase" in
-      let* nodes = int "nodes" in
-      Some (Preempt_stop { phase; nodes })
-    | "server_shutdown" ->
-      let* served = int "served" in
-      Some (Server_shutdown { served })
-    | _ -> None
-  in
-  match decoded with Some e -> e | None -> Unknown ev
-
-let of_json j =
-  match Json.member "ev" j with
-  | None -> None
-  | Some ev_field -> (
-    match Json.as_string ev_field with
-    | None -> None
-    | Some ev ->
-      let fields = Option.value (Json.as_obj j) ~default:[] in
-      let ts =
-        Option.value
-          (Option.bind (Json.member "ts" j) Json.as_float)
-          ~default:0.0
-      in
-      let domain =
-        Option.value
-          (Option.bind (Json.member "domain" j) Json.as_int)
-          ~default:0
-      in
-      Some { ts; domain; event = decode ~ev fields })
+include Event
 
 type read = {
   records : record list;

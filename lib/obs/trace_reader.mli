@@ -1,142 +1,15 @@
-(** Typed reader for the JSONL traces {!Trace} writes.
+(** Reader for the JSONL traces {!Trace} writes.
 
-    Decodes the stable event taxonomy with a skip-unknown
-    forward-compatibility contract: an event name this reader does not
-    know — or a known event whose required fields are missing or
-    mistyped — decodes as {!Unknown} instead of failing the read, and
-    extra fields on known events are ignored. Numeric fields the
-    writer rendered as [null] (nan/infinities) decode as [None] where
-    the event models them as optional. *)
+    The event schema and its codec are {!Event}, re-exported here in
+    full so a reader needs one module: [Trace_reader.Bb_node],
+    [Trace_reader.decode] and [Trace_reader.record] are
+    {!Event.Bb_node}, {!Event.decode} and {!Event.record}. This module
+    adds reading whole traces, line by line, under the skip-unknown
+    contract {!Event} describes. *)
 
-type event =
-  | Span_open of { name : string; depth : int }
-  | Span_close of {
-      name : string;
-      depth : int;
-      seconds : float;
-      gc : Trace.gc_delta option;
-          (** allocation accounting; [None] for traces written before
-              GC sampling existed *)
-      sampled_of : int;
-          (** head-sampling weight: this event stands for [sampled_of]
-              occurrences (1 — the decode default when the field is
-              absent — means unsampled) *)
-    }
-  | Bb_node of {
-      solver : string;
-      node : int;
-      depth : int;
-      bound : float option;
-      sampled_of : int;
-    }
-  | Incumbent of { solver : string; node : int; objective : float }
-  | Bound_pruned of {
-      solver : string;
-      node : int;
-      bound : float option;
-      incumbent : float option;
-    }
-  | Warm_start of {
-      dual_feasible : bool;
-      iterations : int;
-      kernel : string;
-      outcome : string;
-    }
-  | Simplex_phase of {
-      phase : int;
-      iterations : int;
-      outcome : string;
-      sampled_of : int;
-    }
-  | Greedy_pick of { pick : int; gain : float; covered : float }
-  | Flow_augmentation of {
-      amount : float;
-      path_cost : float;
-      routed : float;
-      sampled_of : int;
-    }
-  | Flow_pivots of {
-      algo : string;
-      pivots : int;
-      objective : float;
-      sampled_of : int;
-    }
-      (** a batch of network-simplex pivots inside one flow solve:
-          cumulative pivot count and current (shifted) objective *)
-  | Flow_solve of { algo : string; pivots : int; warm : bool; status : string }
-      (** one min-cost-flow solve: kernel name, pivot count (0 for
-          SSP), whether the basis warm started, and final status *)
-  | Presolve_reduction of {
-      rows_dropped : int;
-      bounds_tightened : int;
-      fixed_vars : int;
-    }
-  | Ladder_descent of {
-      solver : string;
-      from_rung : string;
-      to_rung : string;
-      reason : string;
-    }  (** the degradation ladder fell one rung *)
-  | Recovery of { stage : string; detail : string }
-      (** a solver recovered internally from a fault *)
-  | Deadline_hit of { phase : string; elapsed : float; budget : float option }
-      (** a wall-clock budget expired inside [phase] *)
-  | Chaos_inject of { site : string }
-      (** the fault-injection harness fired at [site] *)
-  | Stack_sample of { stack : string }
-      (** one wall-clock profiler tick: the sampled domain's open span
-          stack, outermost first, [;]-joined (folded-stack format);
-          the sampled domain is the record's [domain] field *)
-  | Run_info of {
-      run_id : string;
-      git_rev : string option;
-      ocaml_version : string option;
-      hostname : string option;
-      chaos_seed : int option;
-      argv : string list;
-    }  (** the run manifest stamped at the head of every traced run *)
-  | Checkpoint_write of {
-      path : string;
-      nodes : int;
-      frontier : int;
-      seconds : float;
-    }
-      (** a branch-and-bound checkpoint was atomically written:
-          [nodes] explored so far, [frontier] open nodes captured,
-          the write took [seconds] *)
-  | Checkpoint_resume of { path : string; nodes : int; frontier : int }
-      (** a search resumed from the checkpoint at [path] *)
-  | Worker_failure of { slot : int; reason : string }
-      (** a worker domain died; the supervisor marked [slot] dead and
-          requeued its work on the survivors *)
-  | Preempt_stop of { phase : string; nodes : int }
-      (** SIGINT/SIGTERM stopped the search cooperatively at a wave
-          barrier *)
-  | Server_shutdown of { served : int }
-      (** the scrape server exited gracefully after [served] requests *)
-  | Unknown of string  (** carries the unrecognized event name *)
-
-type record = { ts : float; domain : int; event : event }
-(** [ts] is seconds since the writing sink was created (0. if the
-    field is absent). [domain] is the id of the domain that emitted
-    the event; the writer only stamps it on events from spawned
-    domains, so events from the initial domain — and every event of a
-    trace predating parallel solves — decode as domain [0]. Consumers
-    replaying stateful event pairs (span_open/span_close) must key
-    their state by [domain], since parallel solves interleave the
-    per-domain streams in file order. *)
-
-val event_name : event -> string
-
-val decode : ev:string -> (string * Json.t) list -> event
-(** Decode one event from its name and fields. Also usable by live
-    consumers fed through {!Trace.custom}, which see events as
-    name + fields without a JSON round-trip. *)
-
-val of_json : Json.t -> record option
-(** [None] when the value has no string ["ev"] field at all (not a
-    trace event); otherwise always produces a record, degrading to
-    {!Unknown} as described above. *)
+include module type of struct
+  include Event
+end
 
 type read = {
   records : record list;  (** decoded events, in file order *)
@@ -144,9 +17,9 @@ type read = {
       (** lines that were not parseable trace events (excluding a
           truncated final line) *)
   unknown : int;
-      (** records that decoded as {!Unknown} — events this reader's
-          taxonomy does not cover, or known events with missing or
-          mistyped required fields *)
+      (** records that decoded as {!Event.Unknown} — events this
+          reader's schema does not cover, or known events with missing
+          or mistyped required fields *)
   truncated : bool;
       (** the final line failed to parse — an interrupted write *)
 }

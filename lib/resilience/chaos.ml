@@ -93,7 +93,7 @@ let fire ?(scoped = true) ~site ~p () =
     Metrics.incr (m_injections site);
     let s = Trace.current () in
     if Trace.enabled s then
-      Trace.emit s "chaos_inject" [ ("site", Json.String site) ];
+      Trace.emit s (Event.Chaos_inject { site });
     (* capture the lead-up to the injected fault while it is still in
        the rings — the recovery path runs after this returns *)
     Flightrec.trigger ~reason:("chaos_" ^ site)

@@ -43,6 +43,8 @@ let chaos_manifest seed =
            ocaml_version = None;
            hostname = None;
            chaos_seed = seed;
+           jobs = None;
+           scheduler = None;
            argv = [];
          });
   ]
@@ -182,6 +184,26 @@ let test_b_only_metric_noted () =
          has 0)
        report.Diff.notes)
 
+let test_sampled_counts_weighted () =
+  (* a head-sampled rerun keeps fewer events, each standing for
+     sampled_of of them: nodes and pivots compare on the weights *)
+  let sampled =
+    read
+      (span "mip.solve" 1.0 ~alloc:100_000.0
+      @ span "lu_factor" 0.2
+      @ List.map
+          (fun (node, sampled_of) ->
+            r (Reader.Bb_node { solver = "mip"; node; depth = 0; bound = None; sampled_of }))
+          [ (0, 1); (1, 1); (2, 8) ]
+      @ [ r (Reader.Simplex_phase { phase = 2; iterations = 125; outcome = "optimal"; sampled_of = 4 }) ])
+  in
+  let report = Diff.of_traces ~a:(baseline ()) ~b:sampled in
+  Alcotest.(check int) "no regressions" 0 report.Diff.regressions;
+  Alcotest.(check (option (float 0.0))) "10 weighted nodes" (Some 10.0)
+    (find_row report "solver.mip.nodes").Diff.b;
+  Alcotest.(check (option (float 0.0))) "500 weighted pivots" (Some 500.0)
+    (find_row report "simplex.pivots").Diff.b
+
 let suite =
   [
     Alcotest.test_case "identical runs pass" `Quick test_identical_runs_pass;
@@ -195,4 +217,5 @@ let suite =
     Alcotest.test_case "missing metric gates" `Quick test_missing_metric_gates;
     Alcotest.test_case "chaos runs tolerated" `Quick test_chaos_runs_tolerated;
     Alcotest.test_case "run-B-only metrics noted" `Quick test_b_only_metric_noted;
+    Alcotest.test_case "sampled counts weighted" `Quick test_sampled_counts_weighted;
   ]

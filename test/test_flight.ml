@@ -57,6 +57,19 @@ let bb_fields ?(dom = 0) node =
     ("domain", Json.Int dom);
   ]
 
+(* a fixed manifest: a captured one carries a fresh run id *)
+let manifest ?jobs run_id =
+  {
+    Monpos_obs.Runinfo.run_id = run_id;
+    git_rev = None;
+    ocaml_version = "5.1.1";
+    hostname = "test";
+    chaos_seed = None;
+    jobs;
+    scheduler = None;
+    argv = [];
+  }
+
 (* one recorder fed the same deterministic three-domain schedule:
    [main] records as logical domain 0, two spawned domains interleave
    their timestamps with it *)
@@ -94,8 +107,7 @@ let test_multi_domain_merge () =
 let test_deterministic_replay_is_byte_identical () =
   let run () =
     let t = Flightrec.create ~capacity:8 () in
-    Flightrec.set_manifest t
-      [ ("run_id", Json.String "replay"); ("jobs", Json.Int 3) ];
+    Flightrec.set_manifest t (manifest ~jobs:3 "replay");
     feed_schedule t;
     Flightrec.render t
   in
@@ -154,7 +166,7 @@ let test_trigger_dumps_and_caps () =
       Flightrec.uninstall ();
       if Sys.file_exists dir then rm_rf dir)
   @@ fun () ->
-  Flightrec.set_manifest t [ ("run_id", Json.String "trigger") ];
+  Flightrec.set_manifest t (manifest "trigger");
   Flightrec.record t ~ts:1.0 ~ev:"bb_node" (bb_fields 1);
   (* two triggers on unchanged rings: two files, identical bodies,
      sequence-numbered names carrying the sanitized reason *)
@@ -215,31 +227,46 @@ let test_sampler_off_is_identity () =
       (Sampler.decide Sampler.Bb_node)
   done
 
-let test_sampler_rescales_exactly () =
-  with_sampler 16 @@ fun () ->
-  let n = 20_000 in
-  let kept = ref 0 and weight_sum = ref 0 and max_w = ref 1 in
+(* the first [n] decisions of a fresh Bb_node stream: (kept, sum of
+   weights, last kept weight, largest weight) *)
+let sample_stream n =
+  let kept = ref 0 and sum = ref 0 and last = ref 0 and max_w = ref 0 in
   for _ = 1 to n do
     let w = Sampler.decide Sampler.Bb_node in
     if w > 0 then begin
       incr kept;
-      weight_sum := !weight_sum + w;
-      if w > !max_w then max_w := w
+      sum := !sum + w;
+      last := w;
+      max_w := max !max_w w
     end
   done;
-  Alcotest.(check bool)
-    (Printf.sprintf "stream compressed (%d kept of %d)" !kept n)
-    true
-    (!kept < n / 10);
-  Alcotest.(check bool)
-    (Printf.sprintf "stride capped at 4096 (max weight %d)" !max_w)
-    true (!max_w <= 4096);
-  (* sum of sampled_of weights over kept events tracks the true count
-     to within one block (the final stride) *)
-  Alcotest.(check bool)
-    (Printf.sprintf "weights rescale: sum %d vs true %d" !weight_sum n)
-    true
-    (abs (n - !weight_sum) <= !max_w)
+  (!kept, !sum, !last, !max_w)
+
+let test_sampler_rescales_exactly () =
+  (with_sampler 16 @@ fun () ->
+   let n = 20_000 in
+   let kept, _, _, max_w = sample_stream n in
+   Alcotest.(check bool)
+     (Printf.sprintf "stream compressed (%d kept of %d)" kept n)
+     true (kept < n / 10);
+   Alcotest.(check bool)
+     (Printf.sprintf "stride capped at 4096 (max weight %d)" max_w)
+     true (max_w <= 4096));
+  (* every event belongs to exactly one kept block, whatever the
+     threshold: the weights cover the true count, overshooting by less
+     than the last block *)
+  for threshold = 1 to 20 do
+    List.iter
+      (fun n ->
+        with_sampler threshold @@ fun () ->
+        let _, sum, last, _ = sample_stream n in
+        Alcotest.(check bool)
+          (Printf.sprintf "threshold %d, %d events: %d <= sum %d < %d + %d"
+             threshold n n sum n last)
+          true
+          (n <= sum && sum < n + last))
+      [ 52; 1000; 20_000 ]
+  done
 
 let test_sampler_deterministic_and_per_class () =
   let replay () =
@@ -279,6 +306,30 @@ let test_converge_rescales_sampled_nodes () =
   | [ s ] -> Alcotest.(check int) "1 + 8 + 8 nodes" 17 s.Converge.nodes
   | l -> Alcotest.failf "expected one solver, got %d" (List.length l)
 
+let test_progress_counts_sampled_nodes () =
+  (* the live reporter folds through Converge, so its node count is
+     the weighted one: 1 + 8 + 8 kept events stand for 17 nodes *)
+  let path = Filename.temp_file "monpos_progress" ".txt" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let oc = open_out path in
+  let sink = Monpos_obs.Progress.sink ~oc ~tty:false () in
+  List.iter
+    (fun (node, sampled_of) ->
+      Trace.emit sink
+        (Reader.Bb_node { solver = "cover"; node; depth = 1; bound = None; sampled_of }))
+    [ (0, 1); (8, 8); (16, 8) ];
+  Trace.emit sink (Reader.Incumbent { solver = "cover"; node = 16; objective = 4.0 });
+  Trace.close sink;
+  close_out oc;
+  let lines =
+    String.split_on_char '\n' (In_channel.with_open_bin path In_channel.input_all)
+    |> List.filter (( <> ) "")
+  in
+  let final = List.nth lines (List.length lines - 1) in
+  let prefix = "[cover] nodes 17  incumbent 4  bound -  gap -" in
+  Alcotest.(check string) "final line" prefix
+    (String.sub final 0 (min (String.length final) (String.length prefix)))
+
 let suite =
   [
     Alcotest.test_case "ring: overwrite-oldest ordering" `Quick
@@ -301,4 +352,6 @@ let suite =
       test_sampler_deterministic_and_per_class;
     Alcotest.test_case "converge: sampled bb_node counts rescale" `Quick
       test_converge_rescales_sampled_nodes;
+    Alcotest.test_case "progress: sampled bb_node counts rescale" `Quick
+      test_progress_counts_sampled_nodes;
   ]

@@ -4,6 +4,7 @@
 
 module Metrics = Monpos_obs.Metrics
 module Trace = Monpos_obs.Trace
+module Event = Monpos_obs.Event
 module Span = Monpos_obs.Span
 module Json = Monpos_obs.Json
 module Model = Monpos_lp.Model
@@ -323,19 +324,27 @@ let test_json_escaping () =
          ("b", Json.Obj [ ("c", Json.String "d") ]);
        ])
 
+let hostile = "a\"b\nc\\d\001"
+
 let test_trace_lines_parse () =
   let lines =
     with_trace_file (fun sink ->
-        Trace.bb_node sink ~solver:"mip" ~node:1 ~depth:0 ~bound:1.5 ();
-        Trace.bb_node sink ~solver:"mip" ~node:2 ~depth:1 ();
-        Trace.incumbent sink ~solver:"cover" ~node:2 ~objective:4.0;
-        Trace.bound_pruned sink ~solver:"mip" ~node:3 ~bound:nan ~incumbent:4.0;
-        Trace.simplex_phase sink ~phase:2 ~iterations:17 ~outcome:"optimal" ();
-        Trace.greedy_pick sink ~pick:9 ~gain:0.25 ~covered:0.75;
-        Trace.flow_augmentation sink ~amount:1.0 ~path_cost:3.0 ~routed:1.0 ();
-        Trace.presolve_reduction sink ~rows_dropped:2 ~bounds_tightened:1
-          ~fixed_vars:0;
-        Trace.emit sink "custom" [ ("weird", Json.String "a\"b\nc") ])
+        let emit e = Trace.emit sink e in
+        emit (Event.Bb_node { solver = "mip"; node = 1; depth = 0; bound = Some 1.5; sampled_of = 1 });
+        emit (Event.Bb_node { solver = "mip"; node = 2; depth = 1; bound = None; sampled_of = 1 });
+        emit (Event.Incumbent { solver = "cover"; node = 2; objective = 4.0 });
+        emit
+          (Event.Bound_pruned
+             { solver = "mip"; node = 3; bound = Some nan; incumbent = Some 4.0 });
+        emit (Event.Simplex_phase { phase = 2; iterations = 17; outcome = "optimal"; sampled_of = 1 });
+        emit (Event.Greedy_pick { pick = 9; gain = 0.25; covered = 0.75 });
+        emit
+          (Event.Flow_augmentation
+             { amount = 1.0; path_cost = 3.0; routed = 1.0; sampled_of = 1 });
+        emit (Event.Presolve_reduction { rows_dropped = 2; bounds_tightened = 1; fixed_vars = 0 });
+        (* quotes, newline, backslash and a control byte in a string
+           field must be escaped into one valid line *)
+        emit (Event.Recovery { stage = "escape"; detail = hostile }))
   in
   Alcotest.(check int) "one line per event" 9 (List.length lines);
   List.iter
@@ -349,16 +358,25 @@ let test_trace_lines_parse () =
     List.find (fun l -> List.assoc "ev" (parse_json l) = {|"bound_pruned"|}) lines
   in
   Alcotest.(check string) "nan -> null" "null"
-    (List.assoc "bound" (parse_json pruned))
+    (List.assoc "bound" (parse_json pruned));
+  (* and the hostile string reads back verbatim *)
+  match Json.parse (List.nth lines 8) with
+  | Ok j -> (
+    match Event.of_json j with
+    | Some { Event.event = Event.Recovery { detail; _ }; _ } ->
+      Alcotest.(check string) "escaped string round-trips" hostile detail
+    | _ -> Alcotest.fail "hostile line did not decode as recovery")
+  | Error e -> Alcotest.fail e
 
 let test_null_sink_emits_nothing () =
   let s = Trace.null in
   Alcotest.(check bool) "disabled" false (Trace.enabled s);
-  Trace.bb_node s ~solver:"mip" ~node:1 ~depth:0 ~bound:1.0 ();
-  Trace.incumbent s ~solver:"mip" ~node:1 ~objective:0.0;
-  Trace.span_open s ~name:"x" ~depth:0;
-  Trace.span_close s ~name:"x" ~depth:0 ~seconds:0.0 ();
-  Trace.emit s "custom" [];
+  Trace.emit s (Event.Bb_node { solver = "mip"; node = 1; depth = 0; bound = Some 1.0; sampled_of = 1 });
+  Trace.emit s (Event.Incumbent { solver = "mip"; node = 1; objective = 0.0 });
+  Trace.emit s (Event.Span_open { name = "x"; depth = 0 });
+  Trace.emit s
+    (Event.Span_close { name = "x"; depth = 0; seconds = 0.0; gc = None; sampled_of = 1 });
+  Trace.emit s (Event.Unknown "custom");
   Alcotest.(check int) "nothing written" 0 (Trace.events_written s);
   (* the ambient default is the null sink *)
   Alcotest.(check bool) "ambient default off" false

@@ -94,19 +94,23 @@ let trace_to_string f =
 let test_reader_typed_decode () =
   let s =
     trace_to_string (fun sink ->
-        Trace.bb_node sink ~solver:"mip" ~node:1 ~depth:0 ~bound:1.5 ();
-        Trace.bb_node sink ~solver:"mip" ~node:2 ~depth:1 ();
-        Trace.incumbent sink ~solver:"mip" ~node:2 ~objective:4.0;
-        Trace.bound_pruned sink ~solver:"mip" ~node:3 ~bound:nan ~incumbent:4.0;
-        Trace.warm_start sink ~dual_feasible:true ~iterations:7 ~kernel:"sparse_lu"
-          ~outcome:"reoptimal";
-        Trace.simplex_phase sink ~phase:2 ~iterations:17 ~outcome:"optimal" ();
-        Trace.greedy_pick sink ~pick:9 ~gain:0.25 ~covered:0.75;
-        Trace.flow_augmentation sink ~amount:1.0 ~path_cost:3.0 ~routed:1.0 ();
-        Trace.flow_solve sink ~algo:"netsimplex" ~pivots:42 ~warm:true
-          ~status:"optimal";
-        Trace.presolve_reduction sink ~rows_dropped:2 ~bounds_tightened:1
-          ~fixed_vars:0)
+        List.iter (Trace.emit sink)
+          [
+            Reader.Bb_node { solver = "mip"; node = 1; depth = 0; bound = Some 1.5; sampled_of = 1 };
+            Reader.Bb_node { solver = "mip"; node = 2; depth = 1; bound = None; sampled_of = 1 };
+            Reader.Incumbent { solver = "mip"; node = 2; objective = 4.0 };
+            Reader.Bound_pruned
+              { solver = "mip"; node = 3; bound = Some nan; incumbent = Some 4.0 };
+            Reader.Warm_start
+              { dual_feasible = true; iterations = 7; kernel = "sparse_lu"; outcome = "reoptimal" };
+            Reader.Simplex_phase { phase = 2; iterations = 17; outcome = "optimal"; sampled_of = 1 };
+            Reader.Greedy_pick { pick = 9; gain = 0.25; covered = 0.75 };
+            Reader.Flow_augmentation
+              { amount = 1.0; path_cost = 3.0; routed = 1.0; sampled_of = 1 };
+            Reader.Flow_solve
+              { algo = "netsimplex"; pivots = 42; warm = true; status = "optimal" };
+            Reader.Presolve_reduction { rows_dropped = 2; bounds_tightened = 1; fixed_vars = 0 };
+          ])
   in
   let r = Reader.read_string s in
   Alcotest.(check int) "no malformed" 0 r.Reader.malformed;
@@ -130,7 +134,121 @@ let test_reader_typed_decode () =
   | evs ->
     Alcotest.fail
       ("decode mismatch: "
-      ^ String.concat ", " (List.map Reader.event_name evs))
+      ^ String.concat ", " (List.map Reader.name evs))
+
+(* One sample of every constructor. [tag] has no wildcard, so a new
+   constructor fails to compile here until it gets a sample below. *)
+let tag = function
+  | Reader.Span_open _ -> 0
+  | Span_close _ -> 1
+  | Bb_node _ -> 2
+  | Incumbent _ -> 3
+  | Bound_pruned _ -> 4
+  | Warm_start _ -> 5
+  | Simplex_phase _ -> 6
+  | Greedy_pick _ -> 7
+  | Flow_augmentation _ -> 8
+  | Flow_pivots _ -> 9
+  | Flow_solve _ -> 10
+  | Presolve_reduction _ -> 11
+  | Ladder_descent _ -> 12
+  | Recovery _ -> 13
+  | Deadline_hit _ -> 14
+  | Chaos_inject _ -> 15
+  | Stack_sample _ -> 16
+  | Run_info _ -> 17
+  | Checkpoint_write _ -> 18
+  | Checkpoint_resume _ -> 19
+  | Worker_failure _ -> 20
+  | Preempt_stop _ -> 21
+  | Server_shutdown _ -> 22
+  | Unknown _ -> 23
+
+let every_event =
+  let gc =
+    {
+      Reader.minor_words = 1024.0;
+      major_words = 8.0;
+      promoted_words = 2.0;
+      major_collections = 1;
+      top_heap_words = 4096;
+    }
+  in
+  [
+    Reader.Span_open { name = "mip.solve"; depth = 2 };
+    Span_close { name = "lu_factor"; depth = 3; seconds = 0.25; gc = Some gc; sampled_of = 64 };
+    Span_close { name = "lu_factor"; depth = 3; seconds = 0.5; gc = None; sampled_of = 1 };
+    Bb_node { solver = "mip"; node = 7; depth = 2; bound = Some 3.5; sampled_of = 8 };
+    Bb_node { solver = "cover"; node = 1; depth = 0; bound = None; sampled_of = 1 };
+    Incumbent { solver = "cover"; node = 4; objective = 12.0 };
+    Bound_pruned { solver = "mip"; node = 9; bound = Some 2.0; incumbent = None };
+    Warm_start { dual_feasible = false; iterations = 0; kernel = "sparse_lu"; outcome = "primal_fallback" };
+    Simplex_phase { phase = 1; iterations = 3; outcome = "feasible"; sampled_of = 512 };
+    Greedy_pick { pick = 5; gain = 0.5; covered = 0.75 };
+    Flow_augmentation { amount = 2.0; path_cost = 7.0; routed = 4.0; sampled_of = 8 };
+    Flow_pivots { algo = "netsimplex"; pivots = 128; objective = -3.0; sampled_of = 1 };
+    Flow_solve { algo = "ssp"; pivots = 0; warm = false; status = "infeasible" };
+    Presolve_reduction { rows_dropped = 3; bounds_tightened = 2; fixed_vars = 1 };
+    Ladder_descent { solver = "ppm"; from_rung = "mip_optimal"; to_rung = "lp_rounding"; reason = "deadline" };
+    Recovery { stage = "simplex"; detail = "cold restart" };
+    Deadline_hit { phase = "mip"; elapsed = 1.5; budget = Some 1.0 };
+    Deadline_hit { phase = "mip"; elapsed = 1.5; budget = None };
+    Chaos_inject { site = "lu/singular" };
+    Stack_sample { stack = "passive.mip;mip.solve"; domain = 3 };
+    Stack_sample { stack = ""; domain = 0 };
+    Run_info
+      {
+        run_id = "run-1";
+        git_rev = Some "abc123";
+        ocaml_version = Some "5.1.1";
+        hostname = None;
+        chaos_seed = Some 7;
+        jobs = Some 4;
+        scheduler = Some "wave";
+        argv = [ "monitorctl"; "passive" ];
+      };
+    Run_info
+      {
+        run_id = "run-2";
+        git_rev = None;
+        ocaml_version = None;
+        hostname = Some "box";
+        chaos_seed = None;
+        jobs = None;
+        scheduler = None;
+        argv = [];
+      };
+    Checkpoint_write { path = "ck.bin"; nodes = 100; frontier = 12; seconds = 0.01 };
+    Checkpoint_resume { path = "ck.bin"; nodes = 100; frontier = 12 };
+    Worker_failure { slot = 2; reason = "Failure(\"boom\")" };
+    Preempt_stop { phase = "mip"; nodes = 40 };
+    Server_shutdown { served = 3 };
+    Unknown "custom_probe";
+  ]
+
+let test_event_codec_round_trip () =
+  Alcotest.(check (list int))
+    "every constructor sampled" (List.init 24 Fun.id)
+    (List.sort_uniq compare (List.map tag every_event));
+  List.iter
+    (fun e ->
+      let name = Reader.name e in
+      Alcotest.(check bool) (name ^ ": decode (encode e) = e") true
+        (Reader.decode ~ev:name (Reader.encode e) = e);
+      (* through a rendered line, stamped by a spawned domain *)
+      let buf = Buffer.create 128 in
+      Reader.render_line buf 0.5 name (Reader.encode ~domain:5 e);
+      match Result.map Reader.of_json (Json.parse (Buffer.contents buf)) with
+      | Ok (Some r) ->
+        Alcotest.(check bool) (name ^ ": line round trip") true (r.Reader.event = e);
+        Alcotest.(check (float 0.0)) (name ^ ": ts") 0.5 r.Reader.ts;
+        (* a stack sample names the sampled domain, not the emitter *)
+        let expected =
+          match e with Reader.Stack_sample { domain; _ } -> domain | _ -> 5
+        in
+        Alcotest.(check int) (name ^ ": domain") expected r.Reader.domain
+      | _ -> Alcotest.fail (name ^ ": rendered line did not parse"))
+    every_event
 
 let test_reader_tolerance () =
   (* unknown event names, extra fields, missing required fields: the
@@ -159,7 +277,7 @@ let test_reader_tolerance () =
   | evs ->
     Alcotest.fail
       ("tolerance mismatch: "
-      ^ String.concat ", " (List.map Reader.event_name evs))
+      ^ String.concat ", " (List.map Reader.name evs))
 
 let test_reader_truncated_and_malformed () =
   let good = {|{"ev":"span_open","ts":0.0,"name":"a","depth":0}|} in
@@ -339,8 +457,9 @@ let test_buffered_sink () =
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
       let sink = Trace.open_file path in
+      let tick i = Trace.emit sink (Reader.Server_shutdown { served = i }) in
       for i = 1 to 10 do
-        Trace.emit sink "tick" [ ("i", Json.Int i) ]
+        tick i
       done;
       (* below the flush threshold nothing has reached the file yet *)
       Alcotest.(check int) "buffered, file empty" 0
@@ -348,7 +467,7 @@ let test_buffered_sink () =
       Alcotest.(check int) "events counted while buffered" 10
         (Trace.events_written sink);
       for i = 11 to 70 do
-        Trace.emit sink "tick" [ ("i", Json.Int i) ]
+        tick i
       done;
       (* crossing the threshold flushed at least one batch *)
       Alcotest.(check bool) "flushed past threshold" true
@@ -551,6 +670,8 @@ let test_run_info_roundtrip () =
     Alcotest.(check (option string)) "ocaml" (Some "5.1.1") r.ocaml_version;
     Alcotest.(check (option string)) "hostname" (Some "boxen") r.hostname;
     Alcotest.(check (option int)) "chaos_seed" (Some 42) r.chaos_seed;
+    Alcotest.(check (option int)) "jobs" (Some 4) r.jobs;
+    Alcotest.(check (option string)) "scheduler" (Some "wave") r.scheduler;
     Alcotest.(check (list string)) "argv" manifest.Runinfo.argv r.argv
   | evs ->
     Alcotest.failf "expected one run_info, got %d record(s)" (List.length evs)
@@ -628,6 +749,7 @@ let suite =
     Alcotest.test_case "json parse errors" `Quick test_json_parse_errors;
     Alcotest.test_case "json parse lines" `Quick test_json_parse_lines;
     Alcotest.test_case "reader typed decode" `Quick test_reader_typed_decode;
+    Alcotest.test_case "event codec round trip" `Quick test_event_codec_round_trip;
     Alcotest.test_case "reader skip-unknown tolerance" `Quick test_reader_tolerance;
     Alcotest.test_case "reader truncated and malformed lines" `Quick
       test_reader_truncated_and_malformed;
