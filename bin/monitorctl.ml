@@ -328,10 +328,6 @@ let solver_term =
     in
     Arg.(value & flag & info [ "cold-start" ] ~doc)
   in
-  let no_presolve_arg =
-    let doc = "Skip presolve bound tightening before branch and bound." in
-    Arg.(value & flag & info [ "no-presolve" ] ~doc)
-  in
   let time_limit_arg =
     let doc =
       "Wall-clock budget in seconds for the MIP search. This is a real \
@@ -377,12 +373,11 @@ let solver_term =
       & opt (some float) None
       & info [ "checkpoint-every" ] ~docv:"SECS" ~doc)
   in
-  let make cold no_presolve time_limit jobs checkpoint checkpoint_every
+  let make cold time_limit jobs checkpoint checkpoint_every
       (base : Mip.options) =
     {
       base with
       Mip.warm_start = not cold;
-      presolve = not no_presolve;
       time_limit = Option.value time_limit ~default:base.Mip.time_limit;
       jobs = Option.value jobs ~default:base.Mip.jobs;
       checkpoint =
@@ -392,7 +387,7 @@ let solver_term =
     }
   in
   Term.(
-    const make $ cold_arg $ no_presolve_arg $ time_limit_arg $ jobs_arg
+    const make $ cold_arg $ time_limit_arg $ jobs_arg
     $ checkpoint_arg $ checkpoint_every_arg)
 
 let strict_arg =

@@ -1,6 +1,5 @@
 module Graph = Monpos_graph.Graph
 module Dot = Monpos_graph.Dot
-module Pop = Monpos_topo.Pop
 module Table = Monpos_util.Table
 
 let load_share inst e =
@@ -25,41 +24,6 @@ let passive_dot inst (sol : Passive.solution) =
       in
       if monitored.(e) then ("color", "red") :: ("style", "bold") :: base
       else base)
-    g
-
-let sampling_dot inst (sol : Sampling.solution) =
-  let g = inst.Instance.graph in
-  let installed = edge_flags (Graph.num_edges g) sol.Sampling.installed in
-  Dot.to_string
-    ~edge_attrs:(fun e ->
-      if installed.(e) then
-        [
-          ("color", "red");
-          ("style", "bold");
-          ("label", Printf.sprintf "r=%.2f" sol.Sampling.rates.(e));
-        ]
-      else [ ("penwidth", "0.7") ])
-    g
-
-let beacons_dot pop probes (placement : Active.placement) =
-  let g = pop.Pop.graph in
-  let probed = Array.make (Graph.num_edges g) false in
-  List.iter
-    (fun (p : Active.probe) ->
-      List.iter
-        (fun e -> probed.(e) <- true)
-        p.Active.path.Monpos_graph.Paths.edges)
-    probes;
-  let beacon = Array.make (Graph.num_nodes g) false in
-  List.iter (fun b -> beacon.(b) <- true) placement.Active.beacons;
-  Dot.to_string
-    ~node_attrs:(fun v ->
-      if beacon.(v) then
-        [ ("shape", "box"); ("style", "filled"); ("fillcolor", "gold") ]
-      else if Pop.is_router pop v then [ ("shape", "ellipse") ]
-      else [ ("shape", "point") ])
-    ~edge_attrs:(fun e ->
-      if probed.(e) then [ ("color", "blue") ] else [ ("style", "dashed") ])
     g
 
 let passive_table inst (sol : Passive.solution) =

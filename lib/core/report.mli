@@ -1,22 +1,12 @@
-(** Rendering helpers for placements and solutions.
+(** Rendering helpers for passive placements.
 
-    Text and Graphviz views consumed by the CLI and the examples: a
-    POP drawing where monitored links are highlighted (and, for
-    sampling solutions, annotated with their rates), plus aligned text
-    summaries. *)
+    Text and Graphviz views of a passive placement, consumed by
+    [monitorctl passive]: a POP drawing where monitored links are
+    highlighted, plus an aligned text summary. *)
 
 val passive_dot : Instance.t -> Passive.solution -> string
 (** Figure-6 style rendering with the monitored links drawn thick and
     colored; edge labels carry the load share. *)
-
-val sampling_dot : Instance.t -> Sampling.solution -> string
-(** Same, for a sampling placement: installed links are labeled with
-    their sampling rate. *)
-
-val beacons_dot :
-  Monpos_topo.Pop.t -> Active.probe list -> Active.placement -> string
-(** Router-level rendering: beacons are filled boxes, probe paths'
-    links are highlighted. *)
 
 val passive_table : Instance.t -> Passive.solution -> string
 (** Aligned table of the monitored links with their loads and the

@@ -61,7 +61,6 @@ type options = {
   integrality_tol : float;
   heuristic_period : int;
   warm_start : bool;
-  presolve : bool;
   jobs : int;
   deterministic : bool;
   wave : int;
@@ -85,7 +84,6 @@ let default_options =
     integrality_tol = 1e-6;
     heuristic_period = 16;
     warm_start = true;
-    presolve = true;
     jobs = env_jobs ();
     deterministic = true;
     wave = 16;
@@ -225,11 +223,10 @@ let check_deterministic ~fn options =
 (* ---- checkpoint (de)serialization ---------------------------------
 
    The checkpoint captures the deterministic wave scheduler's complete
-   search state at a wave barrier: the (post-presolve) model, the
-   search-shaping options, the open-node frontier with bounds and
-   warm-start bases, the incumbent, the pseudocost tables and the run
-   manifest. Two representation choices carry the
-   determinism-under-resume contract:
+   search state at a wave barrier: the model, the search-shaping
+   options, the open-node frontier with bounds and warm-start bases,
+   the incumbent, the pseudocost tables and the run manifest. Two
+   representation choices carry the determinism-under-resume contract:
 
    - every float travels as a hexadecimal literal ("%h"), so bounds,
      coefficients and scores round-trip bit-exactly — resumed
@@ -449,7 +446,6 @@ let ck_decode ~path body =
         heuristic_period = pint i heur;
         warm_start = pbool i warm;
         wave = pint i wave;
-        presolve = false;
         deterministic = true;
       }
     | _, i -> fail i "bad opts record"
@@ -684,9 +680,8 @@ let solve_gen ~options ~(restore : saved option) model =
   Metrics.incr (Lazy.force m_solves);
   let minimize = Model.direction model = Model.Minimize in
   (* The wall-clock budget becomes a Deadline threaded through the
-     whole solve — root presolve included, and every node (and diving)
-     LP polls it, on whichever domain it runs — so neither a long
-     probing phase nor a single large relaxation can overrun
+     whole solve — every node (and diving) LP polls it, on whichever
+     domain it runs — so not even a single large relaxation can overrun
      [time_limit] unboundedly. Chaos may compress the budget to a
      tenth to exercise the deadline paths. *)
   let budget =
@@ -703,29 +698,7 @@ let solve_gen ~options ~(restore : saved option) model =
   let budget = Float.max 0.001 (budget -. elapsed_base) in
   let deadline = Deadline.of_budget budget in
   let deadline_stop = ref false in
-  (* Root presolve: every reduction is exact and preserves variable
-     indices, so the search below can pretend the reduced model is the
-     original. Nodes inherit the tightened bounds. *)
-  let model, presolved_infeasible =
-    if options.presolve then begin
-      let reduced, info = Presolve.reduce ~deadline model in
-      if info.Presolve.infeasible then (model, true) else (reduced, false)
-    end
-    else (model, false)
-  in
   let n = Model.num_vars model in
-  if presolved_infeasible then
-    {
-      status = Infeasible;
-      objective = nan;
-      solution = None;
-      bound = (if minimize then infinity else neg_infinity);
-      nodes = 0;
-      gap = infinity;
-      deadline_hit = false;
-      preempted = false;
-    }
-  else begin
   let problem = Simplex.of_model model in
   let to_score obj = if minimize then obj else -.obj in
   let of_score s = if minimize then s else -.s in
@@ -1363,7 +1336,6 @@ let solve_gen ~options ~(restore : saved option) model =
     deadline_hit = !deadline_stop;
     preempted = !preempted;
   }
-  end
 
 let solve ?(options = default_options) model =
   check_deterministic ~fn:"Mip.solve" options;

@@ -10,10 +10,10 @@
     {!Simplex}, each node warm-started with the dual simplex from its
     parent's basis (the basis is stored per node as the basic-variable
     index set); configurable branching (pseudocost by default, see
-    {!branching}); an LP-diving heuristic for incumbents; {!Presolve}
-    bound tightening before the search; pruning by bound, with bounds
-    rounded up when the objective is provably integral (pure device
-    counts). Node and wall-clock limits turn the solver into an
+    {!branching}); an LP-diving heuristic for incumbents; pruning by
+    bound, with bounds rounded up when the objective is provably
+    integral (pure device counts). The search runs on the model as
+    given. Node and wall-clock limits turn the solver into an
     anytime heuristic that reports the remaining gap.
 
     With [jobs > 1] the search runs on OCaml 5 domains: the node LPs
@@ -58,10 +58,6 @@ type options = {
           its parent's basis instead of a cold primal solve (default
           [true]; results are identical, only pivot counts change —
           turn off to benchmark or to bisect numerical issues) *)
-  presolve : bool;
-      (** run {!Presolve.reduce} (bound tightening, probing, row
-          removal) on the model before branching so every node starts
-          from tighter bounds (default [true]) *)
   jobs : int;
       (** worker domains for the branch-and-bound search. [1] (the
           default) keeps everything on the calling domain; [n > 1]

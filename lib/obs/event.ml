@@ -60,11 +60,6 @@ type t =
       sampled_of : int;
     }
   | Flow_solve of { algo : string; pivots : int; warm : bool; status : string }
-  | Presolve_reduction of {
-      rows_dropped : int;
-      bounds_tightened : int;
-      fixed_vars : int;
-    }
   | Ladder_descent of {
       solver : string;
       from_rung : string;
@@ -115,7 +110,6 @@ let name = function
   | Flow_augmentation _ -> "flow_augmentation"
   | Flow_pivots _ -> "flow_pivots"
   | Flow_solve _ -> "flow_solve"
-  | Presolve_reduction _ -> "presolve_reduction"
   | Ladder_descent _ -> "ladder_descent"
   | Recovery _ -> "recovery"
   | Deadline_hit _ -> "deadline_hit"
@@ -189,9 +183,6 @@ let encode ?domain e =
     | Flow_solve { algo; pivots; warm; status } ->
       [ ("algo", str algo); ("pivots", int pivots); ("warm", Json.Bool warm);
         ("status", str status) ]
-    | Presolve_reduction { rows_dropped; bounds_tightened; fixed_vars } ->
-      [ ("rows_dropped", int rows_dropped); ("bounds_tightened", int bounds_tightened);
-        ("fixed_vars", int fixed_vars) ]
     | Ladder_descent { solver; from_rung; to_rung; reason } ->
       [ ("solver", str solver); ("from_rung", str from_rung); ("to_rung", str to_rung);
         ("reason", str reason) ]
@@ -297,11 +288,6 @@ let decode ~ev fields =
       let+ algo = str "algo" and+ pivots = int "pivots" and+ warm = bool "warm"
       and+ status = str "status" in
       Flow_solve { algo; pivots; warm; status }
-    | "presolve_reduction" ->
-      let+ rows_dropped = int "rows_dropped"
-      and+ bounds_tightened = int "bounds_tightened"
-      and+ fixed_vars = int "fixed_vars" in
-      Presolve_reduction { rows_dropped; bounds_tightened; fixed_vars }
     | "ladder_descent" ->
       let+ solver = str "solver" and+ from_rung = str "from_rung"
       and+ to_rung = str "to_rung" and+ reason = str "reason" in

@@ -95,11 +95,6 @@ type t =
       (** one min-cost-flow solve: kernel name (["ssp"] or
           ["netsimplex"]), pivot count (0 for SSP), whether the basis
           warm started, and final status *)
-  | Presolve_reduction of {
-      rows_dropped : int;
-      bounds_tightened : int;
-      fixed_vars : int;
-    }
   | Ladder_descent of {
       solver : string;
       from_rung : string;

@@ -19,8 +19,6 @@ let manifest () = Atomic.get manifest_ref
 
 let phase_ref = Atomic.make "idle"
 
-let set_phase p = Atomic.set phase_ref p
-
 let phase () = Atomic.get phase_ref
 
 let with_phase p f =

@@ -16,11 +16,9 @@ val set_manifest : Json.t -> unit
 
 val manifest : unit -> Json.t option
 
-val set_phase : string -> unit
-(** Publish the in-flight solve phase (["idle"], ["mip.solve"], a
-    ladder rung name, ...). *)
-
 val phase : unit -> string
+(** The in-flight solve phase: ["mip.solve"] while a MIP search runs
+    ({!with_phase} in [Mip]), ["idle"] otherwise. *)
 
 val with_phase : string -> (unit -> 'a) -> 'a
 (** Run the callback with the phase installed, restoring the previous

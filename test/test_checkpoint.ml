@@ -283,9 +283,9 @@ let test_double_kill_resume_identity () =
    The family solvers build their models internally, so to test
    checkpoint/resume on the real formulations we capture the model by
    preempting the solve before its first wave with the checkpoint
-   armed: the final checkpoint then holds the untouched (post-presolve)
-   root state, and resuming it IS the uninterrupted solve — at the Mip
-   level, where results can be compared bit-for-bit. *)
+   armed: the final checkpoint then holds the untouched root state,
+   and resuming it IS the uninterrupted solve — at the Mip level,
+   where results can be compared bit-for-bit. *)
 
 let wave0_checkpoint ~path solve =
   Preempt.request ();

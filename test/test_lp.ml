@@ -495,93 +495,6 @@ let test_lp_format_export () =
   Alcotest.(check bool) "le row" true (has "<= 4");
   Alcotest.(check bool) "constraint name sanitized" true (has "c_one:")
 
-module Presolve = Monpos_lp.Presolve
-
-let test_presolve_singleton_rows () =
-  let m = Model.create Model.Minimize in
-  let x = Model.add_var m ~obj:1.0 Model.Continuous in
-  let y = Model.add_var m ~obj:1.0 Model.Continuous in
-  Model.add_constr m [ (2.0, x) ] Model.Ge 6.0;
-  Model.add_constr m [ (1.0, y) ] Model.Le 4.0;
-  Model.add_constr m [ (1.0, x); (1.0, y) ] Model.Ge 5.0;
-  let reduced, info = Presolve.reduce m in
-  Alcotest.(check bool) "feasible" false info.Presolve.infeasible;
-  Alcotest.(check int) "two singleton rows dropped" 2 info.Presolve.rows_dropped;
-  Alcotest.(check (float 1e-9)) "x lb tightened" 3.0
-    (Model.var_lb reduced (Model.var_of_index reduced 0));
-  Alcotest.(check (float 1e-9)) "y ub tightened" 4.0
-    (Model.var_ub reduced (Model.var_of_index reduced 1));
-  (* same optimum *)
-  let a = Simplex.solve_model m and b = Simplex.solve_model reduced in
-  Alcotest.(check (float 1e-6)) "same optimum" a.Simplex.objective
-    b.Simplex.objective
-
-let test_presolve_detects_infeasible () =
-  let m = Model.create Model.Minimize in
-  let x = Model.add_var m ~ub:2.0 ~obj:1.0 Model.Continuous in
-  Model.add_constr m [ (1.0, x) ] Model.Ge 5.0;
-  let _, info = Presolve.reduce m in
-  Alcotest.(check bool) "infeasible" true info.Presolve.infeasible
-
-let test_presolve_drops_redundant_rows () =
-  let m = Model.create Model.Minimize in
-  let x = Model.add_var m ~ub:1.0 ~obj:1.0 Model.Continuous in
-  let y = Model.add_var m ~ub:1.0 ~obj:1.0 Model.Continuous in
-  (* x + y <= 5 can never bind with ub 1 each *)
-  Model.add_constr m [ (1.0, x); (1.0, y) ] Model.Le 5.0;
-  Model.add_constr m [ (1.0, x); (1.0, y) ] Model.Ge 1.0;
-  let reduced, info = Presolve.reduce m in
-  Alcotest.(check bool) "dropped the slack row" true (info.Presolve.rows_dropped >= 1);
-  Alcotest.(check int) "kept the binding row" 1 (Model.num_constrs reduced)
-
-let test_presolve_integer_rounding () =
-  let m = Model.create Model.Minimize in
-  let x = Model.add_var m ~obj:1.0 ~ub:10.0 Model.Integer in
-  Model.add_constr m [ (2.0, x) ] Model.Ge 5.0;
-  let reduced, _ = Presolve.reduce m in
-  (* 2x >= 5 -> x >= 2.5 -> x >= 3 for integers *)
-  Alcotest.(check (float 1e-9)) "integer lb rounds up" 3.0
-    (Model.var_lb reduced (Model.var_of_index reduced 0))
-
-let prop_presolve_preserves_optimum =
-  let gen = QCheck2.Gen.int_range 0 1_000_000 in
-  QCheck2.Test.make ~name:"presolve preserves the LP optimum" ~count:120 gen
-    (fun seed ->
-      let rng = Monpos_util.Prng.create seed in
-      let n = 2 + Monpos_util.Prng.int rng 5 in
-      let rows = 1 + Monpos_util.Prng.int rng 6 in
-      let m = Model.create Model.Minimize in
-      let xs =
-        Array.init n (fun _ ->
-            Model.add_var m
-              ~ub:(1.0 +. Monpos_util.Prng.float rng 9.0)
-              ~obj:(Monpos_util.Prng.float rng 10.0 -. 2.0)
-              Model.Continuous)
-      in
-      for _ = 1 to rows do
-        let nterms = 1 + Monpos_util.Prng.int rng n in
-        let terms =
-          List.init nterms (fun _ ->
-              ( Monpos_util.Prng.float rng 6.0 -. 1.0,
-                xs.(Monpos_util.Prng.int rng n) ))
-        in
-        let sense = if Monpos_util.Prng.bool rng then Model.Le else Model.Ge in
-        Model.add_constr m terms sense (Monpos_util.Prng.float rng 12.0 -. 2.0)
-      done;
-      let reduced, info = Presolve.reduce m in
-      let a = Simplex.solve_model m in
-      if info.Presolve.infeasible then a.Simplex.status = Simplex.Infeasible
-      else begin
-        let b = Simplex.solve_model reduced in
-        match (a.Simplex.status, b.Simplex.status) with
-        | Simplex.Infeasible, Simplex.Infeasible -> true
-        | Simplex.Unbounded, Simplex.Unbounded -> true
-        | Simplex.Optimal, Simplex.Optimal ->
-          abs_float (a.Simplex.objective -. b.Simplex.objective)
-          < 1e-6 *. (1.0 +. abs_float a.Simplex.objective)
-        | _ -> false
-      end)
-
 let suite =
   [
     Alcotest.test_case "textbook max" `Quick test_textbook_max;
@@ -600,11 +513,6 @@ let suite =
     Alcotest.test_case "model validation" `Quick test_model_rejects_bad_data;
     Alcotest.test_case "duplicate terms merged" `Quick test_duplicate_terms_merged;
     Alcotest.test_case "lp format export" `Quick test_lp_format_export;
-    Alcotest.test_case "presolve singleton rows" `Quick test_presolve_singleton_rows;
-    Alcotest.test_case "presolve infeasible" `Quick test_presolve_detects_infeasible;
-    Alcotest.test_case "presolve redundant rows" `Quick test_presolve_drops_redundant_rows;
-    Alcotest.test_case "presolve integer rounding" `Quick test_presolve_integer_rounding;
-    QCheck_alcotest.to_alcotest prop_presolve_preserves_optimum;
     QCheck_alcotest.to_alcotest prop_fractional_knapsack;
     QCheck_alcotest.to_alcotest prop_duality_certificates;
     QCheck_alcotest.to_alcotest prop_certificates_both_directions;

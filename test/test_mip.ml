@@ -45,12 +45,23 @@ let test_integer_rounding_is_not_enough () =
   check_float "obj" 3.0 r.objective
 
 let test_infeasible_integer () =
-  (* 2x = 1 has no integer solution *)
+  let check m =
+    let r = Mip.solve m in
+    check_status Mip.Infeasible r.status;
+    Alcotest.(check bool) "bound = +inf" true (r.Mip.bound = infinity)
+  in
+  (* 2x = 1 has no integer solution: the root LP is feasible and
+     branching closes both children *)
   let m = Model.create Model.Minimize in
   let x = Model.add_var m ~obj:1.0 ~ub:10.0 Model.Integer in
   Model.add_constr m [ (2.0, x) ] Model.Eq 1.0;
-  let r = Mip.solve m in
-  check_status Mip.Infeasible r.status
+  check m;
+  (* x <= 2 and x >= 5 contradict each other: the root LP is
+     infeasible *)
+  let m = Model.create Model.Minimize in
+  let x = Model.add_var m ~ub:2.0 ~obj:1.0 Model.Integer in
+  Model.add_constr m [ (1.0, x) ] Model.Ge 5.0;
+  check m
 
 let test_unbounded_integer () =
   let m = Model.create Model.Maximize in

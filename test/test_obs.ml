@@ -341,12 +341,11 @@ let test_trace_lines_parse () =
         emit
           (Event.Flow_augmentation
              { amount = 1.0; path_cost = 3.0; routed = 1.0; sampled_of = 1 });
-        emit (Event.Presolve_reduction { rows_dropped = 2; bounds_tightened = 1; fixed_vars = 0 });
         (* quotes, newline, backslash and a control byte in a string
            field must be escaped into one valid line *)
         emit (Event.Recovery { stage = "escape"; detail = hostile }))
   in
-  Alcotest.(check int) "one line per event" 9 (List.length lines);
+  Alcotest.(check int) "one line per event" 8 (List.length lines);
   List.iter
     (fun line ->
       let fields = parse_json line in
@@ -360,7 +359,7 @@ let test_trace_lines_parse () =
   Alcotest.(check string) "nan -> null" "null"
     (List.assoc "bound" (parse_json pruned));
   (* and the hostile string reads back verbatim *)
-  match Json.parse (List.nth lines 8) with
+  match Json.parse (List.nth lines 7) with
   | Ok j -> (
     match Event.of_json j with
     | Some { Event.event = Event.Recovery { detail; _ }; _ } ->

@@ -109,7 +109,6 @@ let test_reader_typed_decode () =
               { amount = 1.0; path_cost = 3.0; routed = 1.0; sampled_of = 1 };
             Reader.Flow_solve
               { algo = "netsimplex"; pivots = 42; warm = true; status = "optimal" };
-            Reader.Presolve_reduction { rows_dropped = 2; bounds_tightened = 1; fixed_vars = 0 };
           ])
   in
   let r = Reader.read_string s in
@@ -128,7 +127,6 @@ let test_reader_typed_decode () =
    Reader.Flow_augmentation { amount = 1.0; path_cost = 3.0; routed = 1.0; sampled_of = 1 };
    Reader.Flow_solve
      { algo = "netsimplex"; pivots = 42; warm = true; status = "optimal" };
-   Reader.Presolve_reduction { rows_dropped = 2; bounds_tightened = 1; fixed_vars = 0 };
   ] ->
     ()
   | evs ->
@@ -150,19 +148,18 @@ let tag = function
   | Flow_augmentation _ -> 8
   | Flow_pivots _ -> 9
   | Flow_solve _ -> 10
-  | Presolve_reduction _ -> 11
-  | Ladder_descent _ -> 12
-  | Recovery _ -> 13
-  | Deadline_hit _ -> 14
-  | Chaos_inject _ -> 15
-  | Stack_sample _ -> 16
-  | Run_info _ -> 17
-  | Checkpoint_write _ -> 18
-  | Checkpoint_resume _ -> 19
-  | Worker_failure _ -> 20
-  | Preempt_stop _ -> 21
-  | Server_shutdown _ -> 22
-  | Unknown _ -> 23
+  | Ladder_descent _ -> 11
+  | Recovery _ -> 12
+  | Deadline_hit _ -> 13
+  | Chaos_inject _ -> 14
+  | Stack_sample _ -> 15
+  | Run_info _ -> 16
+  | Checkpoint_write _ -> 17
+  | Checkpoint_resume _ -> 18
+  | Worker_failure _ -> 19
+  | Preempt_stop _ -> 20
+  | Server_shutdown _ -> 21
+  | Unknown _ -> 22
 
 let every_event =
   let gc =
@@ -188,7 +185,6 @@ let every_event =
     Flow_augmentation { amount = 2.0; path_cost = 7.0; routed = 4.0; sampled_of = 8 };
     Flow_pivots { algo = "netsimplex"; pivots = 128; objective = -3.0; sampled_of = 1 };
     Flow_solve { algo = "ssp"; pivots = 0; warm = false; status = "infeasible" };
-    Presolve_reduction { rows_dropped = 3; bounds_tightened = 2; fixed_vars = 1 };
     Ladder_descent { solver = "ppm"; from_rung = "mip_optimal"; to_rung = "lp_rounding"; reason = "deadline" };
     Recovery { stage = "simplex"; detail = "cold restart" };
     Deadline_hit { phase = "mip"; elapsed = 1.5; budget = Some 1.0 };
@@ -228,7 +224,7 @@ let every_event =
 
 let test_event_codec_round_trip () =
   Alcotest.(check (list int))
-    "every constructor sampled" (List.init 24 Fun.id)
+    "every constructor sampled" (List.init 23 Fun.id)
     (List.sort_uniq compare (List.map tag every_event));
   List.iter
     (fun e ->

@@ -2,7 +2,7 @@
    chaos-seeded degradation ladder (deterministic per seed, feasible
    on every rung, greedy within its Theorem 1 guarantee), located
    parse errors, and the 0.2s wall-clock regression for the deadline
-   threading through presolve and simplex. *)
+   threading through branch and bound and simplex. *)
 
 module Instance = Monpos.Instance
 module Passive = Monpos.Passive
@@ -61,11 +61,10 @@ let test_deadline_basics () =
 
 (* The acceptance bar for the deadline threading: a 0.2s budget on the
    largest seed MIP (pop15, 71 links, 1980 traffics) must return
-   within 2x the budget. Before the deadline reached presolve's
-   probing loops this took 6.6s. The fixed 0.5s on top of the
-   proportional bound absorbs scheduler noise on loaded CI runners —
-   the regressions this guards against (unbounded LP rungs, unpolled
-   probing loops) overshoot by seconds, not tenths. The ladder always
+   within 2x the budget. The fixed 0.5s on top of the proportional
+   bound absorbs scheduler noise on loaded CI runners — the
+   regressions this guards against (unbounded LP rungs, unpolled
+   solver loops) overshoot by seconds, not tenths. The ladder always
    answers, so this also checks the degraded result is a real
    cover. *)
 let test_deadline_wall_clock () =
