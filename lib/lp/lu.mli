@@ -9,6 +9,14 @@
     stability for the very sparse, network-structured bases produced
     by the paper's PPM/PPME/MECF programs.
 
+    Cost: a factorization runs in O(nnz(B) + fill) plus a small bitset
+    term. The shortest active columns come from per-count bitset
+    buckets; all elimination scratch lives in one workspace per domain
+    that grows with [m] and is reused by every call, so a
+    factorization allocates only its output arrays (L and U stored
+    flat). The pivot sequence depends only on the basis, never on what
+    the workspace factored before.
+
     Index spaces: the basis [B] is [m x m]; its {e rows} are the LP's
     constraint rows and its {e columns} are basis positions (position
     [r] holds the column of the [r]-th basic variable). {!ftran} maps
@@ -37,7 +45,8 @@ val factor : m:int -> col:(int -> (int -> float -> unit) -> unit) -> t
 (** [factor ~m ~col] factorizes the [m x m] basis whose position-[r]
     column's nonzeros are enumerated by [col r f] (calling [f row
     value]; entries with [value = 0.] are ignored). Raises
-    {!Singular} when no acceptable pivot remains. *)
+    {!Singular} when no acceptable pivot remains. [col] must not call
+    [factor] itself: the domain's workspace is in use while it runs. *)
 
 val ftran : t -> rhs:Sparse_vec.t -> into:Sparse_vec.t -> unit
 (** Solve [B x = rhs] with [rhs] indexed by constraint rows, leaving

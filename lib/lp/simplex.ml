@@ -10,9 +10,9 @@
    Basis: a Markowitz LU factorization plus a product-form eta file
    ({!Lu}); FTRAN/BTRAN and the dual phase's row extraction run on
    sparse, indexed work vectors, so a pivot costs O(nonzeros) and a
-   refactorization O(fill). Refactorization is adaptive: the basis is
-   refactorized when the eta file outgrows the factorization (eta
-   count or accumulated fill).
+   refactorization O(nonzeros + fill). Refactorization is adaptive:
+   the basis is refactorized when the eta file outgrows the
+   factorization (eta count or accumulated fill).
 
    Warm starts: [solve ?basis] installs a caller-supplied basic set
    (typically the parent branch-and-bound node's optimal basis)
@@ -257,11 +257,31 @@ let load_phase_costs st ~phase1 =
     if c <> 0.0 then Sparse_vec.set st.work r c
   done
 
+(* d_j = c_j - y.A_j, summed in column order; the slack of row r is
+   the unit column e_r *)
 let reduced_cost st j cost_j =
   let yv = Sparse_vec.raw st.y in
-  let acc = ref cost_j in
-  col_iter st j (fun i a -> acc := !acc -. (yv.(i) *. a));
-  !acc
+  if j < st.p.n then begin
+    let c = st.p.cols.(j) in
+    let acc = ref cost_j in
+    for k = 0 to Array.length c.rows - 1 do
+      acc := !acc -. (yv.(c.rows.(k)) *. c.coefs.(k))
+    done;
+    !acc
+  end
+  else cost_j -. yv.(j - st.p.n)
+
+(* rho.A_j, the dual phase's pivot row entry, summed in column order *)
+let row_alpha st rv j =
+  if j < st.p.n then begin
+    let c = st.p.cols.(j) in
+    let acc = ref 0.0 in
+    for k = 0 to Array.length c.rows - 1 do
+      acc := !acc +. (rv.(c.rows.(k)) *. c.coefs.(k))
+    done;
+    !acc
+  end
+  else rv.(j - st.p.n)
 
 (* Recompute basic variable values from nonbasic values. *)
 let recompute_basics st =
@@ -663,11 +683,6 @@ let run_dual_phase st ~max_iterations =
         lu_btran st;
         lu_row st r;
         let rv = Sparse_vec.raw st.rho in
-        let alpha_of j =
-          let acc = ref 0.0 in
-          col_iter st j (fun i a -> acc := !acc +. (rv.(i) *. a));
-          !acc
-        in
         let best = ref (-1) in
         let best_ratio = ref infinity in
         let best_piv = ref 0.0 in
@@ -676,7 +691,7 @@ let run_dual_phase st ~max_iterations =
           | Basic -> ()
           | (At_lower | At_upper | Free_nb) as vs ->
             if vs = Free_nb || st.ub.(j) -. st.lb.(j) > zero_tol then begin
-              let a = alpha_of j in
+              let a = row_alpha st rv j in
               if abs_float a > piv_tol then begin
                 let eligible =
                   match vs with
@@ -827,21 +842,22 @@ let solve ?max_iterations ?lower ?upper ?basis ?(deadline = Deadline.none) p =
          singular; it also recomputes the basics *)
       if m > 0 then refactorize st else recompute_basics st
     in
-    reset_to_slack_basis ();
     (* Warm start: install the caller's basis and decide whether the
        dual simplex may run. Any failure (wrong shape, singular
-       columns) falls back to the cold slack basis just built. *)
+       columns) falls back to the cold slack basis, which is only
+       built when no warm basis is installed. *)
     let warm_dual = ref false in
-    let warm_installed = ref false in
-    (match basis with
-    | Some bas when m > 0 && basis_well_formed st bas -> (
-      match install_basis st bas with
-      | () ->
-        warm_installed := true;
-        warm_dual := prepare_warm_nonbasics st
-      | exception Singular_basis -> reset_to_slack_basis ())
-    | _ -> ());
-    if !warm_installed then begin
+    let warm_installed =
+      match basis with
+      | Some bas when m > 0 && basis_well_formed st bas -> (
+        match install_basis st bas with
+        | () ->
+          warm_dual := prepare_warm_nonbasics st;
+          true
+        | exception Singular_basis -> false)
+      | _ -> false
+    in
+    if warm_installed then begin
       Metrics.incr (Lazy.force m_warm_starts);
       if not !warm_dual then begin
         let sink = Trace.current () in
@@ -851,7 +867,8 @@ let solve ?max_iterations ?lower ?upper ?basis ?(deadline = Deadline.none) p =
                { dual_feasible = false; iterations = 0; kernel = kernel_name;
                  outcome = "primal_fallback" })
       end
-    end;
+    end
+    else reset_to_slack_basis ();
     let dual_iters = ref 0 in
     let finish status =
       (* multipliers for the true objective at the final basis *)

@@ -282,6 +282,134 @@ let test_singular () =
         case kind m
   done
 
+(* ---- workspace reuse ------------------------------------------- *)
+
+(* Equal-magnitude unit columns, half of them with one more +-1 entry
+   above the diagonal: most columns are singletons or doubletons of the
+   same count and the same |a|, so the pivot order rests on the
+   Markowitz tie rules alone. Unit upper triangular, hence
+   nonsingular. *)
+let tie_heavy_basis rng m : basis =
+  let cols =
+    Array.init m (fun j ->
+        let c = Array.make m 0.0 in
+        c.(j) <- 1.0;
+        if j > 0 && j mod 2 = 0 then
+          c.(Prng.int rng j) <- (if Prng.bool rng then 1.0 else -1.0);
+        c)
+  in
+  permute rng cols
+
+(* The fill of the factorization, then FTRAN, BTRAN and unit-row BTRAN
+   of right-hand sides fixed by [seed] as raw float bits; the solves are
+   also checked against the residual and the dense oracle *)
+let fingerprint ~what seed (b : basis) =
+  let m = Array.length b in
+  let lu = factor b in
+  if m = 0 then []
+  else begin
+    let rng = Prng.create seed in
+    check_all ~what (Prng.create seed) lu b;
+    let into = Sparse_vec.create m in
+    let bits () =
+      Array.to_list
+        (Array.init m (fun i -> Int64.bits_of_float (Sparse_vec.get into i)))
+    in
+    Lu.ftran lu ~rhs:(to_vec (random_rhs rng m)) ~into;
+    let f = bits () in
+    Lu.btran lu ~rhs:(to_vec (random_rhs rng m)) ~into;
+    let g = bits () in
+    let r = Prng.int rng m in
+    Lu.btran lu
+      ~rhs:(to_vec (Array.init m (fun i -> if i = r then 1.0 else 0.0)))
+      ~into;
+    Int64.of_int (Lu.stats lu).factor_nnz :: (f @ g @ bits ())
+  end
+
+(* A numerically rank-deficient basis: five columns are single entries
+   below the dead-column threshold, on five rows no other column
+   touches. Elimination retires every other column and then raises
+   [Singular] with those five still counted in the pivot search. *)
+let singular_basis rng m : basis =
+  let b = mixed_scale_basis rng m in
+  let rows = Array.init m Fun.id and cols = Array.init m Fun.id in
+  Prng.shuffle rng rows;
+  Prng.shuffle rng cols;
+  for k = 0 to 4 do
+    Array.iter (fun c -> c.(rows.(k)) <- 0.0) b
+  done;
+  for k = 0 to 4 do
+    b.(cols.(k)) <- Array.init m (fun i -> if i = rows.(k) then 1e-15 else 0.0)
+  done;
+  b
+
+(* Factorizations share scratch space: a basis must factor to the same
+   bits whatever was factored before it on the same domain, including a
+   larger basis, a smaller one, an empty one and one that raised
+   [Singular] part way through elimination. *)
+let test_workspace_reuse () =
+  let rng = Prng.create ((prop_seed * 7_368_787) + 1) in
+  let bases =
+    [|
+      ("network 300", network_basis rng 300);
+      ("tie-heavy 20", tie_heavy_basis rng 20);
+      ("empty", [||]);
+      ("mixed-scale 120", mixed_scale_basis rng 120);
+      ("tie-heavy 300", tie_heavy_basis rng 300);
+      ("mixed-scale 300", mixed_scale_basis rng 300);
+    |]
+  in
+  let sing = singular_basis rng 150 in
+  let seed_of id = (prop_seed * 100) + id in
+  let first =
+    Array.mapi (fun id (what, b) -> fingerprint ~what (seed_of id) b) bases
+  in
+  let expect_singular () =
+    match factor sing with
+    | exception Lu.Singular -> ()
+    | _ -> Alcotest.fail "rank-deficient basis factorized"
+  in
+  (* m = 300, 20, 0, singular, 120, ...: growing and shrinking, and
+     mixed-scale bases, whose rounding shows any change of pivot order,
+     straight after a singular one *)
+  List.iter
+    (fun id ->
+      if id < 0 then expect_singular ()
+      else begin
+        let what, b = bases.(id) in
+        Alcotest.(check (list int64))
+          (what ^ ": same bits as its first factorization")
+          first.(id)
+          (fingerprint ~what (seed_of id) b)
+      end)
+    [ 0; 1; 2; -1; 3; 0; 4; -1; 5; 1; -1; 3; 2; 4; 0; -1; 5; 1 ];
+  (* the workspace now holds 300 rows; a row index past m is still
+     rejected *)
+  match Lu.factor ~m:20 ~col:(fun r f -> f (if r = 7 then 25 else r) 1.0) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "row index 25 accepted for m = 20"
+
+(* Each domain has its own workspace: factoring one basis family on a
+   spawned domain while this one factors another gives the sequential
+   answers on both. *)
+let test_workspace_domains () =
+  let family seed make =
+    let rng = Prng.create ((prop_seed * 9_737_333) + seed) in
+    List.init 24 (fun i ->
+        let m = 1 + Prng.int rng 200 in
+        (Printf.sprintf "family %d basis %d (m = %d)" seed i m, make rng m))
+  in
+  let a = family 1 tie_heavy_basis and b = family 2 mixed_scale_basis in
+  let run fam =
+    List.mapi (fun i (what, basis) -> fingerprint ~what (prop_seed + i) basis) fam
+  in
+  let seq_a = run a and seq_b = run b in
+  let d = Domain.spawn (fun () -> run a) in
+  let par_b = run b in
+  let par_a = Domain.join d in
+  Alcotest.(check (list (list int64))) "spawned domain matches sequential" seq_a par_a;
+  Alcotest.(check (list (list int64))) "main domain matches sequential" seq_b par_b
+
 let suite =
   [
     Alcotest.test_case
@@ -294,4 +422,12 @@ let suite =
       `Quick test_eta_updates;
     Alcotest.test_case "rank-deficient basis raises Singular" `Quick
       test_singular;
+    Alcotest.test_case
+      (Printf.sprintf "reused workspace factors bit-identically (seed %d)"
+         prop_seed)
+      `Quick test_workspace_reuse;
+    Alcotest.test_case
+      (Printf.sprintf "per-domain workspaces match sequential (seed %d)"
+         prop_seed)
+      `Quick test_workspace_domains;
   ]

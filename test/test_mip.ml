@@ -463,6 +463,47 @@ let test_warm_start_determinism () =
     [ ("cold", cold); ("warm", warm) ]
 
 (* ------------------------------------------------------------------ *)
+(* a pinned Linear program 2 search tree                               *)
+
+(* The node LPs' pivot sequence is a function of the LU's pivot
+   choices: a factorization change that alters one Markowitz tie can
+   change the simplex path, hence the branching and the tree, while
+   every objective stays the same. Pin one small branching LP2 solve
+   (Pop10 seed 1, traffic seed 131) by its node count and its primal
+   and dual pivot counts, read as deltas of the [mip.nodes] and
+   [simplex.iterations{phase}] counters. One job and chaos suppressed:
+   the pin is of the fault-free tree. *)
+let test_lp2_tree_pinned () =
+  let module Metrics = Monpos_obs.Metrics in
+  let module Chaos = Monpos_resilience.Chaos in
+  let counter ?labels name = Metrics.counter ?labels Metrics.default name in
+  let nodes = counter "mip.nodes" in
+  let primal = counter ~labels:[ ("phase", "primal") ] "simplex.iterations" in
+  let dual = counter ~labels:[ ("phase", "dual") ] "simplex.iterations" in
+  let inst = Instance.of_pop (Pop.make_preset `Pop10 ~seed:1) ~seed:131 in
+  let options = { Mip.default_options with Mip.jobs = 1 } in
+  List.iter
+    (fun (k, devices, want_nodes, want_primal, want_dual) ->
+      let read () =
+        ( Metrics.counter_value nodes,
+          Metrics.counter_value primal,
+          Metrics.counter_value dual )
+      in
+      let n0, p0, d0 = read () in
+      let sol =
+        Chaos.suppress (fun () ->
+            Passive.solve_mip ~k ~formulation:`Lp2 ~options inst)
+      in
+      let n1, p1, d1 = read () in
+      let name what = Printf.sprintf "k=%.2f %s" k what in
+      Alcotest.(check bool) (name "optimal") true sol.Passive.optimal;
+      Alcotest.(check int) (name "devices") devices sol.Passive.count;
+      Alcotest.(check int) (name "nodes") want_nodes (n1 - n0);
+      Alcotest.(check int) (name "primal pivots") want_primal (p1 - p0);
+      Alcotest.(check int) (name "dual pivots") want_dual (d1 - d0))
+    [ (0.9, 6, 3, 453, 223); (0.95, 7, 121, 418, 3714) ]
+
+(* ------------------------------------------------------------------ *)
 (* loosened integrality tolerance (pseudocost denominator clamp)       *)
 
 (* With the default tolerance the fractional part recorded at a branch
@@ -557,4 +598,6 @@ let suite =
       test_covering_matches_brute_force;
     QCheck_alcotest.to_alcotest prop_branching_rules_agree;
     QCheck_alcotest.to_alcotest prop_solution_is_feasible;
+    Alcotest.test_case "LP2 search tree pinned (Pop10 seed 1)" `Quick
+      test_lp2_tree_pinned;
   ]
