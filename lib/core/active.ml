@@ -132,9 +132,6 @@ type placement = {
   method_name : string;
 }
 
-let probes_covering probes v =
-  List.filter (fun p -> p.endpoint_a = v || p.endpoint_b = v) probes
-
 let mk_placement ~optimal ~method_name beacons =
   { beacons = List.sort_uniq compare beacons; optimal; method_name }
 
@@ -145,6 +142,9 @@ let mk_placement ~optimal ~method_name beacons =
    probe computation produced, with no look-ahead. *)
 let place_thiran probes ~candidates =
   ignore candidates;
+  let probes_covering v =
+    List.filter (fun p -> p.endpoint_a = v || p.endpoint_b = v) probes
+  in
   let covered = Hashtbl.create 64 in
   let is_covered p = Hashtbl.mem covered (p.endpoint_a, p.endpoint_b) in
   let beacons = ref [] in
@@ -155,48 +155,17 @@ let place_thiran probes ~candidates =
         beacons := beacon :: !beacons;
         List.iter
           (fun q -> Hashtbl.replace covered (q.endpoint_a, q.endpoint_b) ())
-          (probes_covering probes beacon)
+          (probes_covering beacon)
       end)
     probes;
   mk_placement ~optimal:false ~method_name:"thiran" !beacons
 
-let place_greedy probes ~candidates =
-  let covered = Hashtbl.create 64 in
-  let is_covered p = Hashtbl.mem covered (p.endpoint_a, p.endpoint_b) in
-  let total = List.length probes in
-  let ncovered = ref 0 in
-  let beacons = ref [] in
-  while !ncovered < total do
-    let best, best_gain =
-      List.fold_left
-        (fun (bc, bg) c ->
-          let gx =
-            List.length
-              (List.filter (fun p -> not (is_covered p)) (probes_covering probes c))
-          in
-          if gx > bg then (Some c, gx) else (bc, bg))
-        (None, 0) candidates
-    in
-    match best with
-    | Some c when best_gain > 0 ->
-      beacons := c :: !beacons;
-      List.iter
-        (fun p ->
-          if not (is_covered p) then begin
-            Hashtbl.replace covered (p.endpoint_a, p.endpoint_b) ();
-            incr ncovered
-          end)
-        (probes_covering probes c)
-    | _ ->
-      Monpos_resilience.Error.infeasible
-        "Active.place_greedy: some probe has no candidate extremity"
-  done;
-  mk_placement ~optimal:false ~method_name:"greedy" !beacons
-
-(* The §6 ILP is a set cover: one set per candidate (ascending), one
-   item per probe, and a candidate's set holds the probes it can send.
-   [Cover]'s exact branch and bound answers it. *)
-let place_ilp ?(options = Mip.default_options) probes ~candidates =
+(* The §6 set system that both placements below run on: one set per
+   candidate (ascending), one item per probe, and a candidate's set
+   holds the probes it can send. Returns the candidates in set order
+   with the instance; [fn] names the caller in the error for a probe
+   that no candidate can send. *)
+let beacon_cover ~fn probes ~candidates =
   let cands = Array.of_list (List.sort_uniq compare candidates) in
   let set_of = Hashtbl.create 16 in
   Array.iteri (fun j c -> Hashtbl.replace set_of c j) cands;
@@ -209,10 +178,20 @@ let place_ilp ?(options = Mip.default_options) probes ~candidates =
       with
       | [] ->
         Monpos_resilience.Error.infeasible
-          "Active.place_ilp: probe with no candidate extremity"
+          (fn ^ ": probe with no candidate extremity")
       | owners -> List.iter (fun j -> sets.(j) <- i :: sets.(j)) owners)
     probes;
-  let inst = Cover.make ~num_items:(List.length probes) (Array.map List.rev sets) in
+  (cands, Cover.make ~num_items:(List.length probes) (Array.map List.rev sets))
+
+(* The greedy picks the candidate sending the most unsent probes; ties
+   go to the smallest set index, so to the lowest candidate id. *)
+let place_greedy probes ~candidates =
+  let cands, inst = beacon_cover ~fn:"Active.place_greedy" probes ~candidates in
+  mk_placement ~optimal:false ~method_name:"greedy"
+    (List.map (fun j -> cands.(j)) (Cover.greedy inst))
+
+let place_ilp ?(options = Mip.default_options) probes ~candidates =
+  let cands, inst = beacon_cover ~fn:"Active.place_ilp" probes ~candidates in
   let r = Cover.exact_detailed ~node_limit:options.Mip.max_nodes inst in
   mk_placement ~optimal:r.Cover.proven_optimal ~method_name:"ilp"
     (List.map (fun j -> cands.(j)) r.Cover.chosen)

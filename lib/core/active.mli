@@ -12,8 +12,10 @@
     The placement phase is the paper's contribution: a 0–1 ILP
     (vertex-cover style) and a max-coverage greedy, both compared
     against the original algorithm of [15] (beacons picked in
-    arbitrary order). The ILP runs on the exact set-cover branch and
-    bound that also solves §4.2's PPM(k). *)
+    arbitrary order). The greedy and the ILP run on one set system
+    (a candidate covers the probes it can send), through the greedy
+    and the exact branch and bound of {!Monpos_cover.Cover} that also
+    solve §4.2's PPM(k). *)
 
 type probe = {
   endpoint_a : Monpos_graph.Graph.node;
@@ -60,7 +62,12 @@ val place_thiran : probe list -> candidates:Monpos_graph.Graph.node list -> plac
 
 val place_greedy : probe list -> candidates:Monpos_graph.Graph.node list -> placement
 (** The paper's greedy: always pick the candidate able to send the
-    most not-yet-covered probes. *)
+    most not-yet-covered probes, the lowest candidate id on ties. Runs
+    {!Monpos_cover.Cover.greedy} on the set system {!place_ilp} solves,
+    so each pick counts in [greedy.picks] and emits a [greedy_pick]
+    trace event. Raises
+    [Monpos_resilience.Error.Error (Infeasible_model _)] if some probe
+    has no candidate extremity. *)
 
 val place_ilp :
   ?options:Monpos_lp.Mip.options ->
@@ -82,11 +89,6 @@ val validate :
   candidates:Monpos_graph.Graph.node list ->
   bool
 (** Every probe has a beacon extremity, and beacons ⊆ candidates. *)
-
-val probes_covering :
-  probe list -> Monpos_graph.Graph.node -> probe list
-(** Probes that the given node can send (it is one of the
-    extremities). *)
 
 type traffic_overhead = {
   messages : int;  (** probes emitted per measurement round *)

@@ -211,41 +211,37 @@ let solve_mip ?(k = 1.0) ?(formulation = `Lp2) ?options inst =
   let name = match formulation with `Lp2 -> "mip-lp2" | `Lp1 -> "mip-lp1" in
   mk_solution inst ~optimal ~method_name:name (extract_monitors xvar x)
 
-let lp_bound ?(k = 1.0) ?deadline inst =
-  Span.run "passive.lp_bound" @@ fun () ->
-  (* check before building: constructing LP2 for a large instance is
-     itself a visible fraction of a small budget *)
-  Option.iter (Deadline.check ~phase:"Passive.lp_bound") deadline;
-  let m, _ = build_lp2 ~k ~maximize_coverage:false inst in
+(* The LP2 relaxation at [k], solved to optimality for the phase
+   [Passive.<phase>], or the typed error its status calls for. The
+   deadline is checked before building: constructing LP2 for a large
+   instance is itself a visible fraction of a small budget. *)
+let solve_lp2_relaxation ~phase ~k ?deadline inst =
+  let fn = "Passive." ^ phase in
+  Option.iter (Deadline.check ~phase:fn) deadline;
+  let m, xvar = build_lp2 ~k ~maximize_coverage:false inst in
   let sol = Simplex.solve_model ?deadline m in
   match sol.Simplex.status with
-  | Simplex.Optimal -> sol.Simplex.objective
+  | Simplex.Optimal -> (sol, xvar)
   | Simplex.Infeasible ->
-    Error.infeasible "Passive.lp_bound: no fractional placement reaches k"
+    Error.infeasible (fn ^ ": no fractional placement reaches k")
   | Simplex.Deadline_reached ->
-    Error.deadline_exceeded ~phase:"Passive.lp_bound"
+    Error.deadline_exceeded ~phase:fn
       ~elapsed:
         (match deadline with None -> 0.0 | Some d -> Deadline.elapsed d)
   | _ ->
-    Error.numerical ~stage:"passive.lp_bound" ~detail:"relaxation not solved"
+    Error.numerical ~stage:("passive." ^ phase)
+      ~detail:"relaxation not solved"
+
+let lp_bound ?(k = 1.0) ?deadline inst =
+  Span.run "passive.lp_bound" @@ fun () ->
+  let sol, _ = solve_lp2_relaxation ~phase:"lp_bound" ~k ?deadline inst in
+  sol.Simplex.objective
 
 let randomized_rounding ?(k = 1.0) ?(trials = 32) ?(seed = 1) ?deadline inst =
   Span.run "passive.randomized_rounding" @@ fun () ->
-  Option.iter (Deadline.check ~phase:"Passive.randomized_rounding") deadline;
-  let m, xvar = build_lp2 ~k ~maximize_coverage:false inst in
-  let sol = Simplex.solve_model ?deadline m in
-  (match sol.Simplex.status with
-  | Simplex.Optimal -> ()
-  | Simplex.Infeasible ->
-    Error.infeasible
-      "Passive.randomized_rounding: no fractional placement reaches k"
-  | Simplex.Deadline_reached ->
-    Error.deadline_exceeded ~phase:"Passive.randomized_rounding"
-      ~elapsed:
-        (match deadline with None -> 0.0 | Some d -> Deadline.elapsed d)
-  | _ ->
-    Error.numerical ~stage:"passive.randomized_rounding"
-      ~detail:"relaxation not solved");
+  let sol, xvar =
+    solve_lp2_relaxation ~phase:"randomized_rounding" ~k ?deadline inst
+  in
   let fractional =
     Hashtbl.fold
       (fun e v acc -> (e, sol.Simplex.primal.(Model.var_index v)) :: acc)

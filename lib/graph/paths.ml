@@ -1,12 +1,5 @@
 type path = { nodes : Graph.node list; edges : Graph.edge list; cost : float }
 
-let path_contains_edge p e = List.mem e p.edges
-
-let pp_path g ppf p =
-  Format.fprintf ppf "%s (cost %g)"
-    (String.concat " -> " (List.map (Graph.label g) p.nodes))
-    p.cost
-
 let bfs_distances g s =
   let n = Graph.num_nodes g in
   let dist = Array.make n (-1) in

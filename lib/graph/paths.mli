@@ -13,12 +13,6 @@ type path = {
   cost : float;  (** sum of edge weights *)
 }
 
-val path_contains_edge : path -> Graph.edge -> bool
-(** Membership of an edge in the path. *)
-
-val pp_path : Graph.t -> Format.formatter -> path -> unit
-(** Renders "a -> b -> c (cost w)". *)
-
 val bfs_distances : Graph.t -> Graph.node -> int array
 (** Hop distance from the source to every node; [-1] when
     unreachable. *)

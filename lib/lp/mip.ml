@@ -1325,17 +1325,24 @@ let solve_gen ~options ~(restore : saved option) model =
       Printf.eprintf "[mip] deadline hit after %.3fs (budget %.3fs)\n%!"
         (Deadline.elapsed deadline) budget
   end;
-  {
-    status;
-    objective =
-      (match inc with Some c -> of_score c.Incumbent.score | None -> nan);
-    solution = (match inc with Some c -> Some c.Incumbent.x | None -> None);
-    bound = of_score bound_score;
-    nodes = !nodes;
-    gap = (if status = Optimal then 0.0 else gap);
-    deadline_hit = !deadline_stop;
-    preempted = !preempted;
-  }
+  let result =
+    {
+      status;
+      objective =
+        (match inc with Some c -> of_score c.Incumbent.score | None -> nan);
+      solution = (match inc with Some c -> Some c.Incumbent.x | None -> None);
+      bound = of_score bound_score;
+      nodes = !nodes;
+      gap = (if status = Optimal then 0.0 else gap);
+      deadline_hit = !deadline_stop;
+      preempted = !preempted;
+    }
+  in
+  (* the watermarks end on the answer, not on the last expanded node *)
+  Metrics.set (Lazy.force m_g_incumbent) result.objective;
+  Metrics.set (Lazy.force m_g_bound) result.bound;
+  Metrics.set (Lazy.force m_g_gap) result.gap;
+  result
 
 let solve ?(options = default_options) model =
   check_deterministic ~fn:"Mip.solve" options;

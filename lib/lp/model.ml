@@ -122,10 +122,6 @@ let add_constr m ?name terms sense rhs =
 
 let check_var m v = assert (0 <= v && v < m.nvars)
 
-let set_obj m v c =
-  check_var m v;
-  m.v_obj.(v) <- c
-
 let set_bounds m v ~lb ~ub =
   check_var m v;
   assert (lb <= ub);
@@ -178,10 +174,6 @@ let constr m i =
   a.(i)
 
 let constr_terms m i = (constr m i).c_terms
-
-let constr_sense m i = (constr m i).c_sense
-
-let constr_rhs m i = (constr m i).c_rhs
 
 let constr_name m i = (constr m i).c_name
 

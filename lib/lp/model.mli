@@ -45,12 +45,6 @@ val add_constr : t -> ?name:string -> (float * var) list -> sense -> float -> un
     [sum terms sense rhs]. Duplicate variables in [terms] are summed.
     Zero coefficients are dropped. *)
 
-val set_obj : t -> var -> float -> unit
-(** Overwrite a variable's objective coefficient. *)
-
-val set_bounds : t -> var -> lb:float -> ub:float -> unit
-(** Overwrite a variable's bounds. Requires [lb <= ub]. *)
-
 val fix : t -> var -> float -> unit
 (** [fix m v x] pins [v] to the single value [x]. *)
 
@@ -84,12 +78,6 @@ val var_kind : t -> var -> var_kind
 val constr_terms : t -> int -> (float * int) list
 (** Terms of constraint [i] as (coefficient, variable index) pairs,
     deduplicated, in increasing variable order. *)
-
-val constr_sense : t -> int -> sense
-(** Sense of constraint [i]. *)
-
-val constr_rhs : t -> int -> float
-(** Right-hand side of constraint [i]. *)
 
 val constr_name : t -> int -> string
 (** Display name of constraint [i]. *)

@@ -62,9 +62,6 @@ val routers : t -> Monpos_graph.Graph.node list
 val endpoints : t -> Monpos_graph.Graph.node list
 (** Customer and peer endpoints, in id order. *)
 
-val is_router : t -> Monpos_graph.Graph.node -> bool
-(** Whether the node is a (backbone or access) router. *)
-
 val num_routers : t -> int
 (** Router count (the paper's "POP with n routers"). *)
 

@@ -38,11 +38,6 @@ let pareto g ~alpha ~xmin =
   let u = 1.0 -. float g 1.0 in
   xmin /. (u ** (1.0 /. alpha))
 
-let exponential g ~mean =
-  assert (mean > 0.);
-  let u = 1.0 -. float g 1.0 in
-  -.mean *. log u
-
 let shuffle g a =
   for i = Array.length a - 1 downto 1 do
     let j = int g (i + 1) in

@@ -38,10 +38,6 @@ val pareto : t -> alpha:float -> xmin:float -> float
     used for heavy-tailed traffic volumes. Requires [alpha > 0.] and
     [xmin > 0.]. *)
 
-val exponential : t -> mean:float -> float
-(** [exponential g ~mean] samples an exponential variate with the given
-    mean. Requires [mean > 0.]. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 

@@ -72,5 +72,3 @@ let minimum xs =
 let maximum xs =
   assert (Array.length xs > 0);
   Array.fold_left max xs.(0) xs
-
-let mean_int xs = mean (Array.map float_of_int xs)

@@ -29,6 +29,3 @@ val maximum : float array -> float
 
 val sum : float array -> float
 (** Kahan-compensated sum. *)
-
-val mean_int : int array -> float
-(** Mean of integers; 0. on the empty array. *)

@@ -1,11 +1,15 @@
-(* The §6 beacon ILP as a 0-1 program for [Mip]: one binary y_c per
-   candidate, minimise Σ y_c subject to y_φu + y_φv >= 1 per probe
-   (terms only for extremities in the candidate set).
+(* Reference forms of the §6 beacon placements, outside [Cover].
 
+   [place] is the beacon ILP as a 0-1 program for [Mip]: one binary y_c
+   per candidate, minimise Σ y_c subject to y_φu + y_φv >= 1 per probe
+   (terms only for extremities in the candidate set).
    [Active.place_ilp] answers the same program with the set-cover
    branch and bound; this formulation is its differential oracle, and a
    small real-world model for the Mip warm-start, jobs-invariance and
-   checkpoint tests. *)
+   checkpoint tests.
+
+   [greedy] is the max-coverage greedy written directly over probes,
+   the oracle for [Active.place_greedy], which runs [Cover.greedy]. *)
 
 module Active = Monpos.Active
 module Model = Monpos_lp.Model
@@ -41,4 +45,50 @@ let place ?options probes ~candidates =
     Active.beacons = List.sort compare beacons;
     optimal;
     method_name = "ilp-mip";
+  }
+
+let probes_covering probes v =
+  List.filter
+    (fun (p : Active.probe) -> p.Active.endpoint_a = v || p.Active.endpoint_b = v)
+    probes
+
+(* Walk [candidates] in the given order; a later candidate must send
+   strictly more unsent probes to displace the best so far. *)
+let greedy probes ~candidates =
+  let covered = Hashtbl.create 64 in
+  let is_covered (p : Active.probe) =
+    Hashtbl.mem covered (p.Active.endpoint_a, p.Active.endpoint_b)
+  in
+  let total = List.length probes in
+  let ncovered = ref 0 in
+  let beacons = ref [] in
+  while !ncovered < total do
+    let best, best_gain =
+      List.fold_left
+        (fun (bc, bg) c ->
+          let gx =
+            List.length
+              (List.filter (fun p -> not (is_covered p)) (probes_covering probes c))
+          in
+          if gx > bg then (Some c, gx) else (bc, bg))
+        (None, 0) candidates
+    in
+    match best with
+    | Some c when best_gain > 0 ->
+      beacons := c :: !beacons;
+      List.iter
+        (fun (p : Active.probe) ->
+          if not (is_covered p) then begin
+            Hashtbl.replace covered (p.Active.endpoint_a, p.Active.endpoint_b) ();
+            incr ncovered
+          end)
+        (probes_covering probes c)
+    | _ ->
+      Monpos_resilience.Error.infeasible
+        "Beacon_oracle.greedy: some probe has no candidate extremity"
+  done;
+  {
+    Active.beacons = List.sort_uniq compare !beacons;
+    optimal = false;
+    method_name = "greedy";
   }

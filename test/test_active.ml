@@ -129,17 +129,16 @@ let test_overhead_accounting () =
         (List.mem b ilp.Active.beacons))
     cost.Active.per_beacon
 
-(* The set-cover engine against the beacon ILP solved as a 0-1 MIP, on
-   fig9's candidate draws: Pop15 seeds 1..10, |V_B| = 1..15, probes
-   towards the candidates as in Scenario.active_sweep. Among equal-size
-   optima the two engines may pick different beacons, so the contract
-   is the count, the proof and validity. *)
-let test_ilp_matches_mip_oracle () =
-  let placements = ref 0 in
+(* fig9-fig11's candidate draws as in Scenario.active_sweep: for each
+   seed and each |V_B| = 1..|routers|, a seeded shuffle of the routers
+   gives the candidates and the probes go towards them. Calls [f] on
+   every draw with a non-empty probe set and returns how many it saw. *)
+let iter_fig_draws (preset, name) ~seeds f =
+  let draws = ref 0 in
   List.iter
     (fun seed ->
-      let pop = Pop.make_preset `Pop15 ~seed in
-      for vb_size = 1 to 15 do
+      let pop = Pop.make_preset preset ~seed in
+      for vb_size = 1 to Pop.num_routers pop do
         let routers = Array.of_list (Pop.routers pop) in
         Prng.shuffle (Prng.create ((seed * 104729) + vb_size)) routers;
         let candidates =
@@ -149,35 +148,92 @@ let test_ilp_matches_mip_oracle () =
           Active.compute_probes ~targets:candidates pop.Pop.graph ~candidates
         in
         if probes <> [] then begin
-          incr placements;
-          let what = Printf.sprintf "seed %d, |V_B| %d" seed vb_size in
-          let ilp = Active.place_ilp probes ~candidates in
-          let mip = Beacon_oracle.place probes ~candidates in
-          Alcotest.(check int) (what ^ ": count")
-            (List.length mip.Active.beacons)
-            (List.length ilp.Active.beacons);
-          Alcotest.(check bool) (what ^ ": both proven") true
-            (ilp.Active.optimal && mip.Active.optimal);
-          List.iter
-            (fun (p : Active.placement) ->
-              Alcotest.(check bool) (what ^ ": valid") true
-                (Active.validate probes ~beacons:p.Active.beacons ~candidates))
-            [ ilp; mip ]
+          incr draws;
+          f (Printf.sprintf "%s seed %d, |V_B| %d" name seed vb_size)
+            probes candidates
         end
       done)
-    (List.init 10 (fun i -> i + 1));
-  Alcotest.(check int) "placements compared" 140 !placements
+    seeds;
+  !draws
 
-(* A probe neither of whose extremities is a candidate cannot be sent. *)
-let test_ilp_unplaceable_probe () =
+(* The set-cover engine against the beacon ILP solved as a 0-1 MIP, on
+   fig9's candidate draws (Pop15, seeds 1..10). Among equal-size optima
+   the two engines may pick different beacons, so the contract is the
+   count, the proof and validity. *)
+let test_ilp_matches_mip_oracle () =
+  let placements =
+    iter_fig_draws (`Pop15, "pop15") ~seeds:(List.init 10 (fun i -> i + 1))
+      (fun what probes candidates ->
+        let ilp = Active.place_ilp probes ~candidates in
+        let mip = Beacon_oracle.place probes ~candidates in
+        Alcotest.(check int) (what ^ ": count")
+          (List.length mip.Active.beacons)
+          (List.length ilp.Active.beacons);
+        Alcotest.(check bool) (what ^ ": both proven") true
+          (ilp.Active.optimal && mip.Active.optimal);
+        List.iter
+          (fun (p : Active.placement) ->
+            Alcotest.(check bool) (what ^ ": valid") true
+              (Active.validate probes ~beacons:p.Active.beacons ~candidates))
+          [ ilp; mip ])
+  in
+  Alcotest.(check int) "placements compared" 140 placements
+
+(* The greedy runs on Cover; the old loop over probes is its oracle,
+   and both must name the same beacons on fig9/fig10's candidate draws
+   (Pop15 and Pop29, seeds 1..3). *)
+let test_greedy_matches_oracle () =
+  let placements =
+    List.fold_left
+      (fun acc preset ->
+        acc
+        + iter_fig_draws preset ~seeds:[ 1; 2; 3 ]
+            (fun what probes candidates ->
+              Alcotest.(check (list int)) what
+                (Beacon_oracle.greedy probes ~candidates).Active.beacons
+                (Active.place_greedy probes ~candidates).Active.beacons))
+      0
+      [ (`Pop15, "pop15"); (`Pop29, "pop29") ]
+  in
+  Alcotest.(check int) "placements compared" 126 placements
+
+(* Three probes on a triangle of candidates: every candidate can send
+   two of them, so the first pick is a three-way tie and the second a
+   two-way tie. The lower id wins both, whatever the candidate order. *)
+let test_greedy_tie_lowest_id () =
+  let probe a b =
+    { Active.endpoint_a = a; endpoint_b = b;
+      path = { Paths.nodes = [ a; b ]; edges = []; cost = 1.0 } }
+  in
+  let probes = [ probe 4 7; probe 4 9; probe 7 9 ] in
+  let candidates = [ 4; 7; 9 ] in
+  Alcotest.(check (list int)) "oracle" [ 4; 7 ]
+    (Beacon_oracle.greedy probes ~candidates).Active.beacons;
+  List.iter
+    (fun candidates ->
+      Alcotest.(check (list int)) "greedy" [ 4; 7 ]
+        (Active.place_greedy probes ~candidates).Active.beacons)
+    [ candidates; List.rev candidates ]
+
+(* A probe neither of whose extremities is a candidate cannot be sent;
+   the error names the placement that was asked. *)
+let check_unplaceable ~fn place =
   let g = Synthetic.ring 6 in
   let probes = Active.compute_probes g ~candidates:[ 0; 3 ] in
-  match Active.place_ilp probes ~candidates:[ 1 ] with
+  match place probes ~candidates:[ 1 ] with
   | _ -> Alcotest.fail "expected Infeasible_model"
   | exception
       Monpos_resilience.Error.Error
-        (Monpos_resilience.Error.Infeasible_model _) ->
-    ()
+        (Monpos_resilience.Error.Infeasible_model { what }) ->
+    Alcotest.(check bool) (what ^ " names " ^ fn) true
+      (String.starts_with ~prefix:(fn ^ ":") what)
+
+let test_ilp_unplaceable_probe () =
+  check_unplaceable ~fn:"Active.place_ilp" (fun probes ~candidates ->
+      Active.place_ilp probes ~candidates)
+
+let test_greedy_unplaceable_probe () =
+  check_unplaceable ~fn:"Active.place_greedy" Active.place_greedy
 
 let brute_force_vertex_cover probes candidates =
   let cands = Array.of_list candidates in
@@ -255,6 +311,9 @@ let suite =
     Alcotest.test_case "overhead accounting" `Quick test_overhead_accounting;
     Alcotest.test_case "ilp matches mip oracle" `Quick test_ilp_matches_mip_oracle;
     Alcotest.test_case "ilp unplaceable probe" `Quick test_ilp_unplaceable_probe;
+    Alcotest.test_case "greedy unplaceable probe" `Quick test_greedy_unplaceable_probe;
+    Alcotest.test_case "greedy matches oracle" `Quick test_greedy_matches_oracle;
+    Alcotest.test_case "greedy tie lowest id" `Quick test_greedy_tie_lowest_id;
     QCheck_alcotest.to_alcotest prop_ilp_matches_brute_force;
     QCheck_alcotest.to_alcotest prop_greedy_between_ilp_and_thiran;
   ]

@@ -503,6 +503,39 @@ let test_lp2_tree_pinned () =
       Alcotest.(check int) (name "dual pivots") want_dual (d1 - d0))
     [ (0.9, 6, 3, 453, 223); (0.95, 7, 121, 418, 3714) ]
 
+(* The /statusz watermarks end on the answer: after a solve the
+   [mip.incumbent], [mip.bound] and [mip.gap] gauges read the result's
+   objective, bound and gap, not the last expanded node's. Six disjoint
+   5-cycles as a vertex cover (LP bound 15, optimum 18) need branching,
+   so a two-node budget stops with a gap. *)
+let test_watermarks_match_result () =
+  let module Metrics = Monpos_obs.Metrics in
+  let module Chaos = Monpos_resilience.Chaos in
+  let gauge name = Metrics.gauge_value (Metrics.gauge Metrics.default name) in
+  let m = Model.create Model.Minimize in
+  for _ = 1 to 6 do
+    let xs = Array.init 5 (fun _ -> Model.add_var m ~obj:1.0 Model.Binary) in
+    for i = 0 to 4 do
+      Model.add_constr m
+        [ (1.0, xs.(i)); (1.0, xs.((i + 1) mod 5)) ]
+        Model.Ge 1.0
+    done
+  done;
+  List.iter
+    (fun (what, max_nodes, want) ->
+      let options = { Mip.default_options with Mip.max_nodes } in
+      let r = Chaos.suppress (fun () -> Mip.solve ~options m) in
+      check_status want r.Mip.status;
+      Alcotest.(check (float 0.0)) (what ^ " incumbent") r.Mip.objective
+        (gauge "mip.incumbent");
+      Alcotest.(check (float 0.0)) (what ^ " bound") r.Mip.bound
+        (gauge "mip.bound");
+      Alcotest.(check (float 0.0)) (what ^ " gap") r.Mip.gap (gauge "mip.gap"))
+    [
+      ("optimal", Mip.default_options.Mip.max_nodes, Mip.Optimal);
+      ("node limit", 2, Mip.Feasible);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* loosened integrality tolerance (pseudocost denominator clamp)       *)
 
@@ -600,4 +633,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_solution_is_feasible;
     Alcotest.test_case "LP2 search tree pinned (Pop10 seed 1)" `Quick
       test_lp2_tree_pinned;
+    Alcotest.test_case "watermarks match the result at solve end" `Quick
+      test_watermarks_match_result;
   ]
