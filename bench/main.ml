@@ -662,8 +662,9 @@ let flowscale () =
         if not agree then agree_all := false;
         let speedup_warm = secs_lp /. Float.max 1e-9 secs_warm in
         let speedup_cold = secs_lp /. Float.max 1e-9 secs_cold in
+        (* cold/warm: higher is better, as Bench_check reads it *)
         let pivot_ratio =
-          float_of_int pivots_warm /. Float.max 1.0 (float_of_int pivots_cold)
+          float_of_int pivots_cold /. float_of_int (max 1 pivots_warm)
         in
         let links = Graph.num_edges inst.Instance.graph in
         if links > !largest_links then begin
@@ -677,7 +678,7 @@ let flowscale () =
         kv_float (label ^ "_seconds_ns_warm") secs_warm;
         kv_float (label ^ "_speedup_warm_vs_lp") speedup_warm;
         kv_float (label ^ "_speedup_cold_vs_lp") speedup_cold;
-        kv_float (label ^ "_pivot_ratio_warm_cold") pivot_ratio;
+        kv_float (label ^ "_pivot_ratio_cold_warm") pivot_ratio;
         kv (label ^ "_kernels_agree") (Json.Bool agree);
         [
           label;

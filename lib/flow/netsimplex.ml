@@ -15,7 +15,15 @@
    Infeasibility is detected big-M style: a star of artificial arcs
    node <-> root priced above any real path cost absorbs the initial
    imbalance; residual artificial flow at optimality means the
-   instance has none. *)
+   instance has none.
+
+   A re-solve of an unchanged network shape starts from the previous
+   tree and repairs it to the new bounds, costs and supplies (see
+   [warm_init]): tree arcs pushed out of their bounds go nonbasic and
+   their nodes re-hang under the root by their artificial arcs, whose
+   big-M cost the pivots then drive back out. The star start is only
+   for a handle's first solve and for the first solve after
+   [add_arc]. *)
 
 module Metrics = Monpos_obs.Metrics
 module Trace = Monpos_obs.Trace
@@ -250,15 +258,49 @@ let cold_init t art =
   t.thread.(root) <- (if t.n > 0 then 0 else root);
   t.rev_thread.(root) <- (if t.n > 0 then t.n - 1 else root)
 
+(* Preorder walk over the child lists from the nodes on
+   [t.stack.(0 .. top - 1)]: thread each node after [prev] and fix its
+   depth and potential from its parent's (parent precedes child).
+   Returns the last node threaded. *)
+let thread_from t top prev =
+  let top = ref top and prev = ref prev in
+  while !top > 0 do
+    top := !top - 1;
+    let y = t.stack.(!top) in
+    t.thread.(!prev) <- y;
+    t.rev_thread.(y) <- !prev;
+    prev := y;
+    let p = t.parent.(y) in
+    t.depth.(y) <- t.depth.(p) + 1;
+    let a = t.pred.(y) in
+    t.pi.(y) <-
+      (if t.fwd.(y) then t.pi.(p) -. t.s_cost.(a)
+       else t.pi.(p) +. t.s_cost.(a));
+    let c = ref t.child_head.(y) in
+    while !c >= 0 do
+      t.stack.(!top) <- !c;
+      top := !top + 1;
+      c := t.child_next.(!c)
+    done
+  done;
+  !prev
+
 (* Warm start: keep the spanning tree and the nonbasic states from the
-   previous solve; reset nonbasic flows onto their bounds, recompute
-   tree-arc flows bottom-up (reverse preorder visits children before
-   parents), and rebuild potentials top-down. Returns false if the
-   remembered basis does not fit the current bounds, in which case the
-   caller falls back to a cold start. *)
+   previous solve and repair them to fit the current data. Nonbasic
+   flows go back onto their bounds (an infinite-capacity arc
+   remembered at its upper bound is parked at its lower one), and
+   tree-arc flows are recomputed bottom-up (reverse preorder visits
+   children before parents). A real tree arc whose flow would leave
+   its bounds is clamped to the nearer bound and turns nonbasic; its
+   node re-hangs under the root by its own artificial arc, which
+   carries the residual excess. Tree artificial arcs are re-oriented
+   by the sign of their node's excess the same way. The result is
+   always a feasible basis of the big-M problem, so the primal pivots
+   then drive any artificial flow out. Potentials are rebuilt
+   top-down. *)
 let warm_init t =
-  let ok = ref true in
   let na = t.m + t.n in
+  let root = t.n in
   let feps = ref 1e-9 in
   shifted_excess t;
   let e = t.excess in
@@ -268,53 +310,91 @@ let warm_init t =
   done;
   let feps = 1e-9 *. (1.0 +. !feps) in
   (* nonbasic arcs sit on a bound; subtract their flow from the excess *)
-  let a = ref 0 in
-  while !ok && !a < na do
-    let i = !a in
-    (match t.state.(i) with
-    | s when s = st_lower -> t.flow_.(i) <- 0.0
-    | s when s = st_upper ->
+  for i = 0 to na - 1 do
+    let s = t.state.(i) in
+    if s = st_lower then t.flow_.(i) <- 0.0
+    else if s = st_upper then begin
       let u = t.s_ucap.(i) in
-      if u = infinity then ok := false
+      if u = infinity then begin
+        t.state.(i) <- st_lower;
+        t.flow_.(i) <- 0.0
+      end
       else begin
         t.flow_.(i) <- u;
         e.(t.s_src.(i)) <- e.(t.s_src.(i)) -. u;
         e.(t.s_dst.(i)) <- e.(t.s_dst.(i)) +. u
       end
-    | _ -> ());
-    incr a
+    end
   done;
   (* tree arcs: reverse preorder, each node fixes its pred arc *)
-  let root = t.n in
   let v = ref t.rev_thread.(root) in
-  while !ok && !v <> root do
+  while !v <> root do
     let u = !v in
     let a = t.pred.(u) in
+    let p = t.parent.(u) in
     let f = if t.fwd.(u) then e.(u) else -.e.(u) in
-    if f < -.feps || f > t.s_ucap.(a) +. feps then ok := false
-    else begin
+    if a < t.m && f >= -.feps && f <= t.s_ucap.(a) +. feps then begin
       let f = max 0.0 (min f t.s_ucap.(a)) in
       t.flow_.(a) <- f;
-      let p = t.parent.(u) in
       if t.fwd.(u) then e.(p) <- e.(p) +. f else e.(p) <- e.(p) -. f
+    end
+    else begin
+      if a < t.m then begin
+        (* out of bounds: clamp to the nearer bound, u keeps the rest *)
+        let f, s =
+          if f < 0.0 then (0.0, st_lower) else (t.s_ucap.(a), st_upper)
+        in
+        t.flow_.(a) <- f;
+        t.state.(a) <- s;
+        if t.fwd.(u) then begin
+          e.(p) <- e.(p) +. f;
+          e.(u) <- e.(u) -. f
+        end
+        else begin
+          e.(p) <- e.(p) -. f;
+          e.(u) <- e.(u) +. f
+        end;
+        t.parent.(u) <- root;
+        t.pred.(u) <- t.m + u;
+        t.state.(t.m + u) <- st_tree
+      end;
+      (* u hangs off the root by its artificial arc, pointed along the
+         residual excess. An artificial arc already in the tree turns
+         only if its flow would go negative, so that an unchanged tree
+         keeps its potentials. *)
+      let aid = t.m + u in
+      let r = e.(u) in
+      let up =
+        if a < t.m then r >= 0.0
+        else if t.fwd.(u) then r >= -.feps
+        else r > feps
+      in
+      t.fwd.(u) <- up;
+      t.s_src.(aid) <- (if up then u else root);
+      t.s_dst.(aid) <- (if up then root else u);
+      t.flow_.(aid) <- max 0.0 (if up then r else -.r)
     end;
     v := t.rev_thread.(u)
   done;
-  if !ok then begin
-    (* potentials: preorder, each node prices its pred arc to rc = 0 *)
-    t.pi.(root) <- 0.0;
-    let v = ref t.thread.(root) in
-    while !v <> root do
-      let u = !v in
-      let a = t.pred.(u) in
-      let p = t.parent.(u) in
-      t.pi.(u) <-
-        (if t.fwd.(u) then t.pi.(p) -. t.s_cost.(a)
-         else t.pi.(p) +. t.s_cost.(a));
-      v := t.thread.(u)
-    done
-  end;
-  !ok
+  (* re-thread the whole tree from the root: the repair may have
+     re-hung subtrees, and every potential moves with the costs *)
+  Array.fill t.child_head 0 root (-1);
+  let top = ref 0 in
+  for v = t.n - 1 downto 0 do
+    let p = t.parent.(v) in
+    if p = root then begin
+      t.stack.(!top) <- v;
+      top := !top + 1
+    end
+    else begin
+      t.child_next.(v) <- t.child_head.(p);
+      t.child_head.(p) <- v
+    end
+  done;
+  t.pi.(root) <- 0.0;
+  let last = thread_from t !top root in
+  t.thread.(last) <- root;
+  t.rev_thread.(root) <- last
 
 (* ------------------------------------------------------------------ *)
 
@@ -497,34 +577,12 @@ let pivot t ain =
       end;
       if y = last then continue := false else x := nxt
     done;
-    (* re-thread the segment in preorder from u_in, fixing depth and
-       potentials as each node is emitted (parent precedes child) *)
+    (* re-thread the segment in preorder from u_in *)
     let after_v = t.thread.(v_in) in
-    let top = ref 0 in
     t.stack.(0) <- u_in;
-    top := 1;
-    let prev = ref v_in in
-    while !top > 0 do
-      top := !top - 1;
-      let y = t.stack.(!top) in
-      t.thread.(!prev) <- y;
-      t.rev_thread.(y) <- !prev;
-      prev := y;
-      let p = t.parent.(y) in
-      t.depth.(y) <- t.depth.(p) + 1;
-      let a = t.pred.(y) in
-      t.pi.(y) <-
-        (if t.fwd.(y) then t.pi.(p) -. t.s_cost.(a)
-         else t.pi.(p) +. t.s_cost.(a));
-      let c = ref t.child_head.(y) in
-      while !c >= 0 do
-        t.stack.(!top) <- !c;
-        top := !top + 1;
-        c := t.child_next.(!c)
-      done
-    done;
-    t.thread.(!prev) <- after_v;
-    t.rev_thread.(after_v) <- !prev
+    let last = thread_from t 1 v_in in
+    t.thread.(last) <- after_v;
+    t.rev_thread.(after_v) <- last
   end;
   !delta
 
@@ -537,10 +595,10 @@ let solve ?(warm = true) t =
   end
   else begin
     let reusable = ensure_arrays t && t.solved in
+    let warm = warm && reusable in
     let art = refresh t in
-    let warm_ok = warm && reusable && warm_init t in
-    if not warm_ok then cold_init t art;
-    t.last_warm <- warm_ok;
+    if warm then warm_init t else cold_init t art;
+    t.last_warm <- warm;
     let na = t.m + t.n in
     let maxc = ref 0.0 in
     for a = 0 to t.m - 1 do

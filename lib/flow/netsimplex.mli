@@ -19,8 +19,12 @@
       negative reduced cost seen in the first block that has one;
     - warm start: [solve ~warm:true] reuses the previous spanning tree
       and arc states, recomputing tree-arc flows bottom-up and node
-      potentials top-down, which makes re-solves after small
-      cost/capacity/supply perturbations (drift ticks) nearly free;
+      potentials top-down. A tree arc whose flow would leave its
+      bounds is clamped to the nearer bound and its node re-hangs
+      under the root by an artificial arc, so the old basis is
+      repaired rather than discarded and re-solves after
+      cost/capacity/supply perturbations (drift ticks) pay only the
+      pivots the change needs;
     - dual certificate: on [Optimal] the node potentials are exposed,
       so callers can check complementary slackness independently. *)
 
@@ -58,13 +62,14 @@ val set_supply : t -> int -> float -> unit
     previous supply of [v]. *)
 
 val solve : ?warm:bool -> t -> status
-(** Optimize. With [warm:true] (the default) the previous basis is
-    reused when the network shape is unchanged and the remembered
-    arc states still fit the current bounds; otherwise — and on the
-    first call — a cold big-M start from the all-artificial star tree
-    is used. Raises [Monpos_resilience.Error.Error (Numerical _)] if
-    the pivot limit is exceeded (anti-cycling failure — a bug, not an
-    input property). *)
+(** Optimize. With [warm:true] (the default) every solve after the
+    first starts from the previous basis, repaired to the current
+    bounds, costs and supplies, unless {!add_arc} has been called
+    since; that first solve, a solve after [add_arc] and any solve
+    with [warm:false] start cold from the all-artificial star tree.
+    Raises [Monpos_resilience.Error.Error (Numerical _)] if the pivot
+    limit is exceeded (anti-cycling failure — a bug, not an input
+    property). *)
 
 val flow : t -> int -> float
 (** Flow on an arc after an [Optimal] solve (includes its lower
@@ -84,4 +89,6 @@ val pivots : t -> int
 (** Pivot count of the last solve. *)
 
 val warm_started : t -> bool
-(** Whether the last solve actually reused the previous basis. *)
+(** Whether the last solve started from the previous basis: true for
+    every [warm:true] solve except a handle's first and the first
+    after {!add_arc}. *)

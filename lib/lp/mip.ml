@@ -263,35 +263,23 @@ type saved = {
   s_heap_nodes : node array;
 }
 
-let ck_float = Printf.sprintf "%h"
+(* Printf's "%h" is most of a write's encoding time; the bounds of
+   binary variables are nearly all 0 and 1 *)
+let ck_float x =
+  if x = 1.0 then "0x1p+0"
+  else if Int64.bits_of_float x = 0L then "0x0p+0"
+  else Printf.sprintf "%h" x
 
 let ck_b b = if b then "1" else "0"
 
-let ck_encode ~model ~options ~elapsed ~nodes ~next_seq ~best_open ~stopped
-    ~deadline_stop ~infeasible_root ~incumbent ~pc ~queue =
+(* The model block ("vars" .. the last "c" line). The model is
+   immutable during a solve, so a solve encodes it once, on its first
+   checkpoint write, and every later write reuses the lines. *)
+let ck_model_lines model =
   let n = Model.num_vars model in
   let lines = ref [] in
   let add l = lines := l :: !lines in
   let buf = Buffer.create 256 in
-  let flush_line () =
-    let s = Buffer.contents buf in
-    Buffer.clear buf;
-    add s
-  in
-  add
-    (Printf.sprintf "dir %s"
-       (match Model.direction model with
-       | Model.Minimize -> "min"
-       | Model.Maximize -> "max"));
-  add
-    (Printf.sprintf "opts %s %s %s %d %s %d"
-       (match options.branching with
-       | Pseudocost -> "pc"
-       | Most_fractional -> "mf")
-       (ck_float options.gap_tolerance)
-       (ck_float options.integrality_tol)
-       options.heuristic_period (ck_b options.warm_start) options.wave);
-  add (Printf.sprintf "elapsed %s" (ck_float elapsed));
   add (Printf.sprintf "vars %d" n);
   for v = 0 to n - 1 do
     let hv = Model.var_of_index model v in
@@ -321,7 +309,37 @@ let ck_encode ~model ~options ~elapsed ~nodes ~next_seq ~best_open ~stopped
           Buffer.add_char buf ' ';
           Buffer.add_string buf (string_of_int v))
         terms;
-      flush_line ());
+      add (Buffer.contents buf);
+      Buffer.clear buf);
+  List.rev !lines
+
+let ck_encode ~model ~model_lines ~options ~elapsed ~nodes ~next_seq
+    ~best_open ~stopped ~deadline_stop ~infeasible_root ~incumbent ~pc ~queue
+    =
+  let n = Model.num_vars model in
+  let lines = ref [] in
+  let add l = lines := l :: !lines in
+  let buf = Buffer.create 256 in
+  let flush_line () =
+    let s = Buffer.contents buf in
+    Buffer.clear buf;
+    add s
+  in
+  add
+    (Printf.sprintf "dir %s"
+       (match Model.direction model with
+       | Model.Minimize -> "min"
+       | Model.Maximize -> "max"));
+  add
+    (Printf.sprintf "opts %s %s %s %d %s %d"
+       (match options.branching with
+       | Pseudocost -> "pc"
+       | Most_fractional -> "mf")
+       (ck_float options.gap_tolerance)
+       (ck_float options.integrality_tol)
+       options.heuristic_period (ck_b options.warm_start) options.wave);
+  add (Printf.sprintf "elapsed %s" (ck_float elapsed));
+  lines := List.rev_append model_lines !lines;
   add
     (Printf.sprintf "state %d %d %s %s %s %s" nodes next_seq
        (ck_float best_open) (ck_b stopped) (ck_b deadline_stop)
@@ -1156,13 +1174,14 @@ let solve_gen ~options ~(restore : saved option) model =
        disk; see their definition above. *)
     let last_ck = ref (Clock.now ()) in
     let ck_seconds = ref 0.0 in
+    let ck_model = lazy (ck_model_lines model) in
     let write_checkpoint () =
       match options.checkpoint with
       | None -> ()
       | Some path ->
         let t0 = Clock.now () in
         let lines =
-          ck_encode ~model ~options
+          ck_encode ~model ~model_lines:(Lazy.force ck_model) ~options
             ~elapsed:(elapsed_base +. Deadline.elapsed deadline)
             ~nodes:!nodes ~next_seq:!next_seq ~best_open:!best_open_bound
             ~stopped:!merge_stopped ~deadline_stop:!merge_deadline

@@ -15,9 +15,10 @@
    - after perturbing capacities, costs and supplies in place the
      warm-started network simplex re-solve agrees with cold SSP,
      cold network simplex and the LP on the perturbed instance,
-   - the raw Netsimplex warm start actually reuses the basis (flag
-     set, zero pivots on an unchanged replay) and never changes
-     answers.
+   - the raw Netsimplex warm start always reuses the basis (flag set,
+     zero pivots on an unchanged replay), also when drifted supplies,
+     capacities and lower bounds push the old tree's flows off their
+     bounds, and never changes answers.
 
    Negative costs are confined to DAG instances: SSP never cancels
    cycles, so on a general digraph with negative arcs it would not be
@@ -170,42 +171,46 @@ let check_three_way ~case ~what (st_ssp, c_ssp) (st_ns, c_ns) (st_lp, c_lp) =
         what c_ns c_lp
   end
 
-(* complementary slackness of the exposed potentials on the user arcs *)
-let check_certificate ~case ~what inst net handles =
+(* complementary slackness of potentials [pi] for the user arc flows
+   [flow i] *)
+let check_certificate ~case ~what inst ~flow ~pi =
+  let maxc =
+    Array.fold_left
+      (fun acc (_, _, _, _, c) -> max acc (abs_float c))
+      0.0 inst.arcs
+  in
+  let ctol = 1e-6 *. (1.0 +. maxc) in
+  let ftol = 1e-6 in
+  Array.iteri
+    (fun i (u, v, lower, cap, cost) ->
+      let f = flow i in
+      let rc = cost +. pi u -. pi v in
+      let at_lo = f <= lower +. ftol in
+      let at_cap = f >= cap -. ftol in
+      if at_lo && at_cap then () (* fixed arc: any reduced cost is fine *)
+      else if at_lo then begin
+        if rc < -.ctol then
+          Alcotest.failf
+            "case %d (%s): arc %d at lower bound with reduced cost %.9f" case
+            what i rc
+      end
+      else if at_cap then begin
+        if rc > ctol then
+          Alcotest.failf "case %d (%s): arc %d saturated with reduced cost %.9f"
+            case what i rc
+      end
+      else if abs_float rc > ctol then
+        Alcotest.failf "case %d (%s): arc %d interior with reduced cost %.9f"
+          case what i rc)
+    inst.arcs
+
+let check_mincost_certificate ~case ~what inst net handles =
   match Mincost.potentials net with
   | None -> Alcotest.failf "case %d (%s): no potentials after Optimal" case what
   | Some pi ->
-    let maxc =
-      Array.fold_left
-        (fun acc (_, _, _, _, c) -> max acc (abs_float c))
-        0.0 inst.arcs
-    in
-    let ctol = 1e-6 *. (1.0 +. maxc) in
-    let ftol = 1e-6 in
-    Array.iteri
-      (fun i (u, v, lower, cap, cost) ->
-        let f = Mincost.flow net handles.(i) in
-        let rc = cost +. pi.(u) -. pi.(v) in
-        let at_lo = f <= lower +. ftol in
-        let at_cap = f >= cap -. ftol in
-        if at_lo && at_cap then () (* fixed arc: any reduced cost is fine *)
-        else if at_lo then begin
-          if rc < -.ctol then
-            Alcotest.failf
-              "case %d (%s): arc %d at lower bound with reduced cost %.9f"
-              case what i rc
-        end
-        else if at_cap then begin
-          if rc > ctol then
-            Alcotest.failf
-              "case %d (%s): arc %d saturated with reduced cost %.9f" case
-              what i rc
-        end
-        else if abs_float rc > ctol then
-          Alcotest.failf
-            "case %d (%s): arc %d interior with reduced cost %.9f" case what i
-            rc)
-      inst.arcs
+    check_certificate ~case ~what inst
+      ~flow:(fun i -> Mincost.flow net handles.(i))
+      ~pi:(fun v -> pi.(v))
 
 (* in-place perturbation: drift-tick shaped (bounds, costs and
    supplies all move, network shape fixed) *)
@@ -248,7 +253,7 @@ let test_differential () =
     (match st_ns with
     | Mincost.Optimal ->
       incr optimal;
-      check_certificate ~case ~what:"cold" inst net_ns handles
+      check_mincost_certificate ~case ~what:"cold" inst net_ns handles
     | Mincost.Infeasible -> incr infeasible);
     (* perturb the same network in place; the netsimplex instance
        keeps its basis, so this re-solve exercises the warm path *)
@@ -274,7 +279,7 @@ let test_differential () =
       (st_warm, Mincost.total_cost net_ns)
       lp';
     if st_warm = Mincost.Optimal then
-      check_certificate ~case ~what:"perturbed" inst' net_ns handles
+      check_mincost_certificate ~case ~what:"perturbed" inst' net_ns handles
   done;
   (* the harness must actually exercise the machinery it tests *)
   Alcotest.(check bool)
@@ -298,15 +303,56 @@ let test_differential () =
     true
     (!warm_resolves = cases)
 
-(* The raw kernel warm start: an unchanged replay must reuse the basis
-   and pivot zero times; perturbed re-solves must keep agreeing with a
-   cold solve of the same data. *)
+(* Drift of the raw kernel's data away from [base] that pushes the old
+   tree's flows off their bounds: supplies rescale by [scale] and
+   shift between a random pair, capacities shrink or grow (some to 0,
+   some to infinity), lower bounds move and costs drift. Costs stay
+   non-negative off DAGs, so no uncapacitated negative cycle appears. *)
+let drift_data rng ~dag ~scale base =
+  let arcs =
+    Array.map
+      (fun (u, v, lower, cap, cost) ->
+        let cap =
+          match Prng.int rng 12 with
+          | 0 -> 0.0
+          | 1 -> infinity
+          | _ -> cap *. (0.5 +. Prng.float rng 1.0)
+        in
+        let lower =
+          if cap > 0.0 && Prng.int rng 4 = 0 then
+            Prng.float rng (0.3 *. Float.min cap 4.0)
+          else Float.min lower cap
+        in
+        let cost = cost +. (Prng.float rng 1.0 -. 0.5) in
+        (u, v, lower, cap, if dag then cost else Float.max 0.0 cost))
+      base.arcs
+  in
+  let supply = Array.map (fun b -> b *. scale) base.supply in
+  if Prng.int rng 2 = 0 then begin
+    let u = Prng.int rng base.n and v = Prng.int rng base.n in
+    let d = Prng.float rng 2.0 in
+    supply.(u) <- supply.(u) +. d;
+    supply.(v) <- supply.(v) -. d
+  end;
+  { base with arcs; supply }
+
+(* The raw kernel warm start. An unchanged replay must reuse the basis
+   and pivot zero times. Then a walk of drifts that move supplies,
+   capacities (some to 0) and lower bounds, with a starved tick that
+   is mostly infeasible followed by feasible ones: every re-solve must
+   warm start, agree with a cold solve of the same data on status and
+   objective, and leave potentials that certify its flow. *)
 let test_netsimplex_warm_basis () =
-  let warm_hits = ref 0 in
+  let resolves = ref 0 in
+  let optimal = ref 0 in
+  let infeasible = ref 0 in
+  let recovered = ref 0 in
   for case = 0 to 49 do
     let rng = Prng.create ((prop_seed * 4_111_141) + case) in
-    let inst = random_instance rng (case mod 4) in
-    let build () =
+    let mode = case mod 4 in
+    let inst = random_instance rng mode in
+    let dag = mode = 1 || mode = 3 in
+    let build inst =
       let ns = Netsimplex.create inst.n in
       Array.iter
         (fun (u, v, lower, cap, cost) ->
@@ -316,7 +362,7 @@ let test_netsimplex_warm_basis () =
       Array.iteri (fun v b -> Netsimplex.set_supply ns v b) inst.supply;
       ns
     in
-    let ns = build () in
+    let ns = build inst in
     let st = Netsimplex.solve ns in
     Alcotest.(check bool)
       (Printf.sprintf "case %d: first solve is cold" case)
@@ -327,43 +373,56 @@ let test_netsimplex_warm_basis () =
     Alcotest.(check bool)
       (Printf.sprintf "case %d: replay status agrees" case)
       true (st = st2);
-    if Netsimplex.warm_started ns then begin
-      incr warm_hits;
-      Alcotest.(check int)
-        (Printf.sprintf "case %d: warm replay needs no pivots" case)
-        0 (Netsimplex.pivots ns)
-    end;
-    if st = Netsimplex.Optimal then begin
-      (* perturb costs only: the old basis stays primal feasible, so
-         the warm start must survive and agree with a cold solve of
-         the same perturbed data *)
-      let new_costs =
-        Array.map
-          (fun (_, _, _, _, cost) -> cost +. (Prng.float rng 1.0 -. 0.5))
-          inst.arcs
-      in
-      Array.iteri (fun i c -> Netsimplex.set_arc ns i ~cost:c) new_costs;
-      let st_warm = Netsimplex.solve ns in
-      let cold = build () in
-      Array.iteri (fun i c -> Netsimplex.set_arc cold i ~cost:c) new_costs;
-      let st_cold = Netsimplex.solve ~warm:false cold in
-      Alcotest.(check bool)
-        (Printf.sprintf "case %d: warm vs cold status after cost drift" case)
-        true (st_warm = st_cold);
-      if st_cold = Netsimplex.Optimal then begin
-        let scale = 1.0 +. abs_float (Netsimplex.objective cold) in
-        Alcotest.(check bool)
-          (Printf.sprintf "case %d: warm vs cold objective after cost drift"
-             case)
-          true
-          (abs_float (Netsimplex.objective ns -. Netsimplex.objective cold)
-          <= 1e-6 *. scale)
-      end
-    end
+    Alcotest.(check bool)
+      (Printf.sprintf "case %d: replay is warm" case)
+      true
+      (Netsimplex.warm_started ns);
+    Alcotest.(check int)
+      (Printf.sprintf "case %d: warm replay needs no pivots" case)
+      0 (Netsimplex.pivots ns);
+    let prev = ref st in
+    List.iteri
+      (fun step scale ->
+        let what = Printf.sprintf "case %d step %d" case step in
+        let data = drift_data rng ~dag ~scale inst in
+        Array.iteri
+          (fun i (_, _, lower, capacity, cost) ->
+            Netsimplex.set_arc ns i ~lower ~capacity ~cost)
+          data.arcs;
+        Array.iteri (fun v b -> Netsimplex.set_supply ns v b) data.supply;
+        let st_warm = Netsimplex.solve ns in
+        incr resolves;
+        Alcotest.(check bool) (what ^ ": warm started") true
+          (Netsimplex.warm_started ns);
+        let cold = build data in
+        let st_cold = Netsimplex.solve ~warm:false cold in
+        Alcotest.(check bool) (what ^ ": warm vs cold status") true
+          (st_warm = st_cold);
+        if st_cold = Netsimplex.Optimal then begin
+          incr optimal;
+          let scale = 1.0 +. abs_float (Netsimplex.objective cold) in
+          Alcotest.(check bool) (what ^ ": warm vs cold objective") true
+            (abs_float (Netsimplex.objective ns -. Netsimplex.objective cold)
+            <= 1e-6 *. scale);
+          check_certificate ~case ~what:"warm drift" data
+            ~flow:(Netsimplex.flow ns) ~pi:(Netsimplex.potential ns);
+          if !prev = Netsimplex.Infeasible then incr recovered
+        end
+        else incr infeasible;
+        prev := st_warm)
+      [ 1.0; 1.3; 30.0; 0.8; 1.1 ]
   done;
+  (* the walk must exercise what it tests *)
+  Alcotest.(check int) "warm re-solves ran" 250 !resolves;
   Alcotest.(check bool)
-    (Printf.sprintf "warm starts actually happened (%d)" !warm_hits)
-    true (!warm_hits > 25)
+    (Printf.sprintf "enough optimal ticks (%d)" !optimal)
+    true (!optimal > 75);
+  Alcotest.(check bool)
+    (Printf.sprintf "enough infeasible ticks (%d)" !infeasible)
+    true (!infeasible > 25);
+  Alcotest.(check bool)
+    (Printf.sprintf "enough infeasible-then-feasible ticks (%d)" !recovered)
+    true (!recovered > 15)
 
 let suite =
   [

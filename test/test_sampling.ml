@@ -5,6 +5,8 @@ module Instance = Monpos.Instance
 module Sampling = Monpos.Sampling
 module Passive = Monpos.Passive
 module Pop = Monpos_topo.Pop
+module Synthetic = Monpos_topo.Synthetic
+module Traffic = Monpos_traffic.Traffic
 module Graph = Monpos_graph.Graph
 module Prng = Monpos_util.Prng
 module Mincost = Monpos_flow.Mincost
@@ -235,6 +237,55 @@ let test_flow_kernels_identical () =
       check_same_solution "warm replay" warm1 warm2)
     [ 1; 2; 3 ]
 
+(* §5.4 differential: one warm network-simplex handle re-solves a
+   Waxman drift walk (every loaded link monitored), once in tick order
+   and once shuffled, so that a tick also starts from the basis of an
+   unrelated one. Every tick's exploit cost must match a cold SSP
+   solve of the same tick. *)
+let test_drift_walk_warm_matches_ssp () =
+  let g = Synthetic.waxman ~n:60 ~alpha:0.22 ~beta:0.35 ~seed:5 in
+  let nodes = Array.init (Graph.num_nodes g) Fun.id in
+  Prng.shuffle (Prng.create 17) nodes;
+  let endpoints = Array.to_list (Array.sub nodes 0 12) in
+  let inst = Instance.make g (Traffic.generate g ~endpoints ~seed:41) in
+  let pb = Sampling.make_problem ~k:0.9 inst in
+  let installed =
+    List.filter
+      (fun e -> inst.Instance.loads.(e) > 0.0)
+      (List.init (Graph.num_edges g) Fun.id)
+  in
+  let ticks = 24 in
+  let walk = Array.make ticks inst.Instance.demands in
+  for i = 0 to ticks - 1 do
+    let prev = if i = 0 then inst.Instance.demands else walk.(i - 1) in
+    walk.(i) <- Traffic.drift prev ~seed:(1_000_003 + i) ~sigma:0.15
+  done;
+  let problem i =
+    { pb with Sampling.instance = Instance.replace_demands inst walk.(i) }
+  in
+  let ssp =
+    Array.init ticks (fun i ->
+        (Sampling.reoptimize_flow ~algo:Mincost.Ssp (problem i) ~installed)
+          .Sampling.exploit_cost)
+  in
+  let in_order = Array.init ticks Fun.id in
+  let shuffled = Array.copy in_order in
+  Prng.shuffle (Prng.create 3) shuffled;
+  List.iter
+    (fun (name, order) ->
+      let rp = Sampling.reopt_create pb ~installed in
+      Array.iter
+        (fun i ->
+          let warm = (Sampling.reopt_solve rp (problem i)).Sampling.exploit_cost in
+          if Float.abs (warm -. ssp.(i)) > 1e-9 *. (1.0 +. Float.abs ssp.(i)) then
+            Alcotest.failf "%s, tick %d: warm exploit cost %.12g, SSP %.12g" name
+              i warm ssp.(i))
+        order)
+    [ ("in order", in_order); ("shuffled", shuffled) ];
+  (* the walk must move the optimum, or the check shows nothing *)
+  Alcotest.(check bool) "drift moves the exploit cost" true
+    (Array.exists (fun c -> Float.abs (c -. ssp.(0)) > 1e-6) ssp)
+
 (* §5.4 determinism: the control loop's tick stream is a pure function
    of (problem, placement, seed) whatever flow kernel re-optimizes —
    warm-started network simplex included. *)
@@ -390,6 +441,7 @@ let suite =
     Alcotest.test_case "flow reopt demand floors" `Quick test_reoptimize_flow_demand_floors;
     Alcotest.test_case "flow reopt infeasible" `Quick test_reoptimize_flow_infeasible;
     Alcotest.test_case "flow kernels identical" `Quick test_flow_kernels_identical;
+    Alcotest.test_case "drift walk warm matches ssp" `Quick test_drift_walk_warm_matches_ssp;
     Alcotest.test_case "dynamic flow kernels agree" `Quick test_dynamic_flow_kernels_agree;
     Alcotest.test_case "dynamic flow kernel chaos" `Quick test_dynamic_flow_kernel_under_chaos;
     Alcotest.test_case "coverage with rates" `Quick test_coverage_with_rates;
