@@ -167,10 +167,14 @@ let solve_ssp t sink =
   done;
   (* Successive shortest paths; each path found by SPFA (queue-based
      Bellman-Ford), which tolerates the negative residual costs that
-     appear on backward arcs without potential bookkeeping. *)
+     appear on backward arcs without potential bookkeeping. Without a
+     negative cycle a node enters the FIFO queue at most once per
+     Bellman-Ford round, so fewer than [n] times; the [n]-th entry
+     proves a negative-cost cycle, which SSP does not cancel. *)
   let dist = Array.make n infinity in
   let parent = Array.make n (-1) in
   let inqueue = Array.make n false in
+  let entries = Array.make n 0 in
   let routed = ref 0.0 in
   let feasible = ref true in
   let continue = ref (!required > 1e-12) in
@@ -178,6 +182,7 @@ let solve_ssp t sink =
     Array.fill dist 0 n infinity;
     Array.fill parent 0 n (-1);
     Array.fill inqueue 0 n false;
+    Array.fill entries 0 n 0;
     dist.(super_s) <- 0.0;
     let q = Queue.create () in
     Queue.add super_s q;
@@ -194,6 +199,10 @@ let solve_ssp t sink =
             dist.(v) <- nd;
             parent.(v) <- !a;
             if not inqueue.(v) then begin
+              entries.(v) <- entries.(v) + 1;
+              if entries.(v) >= n then
+                Monpos_resilience.Error.numerical ~stage:"Mincost.solve_ssp"
+                  ~detail:"negative-cost cycle in the residual graph";
               inqueue.(v) <- true;
               Queue.add v q
             end

@@ -10,7 +10,8 @@
     Two kernels sit behind {!solve}:
 
     - {!Ssp}: successive shortest augmenting paths on a residual graph
-      (SPFA path search, so negative arc costs are fine); lower bounds
+      (SPFA path search, so negative arc costs are fine as long as
+      they close no negative cycle); lower bounds
       are removed by the standard supply transformation onto a
       super-source/super-sink pair.
     - {!Net_simplex}: the spanning-tree primal network simplex in
@@ -65,7 +66,10 @@ val solve : ?algo:algo -> t -> status
 (** Route all supplies at minimum cost (default kernel {!Ssp}). May be
     called repeatedly after modifying supplies or arcs; with
     {!Net_simplex} repeated solves reuse the previous spanning-tree
-    basis whenever the arc count is unchanged. *)
+    basis whenever the arc count is unchanged. {!Ssp} does not cancel
+    cycles: when its path search meets a negative-cost cycle it raises
+    [Monpos_resilience.Error.Error (Numerical _)] with stage
+    ["Mincost.solve_ssp"]. *)
 
 val flow : t -> arc -> float
 (** Flow on the arc after the last {!solve} (includes its lower

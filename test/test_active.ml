@@ -131,30 +131,100 @@ let test_overhead_accounting () =
 
 (* fig9-fig11's candidate draws as in Scenario.active_sweep: for each
    seed and each |V_B| = 1..|routers|, a seeded shuffle of the routers
-   gives the candidates and the probes go towards them. Calls [f] on
-   every draw with a non-empty probe set and returns how many it saw. *)
-let iter_fig_draws (preset, name) ~seeds f =
-  let draws = ref 0 in
-  List.iter
+   gives the candidates, and the probes go towards them. *)
+let fig_draws (preset, name) ~seeds =
+  List.concat_map
     (fun seed ->
       let pop = Pop.make_preset preset ~seed in
-      for vb_size = 1 to Pop.num_routers pop do
-        let routers = Array.of_list (Pop.routers pop) in
-        Prng.shuffle (Prng.create ((seed * 104729) + vb_size)) routers;
-        let candidates =
-          List.sort compare (Array.to_list (Array.sub routers 0 vb_size))
-        in
-        let probes =
-          Active.compute_probes ~targets:candidates pop.Pop.graph ~candidates
-        in
-        if probes <> [] then begin
-          incr draws;
-          f (Printf.sprintf "%s seed %d, |V_B| %d" name seed vb_size)
-            probes candidates
-        end
-      done)
-    seeds;
-  !draws
+      List.init (Pop.num_routers pop) (fun i ->
+          let vb_size = i + 1 in
+          let routers = Array.of_list (Pop.routers pop) in
+          Prng.shuffle (Prng.create ((seed * 104729) + vb_size)) routers;
+          let candidates =
+            List.sort compare (Array.to_list (Array.sub routers 0 vb_size))
+          in
+          (Printf.sprintf "%s seed %d, |V_B| %d" name seed vb_size,
+           pop.Pop.graph, candidates)))
+    seeds
+
+(* Calls [f] on every fig draw with a non-empty probe set and returns
+   how many it saw. *)
+let iter_fig_draws spec ~seeds f =
+  List.fold_left
+    (fun draws (what, g, candidates) ->
+      let probes = Active.compute_probes ~targets:candidates g ~candidates in
+      if probes = [] then draws
+      else begin
+        f what probes candidates;
+        draws + 1
+      end)
+    0 (fig_draws spec ~seeds)
+
+(* The perfbench beacons workload's placements: Pop80 topologies 1-6,
+   |V_B| in 1, 6, .., 76, 80, drawn with the same shuffle seeds. *)
+let beacons_bench_draws () =
+  List.concat_map
+    (fun j ->
+      let pop = Pop.make_preset `Pop80 ~seed:j in
+      let routers = Array.of_list (Pop.routers pop) in
+      List.init 17 (fun i ->
+          let vb_size = min 80 (1 + (5 * i)) in
+          let shuffled = Array.copy routers in
+          Prng.shuffle (Prng.create ((j * 104729) + vb_size)) shuffled;
+          let candidates =
+            List.sort compare
+              (Array.to_list
+                 (Array.sub shuffled 0 (min vb_size (Array.length shuffled))))
+          in
+          (Printf.sprintf "pop80 topology %d, |V_B| %d" j vb_size,
+           pop.Pop.graph, candidates)))
+    [ 1; 2; 3; 4; 5; 6 ]
+
+(* Tie-heavy graphs: on a grid and on a ring with chords many probes
+   share a length and an extremity degree, so the hash tie-break and
+   the parent choice among equal-length paths decide the probe set.
+   Candidate lists come unsorted and with repeats. *)
+let tie_heavy_graphs () =
+  let ring = Synthetic.ring 24 in
+  List.iter (fun (u, v) -> ignore (Graph.add_edge ring u v))
+    [ (0, 12); (3, 15); (6, 18); (9, 21); (2, 7); (13, 20) ];
+  [ ("grid 6x7", Synthetic.grid 6 7, [ [ 0; 41; 20; 7 ]; List.init 42 Fun.id;
+      [ 35; 3; 3; 17; 28; 10; 35 ] ]);
+    ("ring 24 with chords", ring, [ [ 0; 12 ]; List.init 24 (fun i -> 23 - i);
+      [ 5; 1; 19; 5; 14; 8; 22 ] ]) ]
+
+(* The linear-pass probe computation against the sort-based oracle:
+   the identical list (probes, order, owning endpoint, paths) on every
+   perfbench beacons placement, on fig9/fig10's draws, and on
+   tie-heavy graphs with every node a target at redundancy 1, 3, 5. *)
+let test_probes_match_oracle () =
+  let compared = ref 0 in
+  let check what ?targets ?redundancy g candidates =
+    incr compared;
+    if
+      Active.compute_probes ?targets ?redundancy g ~candidates
+      <> Beacon_oracle.probes ?targets ?redundancy g ~candidates
+    then Alcotest.failf "%s: probe lists differ" what
+  in
+  List.iter
+    (fun (what, g, candidates) -> check what ~targets:candidates g candidates)
+    (beacons_bench_draws ()
+    @ fig_draws (`Pop15, "pop15") ~seeds:(List.init 10 (fun i -> i + 1))
+    @ fig_draws (`Pop29, "pop29") ~seeds:[ 1; 2; 3 ]);
+  List.iter
+    (fun (name, g, candidate_sets) ->
+      List.iter
+        (fun candidates ->
+          List.iter
+            (fun redundancy ->
+              check
+                (Printf.sprintf "%s, %d candidates, redundancy %d" name
+                   (List.length candidates) redundancy)
+                ~redundancy g candidates)
+            [ 1; 3; 5 ])
+        candidate_sets)
+    (tie_heavy_graphs ());
+  Alcotest.(check int) "draws compared" 357 !compared
 
 (* The set-cover engine against the beacon ILP solved as a 0-1 MIP, on
    fig9's candidate draws (Pop15, seeds 1..10). Among equal-size optima
@@ -308,6 +378,7 @@ let suite =
     Alcotest.test_case "placements valid" `Quick test_placements_valid_and_ordered;
     Alcotest.test_case "single candidate" `Quick test_single_candidate;
     Alcotest.test_case "probe set small" `Quick test_probe_set_is_minimal_enough;
+    Alcotest.test_case "probes match oracle" `Quick test_probes_match_oracle;
     Alcotest.test_case "overhead accounting" `Quick test_overhead_accounting;
     Alcotest.test_case "ilp matches mip oracle" `Quick test_ilp_matches_mip_oracle;
     Alcotest.test_case "ilp unplaceable probe" `Quick test_ilp_unplaceable_probe;

@@ -213,15 +213,16 @@ let check_mincost_certificate ~case ~what inst net handles =
       ~pi:(fun v -> pi.(v))
 
 (* in-place perturbation: drift-tick shaped (bounds, costs and
-   supplies all move, network shape fixed) *)
-let perturb rng inst =
+   supplies all move, network shape fixed). Costs stay non-negative
+   off DAGs, as in the base instances. *)
+let perturb rng ~dag inst =
   let arcs =
     Array.map
       (fun (u, v, lower, cap, cost) ->
         let f = 0.8 +. Prng.float rng 0.5 in
         let cap' = lower +. ((cap -. lower) *. f) in
         let cost' = cost +. (Prng.float rng 0.4 -. 0.2) in
-        (u, v, lower, cap', cost'))
+        (u, v, lower, cap', if dag then cost' else Float.max 0.0 cost'))
       inst.arcs
   in
   let g = 0.7 +. Prng.float rng 0.6 in
@@ -257,7 +258,7 @@ let test_differential () =
     | Mincost.Infeasible -> incr infeasible);
     (* perturb the same network in place; the netsimplex instance
        keeps its basis, so this re-solve exercises the warm path *)
-    let inst' = perturb rng inst in
+    let inst' = perturb rng ~dag:(case mod 5 = 1 || case mod 5 = 3) inst in
     Array.iteri
       (fun i (_, _, lower, cap, cost) ->
         Mincost.update_arc ~lower ~capacity:cap ~cost net_ns handles.(i);
@@ -424,6 +425,24 @@ let test_netsimplex_warm_basis () =
     (Printf.sprintf "enough infeasible-then-feasible ticks (%d)" !recovered)
     true (!recovered > 15)
 
+(* SSP cannot route across a negative-cost cycle: on a 3-cycle of
+   cost -1 arcs its path search would relax forever, so it must stop
+   with the typed numerical error instead. *)
+let test_ssp_negative_cycle () =
+  let net = Mincost.create 3 in
+  List.iter
+    (fun (src, dst) ->
+      ignore (Mincost.add_arc net ~src ~dst ~capacity:5.0 ~cost:(-1.0)))
+    [ (0, 1); (1, 2); (2, 0) ];
+  Mincost.set_supply net 0 1.0;
+  Mincost.set_supply net 2 (-1.0);
+  match Mincost.solve ~algo:Mincost.Ssp net with
+  | _ -> Alcotest.fail "expected a Numerical error"
+  | exception
+      Monpos_resilience.Error.Error
+        (Monpos_resilience.Error.Numerical { stage; _ }) ->
+    Alcotest.(check string) "stage" "Mincost.solve_ssp" stage
+
 let suite =
   [
     Alcotest.test_case
@@ -433,4 +452,6 @@ let suite =
     Alcotest.test_case
       (Printf.sprintf "netsimplex warm basis reuse (seed %d)" prop_seed)
       `Quick test_netsimplex_warm_basis;
+    Alcotest.test_case "ssp negative cycle raises" `Quick
+      test_ssp_negative_cycle;
   ]
