@@ -649,6 +649,15 @@ let flowscale () =
         in
         let pivots_cold = Metrics.sum_counter snap_cold "flow.pivots" in
         let pivots_warm = Metrics.sum_counter snap_warm "flow.pivots" in
+        (* pricing against tree-update work, per pivot *)
+        let per_pivot name =
+          let per snap pivots =
+            float_of_int (Metrics.sum_counter snap name)
+            /. float_of_int (max 1 pivots)
+          in
+          Printf.sprintf "%.0f/%.0f" (per snap_cold pivots_cold)
+            (per snap_warm pivots_warm)
+        in
         (* the flow kernels solve the same relaxation: exact agreement;
            the LP solves the tighter coupled model: never cheaper *)
         let rel_eq a b = Float.abs (a -. b) <= 1e-6 *. (1.0 +. Float.abs b) in
@@ -688,6 +697,8 @@ let flowscale () =
           Printf.sprintf "%.3f/%.3f" secs_cold secs_warm;
           Table.float_cell ~decimals:1 speedup_warm;
           Printf.sprintf "%d/%d" pivots_cold pivots_warm;
+          per_pivot "flow.priced_arcs";
+          per_pivot "flow.tree_nodes";
           (if agree then "yes" else "NO");
         ])
       cases
@@ -696,7 +707,7 @@ let flowscale () =
     ~header:
       [
         "instance"; "links"; "lp s"; "ssp s"; "ns cold/warm s"; "speedup x";
-        "pivots c/w"; "agree";
+        "pivots c/w"; "priced/pivot c/w"; "tree nodes/pivot c/w"; "agree";
       ]
     rows;
   note

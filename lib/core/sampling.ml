@@ -445,6 +445,8 @@ let reopt_solve rp pb =
   flow_sync fn pb;
   flow_extract fn pb
 
+let reopt_check_tree rp = Mincost.check_tree rp.rp_fn.fn_net
+
 let coverage_with_rates pb ~rates =
   let inst = pb.instance in
   let monitored =

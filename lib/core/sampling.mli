@@ -136,6 +136,10 @@ val reopt_solve : reopt -> problem -> solution
     [Monpos_resilience.Error.Error (Infeasible_model _)] when the
     drifted targets are unreachable. *)
 
+val reopt_check_tree : reopt -> (unit, string) result
+(** Test hook: {!Monpos_flow.Mincost.check_tree} on the persistent
+    network. *)
+
 type kernel =
   | Lp  (** the {!reoptimize} LP — the historical default *)
   | Flow of Monpos_flow.Mincost.algo

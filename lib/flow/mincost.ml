@@ -335,3 +335,6 @@ let flow t a =
 let total_cost t = t.last_cost
 
 let potentials t = t.last_potentials
+
+let check_tree t =
+  match t.ns with None -> Ok () | Some ns -> Netsimplex.check_tree ns

@@ -84,3 +84,8 @@ val potentials : t -> float array option
     cost [rc = cost +. pi.(src) -. pi.(dst)], complementary slackness
     holds: [rc >= 0] on arcs at their lower bound, [rc <= 0] on
     saturated arcs, [rc = 0] strictly in between. *)
+
+val check_tree : t -> (unit, string) result
+(** Test hook: {!Netsimplex.check_tree} on the network-simplex basis
+    this network keeps, [Ok ()] if no {!Net_simplex} solve built
+    one. *)

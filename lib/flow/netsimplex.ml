@@ -3,8 +3,9 @@
    pred.(v) (fwd.(v) tells whether that arc is oriented v -> parent).
    The thread is a preorder traversal threaded through the nodes, so
    "the subtree of v" is the contiguous thread segment starting at v
-   while depth stays greater than depth.(v) — which makes the pivot's
-   re-hang and potential update O(|subtree|).
+   while depth stays greater than depth.(v). A pivot re-threads the
+   moved subtree by splicing O(stem) thread segments (see [pivot]),
+   then fixes depth and potential in one pass over it.
 
    Pivots follow the textbook strongly-feasible discipline (LEMON-style
    tie-breaking: strict < on the cycle leg searched first, <= on the
@@ -32,6 +33,8 @@ module Sampler = Monpos_obs.Sampler
 module Error = Monpos_resilience.Error
 
 let m_pivots = lazy (Metrics.counter Metrics.default "flow.pivots")
+let m_priced = lazy (Metrics.counter Metrics.default "flow.priced_arcs")
+let m_tree_nodes = lazy (Metrics.counter Metrics.default "flow.tree_nodes")
 
 type status = Optimal | Infeasible
 
@@ -66,14 +69,20 @@ type t = {
   mutable rev_thread : int array;
   mutable depth : int array;
   mutable excess : float array;
-  (* pivot scratch *)
+  (* warm_init's re-thread scratch *)
   mutable child_head : int array;
   mutable child_next : int array;
-  mutable stem : int array;
-  mutable stem_pred : int array;
-  mutable stem_fwd : bool array;
   mutable stack : int array;
+  (* pivot scratch, indexed by stem position *)
+  mutable stem : int array;
+  mutable stem_prev : int array;
+  mutable stem_last : int array;
+  mutable stem_next : int array;
   mutable next_arc : int;
+  (* work of the current solve: arcs priced, nodes the tree updates
+     visited *)
+  mutable priced : int;
+  mutable tree_nodes : int;
   mutable last_pivots : int;
   mutable last_warm : bool;
   mutable solved : bool;
@@ -107,11 +116,14 @@ let create n =
     excess = [||];
     child_head = [||];
     child_next = [||];
-    stem = [||];
-    stem_pred = [||];
-    stem_fwd = [||];
     stack = [||];
+    stem = [||];
+    stem_prev = [||];
+    stem_last = [||];
+    stem_next = [||];
     next_arc = 0;
+    priced = 0;
+    tree_nodes = 0;
     last_pivots = 0;
     last_warm = false;
     solved = false;
@@ -181,10 +193,11 @@ let ensure_arrays t =
     t.excess <- Array.make nn 0.0;
     t.child_head <- Array.make nn (-1);
     t.child_next <- Array.make nn (-1);
-    t.stem <- Array.make nn 0;
-    t.stem_pred <- Array.make nn 0;
-    t.stem_fwd <- Array.make nn false;
     t.stack <- Array.make nn 0;
+    t.stem <- Array.make nn 0;
+    t.stem_prev <- Array.make nn 0;
+    t.stem_last <- Array.make nn 0;
+    t.stem_next <- Array.make nn 0;
     t.next_arc <- 0;
     t.built_m <- t.m;
     t.solved <- false;
@@ -258,24 +271,29 @@ let cold_init t art =
   t.thread.(root) <- (if t.n > 0 then 0 else root);
   t.rev_thread.(root) <- (if t.n > 0 then t.n - 1 else root)
 
+(* depth and potential of [y] from its parent's *)
+let relabel t y =
+  let p = t.parent.(y) in
+  t.depth.(y) <- t.depth.(p) + 1;
+  let a = t.pred.(y) in
+  t.pi.(y) <-
+    (if t.fwd.(y) then t.pi.(p) -. t.s_cost.(a) else t.pi.(p) +. t.s_cost.(a))
+
+let link t a b =
+  t.thread.(a) <- b;
+  t.rev_thread.(b) <- a
+
 (* Preorder walk over the child lists from the nodes on
-   [t.stack.(0 .. top - 1)]: thread each node after [prev] and fix its
-   depth and potential from its parent's (parent precedes child).
-   Returns the last node threaded. *)
+   [t.stack.(0 .. top - 1)]: thread each node after [prev] and relabel
+   it (parent precedes child). Returns the last node threaded. *)
 let thread_from t top prev =
   let top = ref top and prev = ref prev in
   while !top > 0 do
     top := !top - 1;
     let y = t.stack.(!top) in
-    t.thread.(!prev) <- y;
-    t.rev_thread.(y) <- !prev;
+    link t !prev y;
     prev := y;
-    let p = t.parent.(y) in
-    t.depth.(y) <- t.depth.(p) + 1;
-    let a = t.pred.(y) in
-    t.pi.(y) <-
-      (if t.fwd.(y) then t.pi.(p) -. t.s_cost.(a)
-       else t.pi.(p) +. t.s_cost.(a));
+    relabel t y;
     let c = ref t.child_head.(y) in
     while !c >= 0 do
       t.stack.(!top) <- !c;
@@ -392,9 +410,7 @@ let warm_init t =
     end
   done;
   t.pi.(root) <- 0.0;
-  let last = thread_from t !top root in
-  t.thread.(last) <- root;
-  t.rev_thread.(root) <- last
+  link t (thread_from t !top root) root
 
 (* ------------------------------------------------------------------ *)
 
@@ -414,6 +430,7 @@ let find_entering t na cost_eps ~bland =
       end;
       incr a
     done;
+    t.priced <- t.priced + !a;
     !found
   end
   else begin
@@ -441,6 +458,7 @@ let find_entering t na cost_eps ~bland =
         if !best >= 0 then stop := true
       end
     done;
+    t.priced <- t.priced + !scanned;
     !best
   end
 
@@ -527,62 +545,79 @@ let pivot t ain =
       (if t.flow_.(a_out) <= t.s_ucap.(a_out) -. t.flow_.(a_out) then st_lower
        else st_upper);
     t.state.(ain) <- st_tree;
-    (* subtree of u_out = contiguous thread segment; splice it out *)
-    let d_out = t.depth.(u_out) in
-    let last = ref u_out in
-    while t.depth.(t.thread.(!last)) > d_out do last := t.thread.(!last) done;
-    let last = !last in
-    let before = t.rev_thread.(u_out) and after = t.thread.(last) in
-    t.thread.(before) <- after;
-    t.rev_thread.(after) <- before;
-    (* reverse the stem u_in .. u_out: each stem node adopts the
-       previous one as parent, inheriting its old tree arc flipped *)
+    (* Stem-local thread splice. The stem x_0 = u_in .. x_k = u_out
+       reverses: x_i hangs under x_(i-1), and x_0 under v_in. In the
+       old preorder the subtree of x_i (i >= 1) is x_i, then the part
+       A_i before x_(i-1), the subtree of x_(i-1), and the part B_i
+       after it. Record the stem and each x_i's old thread predecessor
+       before any link moves. *)
     let nstem = ref 0 in
     let x = ref u_in in
     let continue = ref true in
     while !continue do
       let i = !nstem in
-      t.stem.(i) <- !x;
-      t.stem_pred.(i) <- t.pred.(!x);
-      t.stem_fwd.(i) <- t.fwd.(!x);
+      let y = !x in
+      t.stem.(i) <- y;
+      t.stem_prev.(i) <- t.rev_thread.(y);
       nstem := i + 1;
-      if !x = u_out then continue := false else x := t.parent.(!x)
+      if y = u_out then continue := false else x := t.parent.(y)
+    done;
+    let k = !nstem - 1 in
+    (* one forward walk from u_in: the old subtrees of x_0 .. x_k end
+       in that order, each where the thread first climbs to its depth
+       (depth x_i = depth u_in - i) *)
+    let d_in = t.depth.(u_in) in
+    let i = ref 0 and y = ref u_in and visits = ref 0 in
+    while !i <= k do
+      let nxt = t.thread.(!y) in
+      incr visits;
+      while !i <= k && t.depth.(nxt) <= d_in - !i do
+        t.stem_last.(!i) <- !y;
+        t.stem_next.(!i) <- nxt;
+        incr i
+      done;
+      y := nxt
+    done;
+    (* cut the old subtree of u_out out of the thread, then relink it
+       after v_in as x_0 with its old subtree, then x_i A_i B_i for
+       i = 1 .. k; links inside x_0's subtree, A_i and B_i stay *)
+    link t t.stem_prev.(k) t.stem_next.(k);
+    let after_v = t.thread.(v_in) in
+    link t v_in u_in;
+    let tail = ref t.stem_last.(0) in
+    for i = 1 to k do
+      link t !tail t.stem.(i);
+      (* A_i still follows x_i and ends at x_(i-1)'s old predecessor,
+         which is x_i itself when A_i is empty; B_i runs from after
+         x_(i-1)'s old subtree to the end of x_i's *)
+      let a_end = t.stem_prev.(i - 1) in
+      tail := a_end;
+      if t.stem_last.(i - 1) <> t.stem_last.(i) then begin
+        link t a_end t.stem_next.(i - 1);
+        tail := t.stem_last.(i)
+      end
+    done;
+    link t !tail after_v;
+    (* reverse the stem: each stem node adopts the previous one as
+       parent, inheriting its old tree arc flipped (top down, so that
+       arc is read before it is overwritten) *)
+    for i = k downto 1 do
+      let y = t.stem.(i) and below = t.stem.(i - 1) in
+      t.parent.(y) <- below;
+      t.pred.(y) <- t.pred.(below);
+      t.fwd.(y) <- not t.fwd.(below)
     done;
     t.parent.(u_in) <- v_in;
     t.pred.(u_in) <- ain;
     t.fwd.(u_in) <- t.s_src.(ain) = u_in;
-    for i = 1 to !nstem - 1 do
-      let y = t.stem.(i) in
-      t.parent.(y) <- t.stem.(i - 1);
-      t.pred.(y) <- t.stem_pred.(i - 1);
-      t.fwd.(y) <- not t.stem_fwd.(i - 1)
+    (* the new segment in thread order, parents first *)
+    let y = ref u_in in
+    while !y <> after_v do
+      relabel t !y;
+      incr visits;
+      y := t.thread.(!y)
     done;
-    (* child lists for the segment under its new parent pointers; the
-       segment's internal thread is still the old preorder *)
-    let x = ref u_out in
-    let continue = ref true in
-    while !continue do
-      t.child_head.(!x) <- -1;
-      if !x = last then continue := false else x := t.thread.(!x)
-    done;
-    let x = ref u_out in
-    let continue = ref true in
-    while !continue do
-      let y = !x in
-      let nxt = t.thread.(y) in
-      if y <> u_in then begin
-        let p = t.parent.(y) in
-        t.child_next.(y) <- t.child_head.(p);
-        t.child_head.(p) <- y
-      end;
-      if y = last then continue := false else x := nxt
-    done;
-    (* re-thread the segment in preorder from u_in *)
-    let after_v = t.thread.(v_in) in
-    t.stack.(0) <- u_in;
-    let last = thread_from t 1 v_in in
-    t.thread.(last) <- after_v;
-    t.rev_thread.(after_v) <- last
+    t.tree_nodes <- t.tree_nodes + !visits
   end;
   !delta
 
@@ -618,6 +653,8 @@ let solve ?(warm = true) t =
     let max_pivots = 100 + (100 * na) in
     let degen_limit = na + 10 in
     let pivots = ref 0 in
+    t.priced <- 0;
+    t.tree_nodes <- 0;
     let degen_run = ref 0 in
     let continue = ref true in
     let sink = Trace.current () in
@@ -657,6 +694,8 @@ let solve ?(warm = true) t =
     done;
     t.last_pivots <- !pivots;
     Metrics.add (Lazy.force m_pivots) !pivots;
+    Metrics.add (Lazy.force m_priced) t.priced;
+    Metrics.add (Lazy.force m_tree_nodes) t.tree_nodes;
     t.solved <- true;
     (* leftover artificial flow at optimality = no feasible flow *)
     let art_tol = 1e-7 *. (1.0 +. !fscale) in
@@ -686,3 +725,76 @@ let potential t v =
 
 let pivots t = t.last_pivots
 let warm_started t = t.last_warm
+
+(* Test hook: the basis invariants every pivot and warm start must
+   keep. The first broken one is reported. *)
+let check_tree t =
+  let fail fmt = Printf.ksprintf (fun s -> Stdlib.Error s) fmt in
+  if t.n = 0 || not t.solved then Ok ()
+  else begin
+    let root = t.n and nn = t.n + 1 and na = t.m + t.n in
+    let bits = Int64.bits_of_float in
+    let seen = Array.make nn false in
+    (* path.(d) = the last node met at depth d on the walk *)
+    let path = Array.make nn (-1) in
+    let tree_arcs = ref 0 in
+    for a = 0 to na - 1 do
+      if t.state.(a) = st_tree then incr tree_arcs
+    done;
+    let rec walk v steps =
+      let next = t.thread.(v) in
+      if next < 0 || next >= nn then fail "thread.(%d) = %d out of range" v next
+      else if t.rev_thread.(next) <> v then
+        fail "rev_thread.(%d) = %d, not %d" next t.rev_thread.(next) v
+      else if next = root then
+        if steps + 1 = nn then Ok ()
+        else fail "thread closes after %d of %d nodes" (steps + 1) nn
+      else if seen.(next) then fail "thread meets node %d twice" next
+      else begin
+        seen.(next) <- true;
+        match node next with Ok () -> walk next (steps + 1) | e -> e
+      end
+    and node v =
+      let p = t.parent.(v) and a = t.pred.(v) and d = t.depth.(v) in
+      if p < 0 || p >= nn then fail "parent.(%d) = %d out of range" v p
+      else if d < 1 || d >= nn || path.(d - 1) <> p then
+        fail "node %d (depth %d) does not follow its parent %d in preorder"
+          v d p
+      else if d <> t.depth.(p) + 1 then
+        fail "depth.(%d) = %d, parent %d has depth %d" v d p t.depth.(p)
+      else if a < 0 || a >= na || t.state.(a) <> st_tree then
+        fail "pred.(%d) = %d is not a tree arc" v a
+      else if
+        (t.fwd.(v) && (t.s_src.(a) <> v || t.s_dst.(a) <> p))
+        || ((not t.fwd.(v)) && (t.s_src.(a) <> p || t.s_dst.(a) <> v))
+      then fail "arc %d of node %d is not oriented as fwd says" a v
+      else
+        let want =
+          if t.fwd.(v) then t.pi.(p) -. t.s_cost.(a)
+          else t.pi.(p) +. t.s_cost.(a)
+        in
+        if bits t.pi.(v) <> bits want then
+          fail "pi.(%d) = %h, parent gives %h" v t.pi.(v) want
+        else begin
+          path.(d) <- v;
+          Ok ()
+        end
+    in
+    let rec flows a =
+      if a = na then Ok ()
+      else
+        let f = t.flow_.(a) and u = t.s_ucap.(a) in
+        let tol = 1e-9 *. (1.0 +. Float.abs (if u = infinity then f else u)) in
+        if not (f >= -.tol && f <= u +. tol) then
+          fail "flow.(%d) = %g outside [0, %g]" a f u
+        else flows (a + 1)
+    in
+    if t.parent.(root) <> -1 || t.depth.(root) <> 0 || bits t.pi.(root) <> 0L
+    then fail "root %d is not a depth-0 root with potential 0" root
+    else if !tree_arcs <> t.n then
+      fail "%d tree arcs for %d non-root nodes" !tree_arcs t.n
+    else begin
+      path.(0) <- root;
+      match walk root 0 with Ok () -> flows 0 | e -> e
+    end
+  end

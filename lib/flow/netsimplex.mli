@@ -3,7 +3,11 @@
     A specialized simplex over the arc-incidence matrix: the basis is
     a spanning tree (rooted at an artificial node) held in
     parent/pred/depth/thread arrays, so each pivot is a cycle update
-    plus an O(|subtree|) re-hang instead of a dense basis refactor.
+    plus a tree update instead of a dense basis refactor. The tree
+    update reverses the stem from the entering arc's end to the
+    leaving arc, relinks the moved subtree's preorder thread by
+    splicing O(stem) segments, and sets depths and potentials in one
+    pass over the moved subtree.
     This is the kernel behind [Mincost.solve ~algo:Net_simplex]; the
     paper's PPME* re-optimization (§5.4) and the MECF bound (§4.3)
     both route through it on their hot paths.
@@ -18,13 +22,13 @@
       scanning wrap-around blocks of ~sqrt(m) arcs and taking the most
       negative reduced cost seen in the first block that has one;
     - warm start: [solve ~warm:true] reuses the previous spanning tree
-      and arc states, recomputing tree-arc flows bottom-up and node
-      potentials top-down. A tree arc whose flow would leave its
-      bounds is clamped to the nearer bound and its node re-hangs
-      under the root by an artificial arc, so the old basis is
-      repaired rather than discarded and re-solves after
-      cost/capacity/supply perturbations (drift ticks) pay only the
-      pivots the change needs;
+      and arc states, recomputing tree-arc flows bottom-up, then
+      re-threading the whole tree and its potentials top-down. A tree
+      arc whose flow would leave its bounds is clamped to the nearer
+      bound and its node re-hangs under the root by an artificial
+      arc, so the old basis is repaired rather than discarded and
+      re-solves after cost/capacity/supply perturbations (drift
+      ticks) pay only the pivots the change needs;
     - dual certificate: on [Optimal] the node potentials are exposed,
       so callers can check complementary slackness independently. *)
 
@@ -86,9 +90,25 @@ val potential : t -> int -> float
     arcs, [rc = 0] on arcs strictly between their bounds. *)
 
 val pivots : t -> int
-(** Pivot count of the last solve. *)
+(** Pivot count of the last solve. Each solve also adds its work to
+    two counters in [Metrics.default]: [flow.priced_arcs] (arcs the
+    entering-arc search scanned) and [flow.tree_nodes] (nodes the
+    pivots' tree updates visited: the walk to the moved subtree's end
+    plus the pass that relabels it). *)
 
 val warm_started : t -> bool
 (** Whether the last solve started from the previous basis: true for
     every [warm:true] solve except a handle's first and the first
     after {!add_arc}. *)
+
+val check_tree : t -> (unit, string) result
+(** Test hook: check the basis invariants that pivots and warm starts
+    keep. [thread] is one cycle through all nodes and the root, and
+    [rev_thread] is its inverse; the thread is a preorder of the tree
+    (each node follows its parent, and its parent is the last node
+    met one level up); [depth] is the parent's plus one; each
+    potential equals its parent's minus (arc pointing to the parent)
+    or plus (arc from the parent) its tree arc's cost, bit for bit;
+    tree arcs are oriented as recorded; every flow lies in
+    [\[0, capacity - lower\]] up to rounding. [Ok ()] before the first
+    solve. *)

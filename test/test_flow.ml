@@ -4,6 +4,8 @@
 
 module Maxflow = Monpos_flow.Maxflow
 module Mincost = Monpos_flow.Mincost
+module Netsimplex = Monpos_flow.Netsimplex
+module Metrics = Monpos_obs.Metrics
 module Model = Monpos_lp.Model
 module Simplex = Monpos_lp.Simplex
 module Prng = Monpos_util.Prng
@@ -206,6 +208,53 @@ let test_mincost_potentials_exposure () =
     (* the arc carries interior flow, so its reduced cost vanishes *)
     Alcotest.(check (float 1e-9)) "tight arc prices out" 0.0 (1.0 +. pi.(0) -. pi.(1))
 
+(* The network simplex's work counters on two hand-traced 4-node
+   solves. Every pricing call scans all [m + n] arcs (one block), so
+   [flow.priced_arcs] is (pivots + 1) (m + n). [flow.tree_nodes]
+   counts the forward walk to the moved subtree's end plus the relabel
+   pass over it, per pivot. The basis must pass [check_tree] after
+   each solve. *)
+let test_netsimplex_work_counters () =
+  let work f =
+    let count name = Metrics.sum_counter (Metrics.snapshot Metrics.default) name in
+    let p0 = count "flow.priced_arcs" and t0 = count "flow.tree_nodes" in
+    f ();
+    (count "flow.priced_arcs" - p0, count "flow.tree_nodes" - t0)
+  in
+  let check_basis what ns =
+    match Netsimplex.check_tree ns with
+    | Ok () -> ()
+    | Error msg -> Alcotest.failf "%s: broken basis: %s" what msg
+  in
+  (* one unit from 0 to 1: node 1 leaves the root for node 0 in one
+     pivot (walk 1 node, relabel 1) *)
+  let ns = Netsimplex.create 4 in
+  ignore (Netsimplex.add_arc ns ~src:0 ~dst:1 ~capacity:5.0 ~cost:1.0);
+  Netsimplex.set_supply ns 0 1.0;
+  Netsimplex.set_supply ns 1 (-1.0);
+  let priced, tree = work (fun () -> ignore (Netsimplex.solve ns)) in
+  check_basis "one arc" ns;
+  Alcotest.(check int) "one arc: pivots" 1 (Netsimplex.pivots ns);
+  Alcotest.(check int) "one arc: priced arcs" 10 priced;
+  Alcotest.(check int) "one arc: tree nodes" 2 tree;
+  (* two units along the path 0 -> 1 -> 2 -> 3 (cost 3 a unit) beside
+     a dearer shortcut 0 -> 3. Two degenerate pivots hang 2 under 3
+     and 1 under 2 (2 nodes each); the third reverses the stem
+     1, 2, 3 under 0 (walk 1 node, relabel 3). *)
+  let ns = Netsimplex.create 4 in
+  List.iter
+    (fun (src, dst, cost) ->
+      ignore (Netsimplex.add_arc ns ~src ~dst ~capacity:5.0 ~cost))
+    [ (0, 1, 1.0); (1, 2, 1.0); (2, 3, 1.0); (0, 3, 5.0) ];
+  Netsimplex.set_supply ns 0 2.0;
+  Netsimplex.set_supply ns 3 (-2.0);
+  let priced, tree = work (fun () -> ignore (Netsimplex.solve ns)) in
+  check_basis "path" ns;
+  Alcotest.(check (float 1e-12)) "path: objective" 6.0 (Netsimplex.objective ns);
+  Alcotest.(check int) "path: pivots" 3 (Netsimplex.pivots ns);
+  Alcotest.(check int) "path: priced arcs" 32 priced;
+  Alcotest.(check int) "path: tree nodes" 8 tree
+
 (* Cross-check: min-cost flow equals the LP optimum computed by our
    simplex on the node-arc incidence formulation. *)
 let prop_mincost_matches_lp =
@@ -333,4 +382,6 @@ let suite =
       test_mincost_potentials_exposure;
     QCheck_alcotest.to_alcotest prop_mincost_matches_lp;
     QCheck_alcotest.to_alcotest prop_flow_conservation;
+    Alcotest.test_case "netsimplex work counters" `Quick
+      test_netsimplex_work_counters;
   ]

@@ -18,7 +18,10 @@
    - the raw Netsimplex warm start always reuses the basis (flag set,
      zero pivots on an unchanged replay), also when drifted supplies,
      capacities and lower bounds push the old tree's flows off their
-     bounds, and never changes answers.
+     bounds, and never changes answers,
+   - after every network simplex solve, cold or warm, the spanning-tree
+     basis passes [Netsimplex.check_tree] (thread, depths, potentials,
+     arc orientation, flow bounds).
 
    Negative costs are confined to DAG instances: SSP never cancels
    cycles, so on a general digraph with negative arcs it would not be
@@ -153,6 +156,10 @@ let solve_lp inst =
       | Simplex.Deadline_reached -> "deadline_reached"
       | _ -> "?")
 
+let check_tree ~case ~what = function
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "case %d (%s): broken basis: %s" case what msg
+
 let status_name = function
   | Mincost.Optimal -> "optimal"
   | Mincost.Infeasible -> "infeasible"
@@ -246,6 +253,7 @@ let test_differential () =
     let net_ns, handles = build_mincost inst in
     let st_ssp = Mincost.solve ~algo:Mincost.Ssp net_ssp in
     let st_ns = Mincost.solve ~algo:Mincost.Net_simplex net_ns in
+    check_tree ~case ~what:"cold" (Mincost.check_tree net_ns);
     let lp = solve_lp inst in
     check_three_way ~case ~what:"cold"
       (st_ssp, Mincost.total_cost net_ssp)
@@ -273,6 +281,7 @@ let test_differential () =
       inst'.supply;
     let st_ssp' = Mincost.solve ~algo:Mincost.Ssp net_ssp in
     let st_warm = Mincost.solve ~algo:Mincost.Net_simplex net_ns in
+    check_tree ~case ~what:"perturbed" (Mincost.check_tree net_ns);
     let lp' = solve_lp inst' in
     incr warm_resolves;
     check_three_way ~case ~what:"perturbed"
@@ -365,12 +374,14 @@ let test_netsimplex_warm_basis () =
     in
     let ns = build inst in
     let st = Netsimplex.solve ns in
+    check_tree ~case ~what:"first solve" (Netsimplex.check_tree ns);
     Alcotest.(check bool)
       (Printf.sprintf "case %d: first solve is cold" case)
       false
       (Netsimplex.warm_started ns);
     (* unchanged replay: warm, and already optimal *)
     let st2 = Netsimplex.solve ns in
+    check_tree ~case ~what:"replay" (Netsimplex.check_tree ns);
     Alcotest.(check bool)
       (Printf.sprintf "case %d: replay status agrees" case)
       true (st = st2);
@@ -392,11 +403,13 @@ let test_netsimplex_warm_basis () =
           data.arcs;
         Array.iteri (fun v b -> Netsimplex.set_supply ns v b) data.supply;
         let st_warm = Netsimplex.solve ns in
+        check_tree ~case ~what:(what ^ " warm") (Netsimplex.check_tree ns);
         incr resolves;
         Alcotest.(check bool) (what ^ ": warm started") true
           (Netsimplex.warm_started ns);
         let cold = build data in
         let st_cold = Netsimplex.solve ~warm:false cold in
+        check_tree ~case ~what:(what ^ " cold") (Netsimplex.check_tree cold);
         Alcotest.(check bool) (what ^ ": warm vs cold status") true
           (st_warm = st_cold);
         if st_cold = Netsimplex.Optimal then begin

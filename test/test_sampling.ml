@@ -11,6 +11,7 @@ module Graph = Monpos_graph.Graph
 module Prng = Monpos_util.Prng
 module Mincost = Monpos_flow.Mincost
 module Chaos = Monpos_resilience.Chaos
+module Metrics = Monpos_obs.Metrics
 
 let pop10_instance seed =
   Instance.of_pop (Pop.make_preset `Pop10 ~seed) ~seed:(seed * 3)
@@ -277,6 +278,9 @@ let test_drift_walk_warm_matches_ssp () =
       Array.iter
         (fun i ->
           let warm = (Sampling.reopt_solve rp (problem i)).Sampling.exploit_cost in
+          (match Sampling.reopt_check_tree rp with
+          | Ok () -> ()
+          | Error msg -> Alcotest.failf "%s, tick %d: broken basis: %s" name i msg);
           if Float.abs (warm -. ssp.(i)) > 1e-9 *. (1.0 +. Float.abs ssp.(i)) then
             Alcotest.failf "%s, tick %d: warm exploit cost %.12g, SSP %.12g" name
               i warm ssp.(i))
@@ -285,6 +289,44 @@ let test_drift_walk_warm_matches_ssp () =
   (* the walk must move the optimum, or the check shows nothing *)
   Alcotest.(check bool) "drift moves the exploit cost" true
     (Array.exists (fun c -> Float.abs (c -. ssp.(0)) > 1e-6) ssp)
+
+(* Cold pivot pin: bench flowscale's drift sequence (the initial
+   problem and 6 ticks drifted with seeds 997 i, sigma 0.15, every
+   loaded link monitored) solved by a cold network simplex per tick.
+   A cold solve starts from the star tree, and which arcs enter and
+   leave depends on parents, depths, potentials and flows, not on the
+   order of the thread, so a change to how a pivot re-threads the tree
+   must keep these totals exactly. *)
+let test_cold_pivots_pinned () =
+  let pivots g count =
+    let nodes = Array.init (Graph.num_nodes g) Fun.id in
+    Prng.shuffle (Prng.create 17) nodes;
+    let endpoints = Array.to_list (Array.sub nodes 0 count) in
+    let inst = Instance.make g (Traffic.generate g ~endpoints ~seed:41) in
+    let pb = Sampling.make_problem ~k:0.9 inst in
+    let installed =
+      List.filter
+        (fun e -> inst.Instance.loads.(e) > 0.0)
+        (List.init (Graph.num_edges g) Fun.id)
+    in
+    let total () =
+      Metrics.sum_counter (Metrics.snapshot Metrics.default) "flow.pivots"
+    in
+    let before = total () in
+    let demands = ref inst.Instance.demands in
+    for i = 0 to 6 do
+      if i > 0 then
+        demands := Traffic.drift !demands ~seed:(997 * i) ~sigma:0.15;
+      let p =
+        { pb with Sampling.instance = Instance.replace_demands inst !demands }
+      in
+      ignore (Sampling.reoptimize_flow ~algo:Mincost.Net_simplex p ~installed)
+    done;
+    total () - before
+  in
+  Alcotest.(check int) "waxman60" 4185
+    (pivots (Synthetic.waxman ~n:60 ~alpha:0.22 ~beta:0.35 ~seed:5) 12);
+  Alcotest.(check int) "grid7x7" 6601 (pivots (Synthetic.grid 7 7) 14)
 
 (* §5.4 determinism: the control loop's tick stream is a pure function
    of (problem, placement, seed) whatever flow kernel re-optimizes —
@@ -448,4 +490,5 @@ let suite =
     Alcotest.test_case "dynamic maintains threshold" `Quick test_dynamic_loop_maintains_threshold;
     Alcotest.test_case "dynamic reoptimizes" `Quick test_dynamic_loop_reoptimizes_sometimes;
     QCheck_alcotest.to_alcotest prop_milp_feasible_random;
+    Alcotest.test_case "cold pivots pinned" `Quick test_cold_pivots_pinned;
   ]
