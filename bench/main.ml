@@ -468,6 +468,7 @@ let warmstart () =
       labeled snap "simplex.iterations" [ ("phase", "dual") ],
       counter snap "mip.nodes",
       counter snap "simplex.warm_starts",
+      (counter snap "simplex.row_entries", counter snap "simplex.dj_refreshes"),
       secs )
   in
   let mip_opts warm_on =
@@ -508,10 +509,18 @@ let warmstart () =
   let rows =
     List.map
       (fun (key, label, suite) ->
-        let pivots_cold, _, nodes_cold, _, secs_cold = measure (suite false) in
-        let pivots_warm, dual_warm, nodes_warm, warm_starts, secs_warm =
+        let pivots_cold, _, nodes_cold, _, _, secs_cold = measure (suite false) in
+        let ( pivots_warm,
+              dual_warm,
+              nodes_warm,
+              warm_starts,
+              (row_entries, dj_refreshes),
+              secs_warm ) =
           measure (suite true)
         in
+        (* dual-phase work per dual pivot: pivot-row entries formed and
+           full reduced-cost refreshes *)
+        let per_dual x = float_of_int x /. float_of_int (max 1 dual_warm) in
         let ratio =
           float_of_int pivots_cold /. float_of_int (max 1 pivots_warm)
         in
@@ -520,6 +529,8 @@ let warmstart () =
         kv (key ^ "_pivots_warm") (Json.Int pivots_warm);
         kv (key ^ "_dual_pivots") (Json.Int dual_warm);
         kv (key ^ "_warm_starts") (Json.Int warm_starts);
+        kv (key ^ "_row_entries") (Json.Int row_entries);
+        kv (key ^ "_dj_refreshes") (Json.Int dj_refreshes);
         kv_float (key ^ "_pivot_ratio") ratio;
         kv_float (key ^ "_seconds_cold") secs_cold;
         kv_float (key ^ "_seconds_warm") secs_warm;
@@ -532,6 +543,8 @@ let warmstart () =
           string_of_int warm_starts;
           Printf.sprintf "%d/%d" nodes_cold nodes_warm;
           Printf.sprintf "%.2f/%.2f" secs_cold secs_warm;
+          Table.float_cell ~decimals:1 (per_dual row_entries);
+          Table.float_cell ~decimals:3 (per_dual dj_refreshes);
         ])
       suites
   in
@@ -539,7 +552,8 @@ let warmstart () =
     ~header:
       [
         "suite"; "pivots cold"; "pivots warm"; "speedup x"; "dual/warm";
-        "warm starts"; "nodes c/w"; "secs c/w";
+        "warm starts"; "nodes c/w"; "secs c/w"; "row entries/dual pivot";
+        "dj refreshes/dual pivot";
       ]
     rows;
   note
@@ -1131,6 +1145,11 @@ let experiments =
 
 let report_path = "BENCH_monpos.json"
 
+(* A run of only some of the experiments writes its report here, so it
+   never replaces a report of all of them (such as the committed
+   [--check] baseline). *)
+let partial_report_path = "BENCH_monpos.partial.json"
+
 (* Run one experiment against a freshly reset metrics registry so the
    solver counters (B&B nodes, simplex pivots, flow augmentations, span
    histograms) in the report are attributable to that phase alone. *)
@@ -1178,15 +1197,15 @@ let report_doc ~total_seconds phases =
       ("phases", Json.List phases);
     ]
 
-let write_report doc =
-  Out_channel.with_open_text report_path (fun oc ->
+let write_report path doc =
+  Out_channel.with_open_text path (fun oc ->
       output_string oc (Json.to_string doc);
       output_char oc '\n');
-  Printf.printf "report written to %s\n" report_path
+  Printf.printf "report written to %s\n" path
 
 (* --check BASELINE: regression gate. The baseline is loaded before
-   any experiment runs (it usually IS report_path, which the run
-   overwrites at the end); a baseline that does not parse or has the
+   any experiment runs (it usually IS report_path, which a run of every
+   experiment overwrites at the end); a baseline that does not parse or has the
    wrong schema/mode is exit code 2, a metric outside its threshold is
    exit code 1. *)
 let load_baseline path =
@@ -1258,7 +1277,10 @@ let () =
   in
   Printf.printf "\n";
   let doc = report_doc ~total_seconds:(Clock.elapsed t0) phases in
-  write_report doc;
+  let complete =
+    List.for_all (fun (name, _) -> List.mem name requested) experiments
+  in
+  write_report (if complete then report_path else partial_report_path) doc;
   (match baseline with
   | None -> Printf.printf "done.\n"
   | Some baseline ->

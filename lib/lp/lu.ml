@@ -577,6 +577,10 @@ let factor ~m ~col =
 
 (* --- solves -------------------------------------------------------- *)
 
+(* The solves write through [Sparse_vec.raw] after an int-only
+   [Sparse_vec.touch], so no float crosses a call boundary and a solve
+   allocates nothing. *)
+
 let ftran t ~rhs ~into =
   Sparse_vec.clear into;
   if t.m > 0 then begin
@@ -588,7 +592,9 @@ let ftran t ~rhs ~into =
         let x = bv.(t.l_src.(k)) in
         if x <> 0.0 then
           for j = s to e - 1 do
-            Sparse_vec.add rhs t.l_idx.(j) (-.t.l_val.(j) *. x)
+            let i = t.l_idx.(j) in
+            if bv.(i) = 0.0 then Sparse_vec.touch rhs i;
+            bv.(i) <- bv.(i) +. (-.t.l_val.(j) *. x)
           done
       end
     done;
@@ -600,7 +606,11 @@ let ftran t ~rhs ~into =
         let x = xv.(t.u_idx.(j)) in
         if x <> 0.0 then acc := !acc -. (t.u_val.(j) *. x)
       done;
-      if !acc <> 0.0 then Sparse_vec.set into t.perm_c.(k) (!acc /. t.u_piv.(k))
+      if !acc <> 0.0 then begin
+        let c = t.perm_c.(k) in
+        Sparse_vec.touch into c;
+        xv.(c) <- !acc /. t.u_piv.(k)
+      end
     done;
     (* product-form etas, oldest first *)
     for l = 0 to t.n_eta - 1 do
@@ -608,9 +618,11 @@ let ftran t ~rhs ~into =
       let x = xv.(e.e_r) in
       if x <> 0.0 then begin
         let x = x /. e.e_piv in
-        Sparse_vec.set into e.e_r x;
+        xv.(e.e_r) <- x;
         for j = 0 to Array.length e.e_idx - 1 do
-          Sparse_vec.add into e.e_idx.(j) (-.e.e_val.(j) *. x)
+          let i = e.e_idx.(j) in
+          if xv.(i) = 0.0 then Sparse_vec.touch into i;
+          xv.(i) <- xv.(i) +. (-.e.e_val.(j) *. x)
         done
       end
     done
@@ -629,21 +641,28 @@ let btran t ~rhs ~into =
         if x <> 0.0 then acc := !acc -. (e.e_val.(j) *. x)
       done;
       let z = !acc /. e.e_piv in
-      if z <> 0.0 || cv.(e.e_r) <> 0.0 then Sparse_vec.set rhs e.e_r z
+      if z <> 0.0 || cv.(e.e_r) <> 0.0 then begin
+        Sparse_vec.touch rhs e.e_r;
+        cv.(e.e_r) <- z
+      end
     done;
     (* forward substitution with U^T, ascending pivot order *)
+    let yv = Sparse_vec.raw into in
     for k = 0 to t.m - 1 do
       let x = cv.(t.perm_c.(k)) in
       if x <> 0.0 then begin
         let z = x /. t.u_piv.(k) in
-        Sparse_vec.set into t.perm_r.(k) z;
+        let r = t.perm_r.(k) in
+        Sparse_vec.touch into r;
+        yv.(r) <- z;
         for j = t.u_start.(k) to t.u_start.(k + 1) - 1 do
-          Sparse_vec.add rhs t.u_idx.(j) (-.t.u_val.(j) *. z)
+          let i = t.u_idx.(j) in
+          if cv.(i) = 0.0 then Sparse_vec.touch rhs i;
+          cv.(i) <- cv.(i) +. (-.t.u_val.(j) *. z)
         done
       end
     done;
     (* transposed L ops, newest first: only the source row moves *)
-    let yv = Sparse_vec.raw into in
     for k = t.m - 1 downto 0 do
       let s = t.l_start.(k) and e = t.l_start.(k + 1) in
       if e > s then begin
@@ -652,7 +671,11 @@ let btran t ~rhs ~into =
           let x = yv.(t.l_idx.(j)) in
           if x <> 0.0 then acc := !acc +. (t.l_val.(j) *. x)
         done;
-        if !acc <> 0.0 then Sparse_vec.add into t.l_src.(k) (-. !acc)
+        if !acc <> 0.0 then begin
+          let i = t.l_src.(k) in
+          if yv.(i) = 0.0 then Sparse_vec.touch into i;
+          yv.(i) <- yv.(i) +. -. !acc
+        end
       end
     done
   end
@@ -660,18 +683,24 @@ let btran t ~rhs ~into =
 (* --- eta file ------------------------------------------------------ *)
 
 let append_eta t ~r ~alpha =
-  let piv = Sparse_vec.get alpha r in
+  let av = Sparse_vec.raw alpha and pat = Sparse_vec.pattern alpha in
+  let nnz = Sparse_vec.nnz alpha in
   let count = ref 0 in
-  Sparse_vec.iter alpha (fun i _ -> if i <> r then incr count);
+  for k = 0 to nnz - 1 do
+    let i = pat.(k) in
+    if i <> r && av.(i) <> 0.0 then incr count
+  done;
   let e_idx = Array.make !count 0 and e_val = Array.make !count 0.0 in
   let w = ref 0 in
-  Sparse_vec.iter alpha (fun i a ->
-      if i <> r then begin
-        e_idx.(!w) <- i;
-        e_val.(!w) <- a;
-        incr w
-      end);
-  let e = { e_r = r; e_piv = piv; e_idx; e_val } in
+  for k = 0 to nnz - 1 do
+    let i = pat.(k) in
+    if i <> r && av.(i) <> 0.0 then begin
+      e_idx.(!w) <- i;
+      e_val.(!w) <- av.(i);
+      incr w
+    end
+  done;
+  let e = { e_r = r; e_piv = av.(r); e_idx; e_val } in
   if t.n_eta = Array.length t.etas then begin
     let cap = max 8 (2 * Array.length t.etas) in
     let etas = Array.make cap e in

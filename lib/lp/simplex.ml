@@ -14,6 +14,12 @@
    the basis is refactorized when the eta file outgrows the
    factorization (eta count or accumulated fill).
 
+   The constraint matrix is stored twice, column-wise for FTRAN and
+   pricing and row-wise for the dual phase's pivot row. The pivot
+   loops pass no float to a function or closure: vectors are written
+   through [Sparse_vec.raw] after an int-only [Sparse_vec.touch] and
+   walked with index loops, so a pivot allocates only its eta.
+
    Warm starts: [solve ?basis] installs a caller-supplied basic set
    (typically the parent branch-and-bound node's optimal basis)
    through the same LU factorization as any other basis, parks
@@ -68,6 +74,14 @@ let m_solves =
 let m_refactorizations =
   lazy (Metrics.counter Metrics.default "simplex.refactorizations")
 
+(* dual phase work, counted per solve: pivot-row entries formed, and
+   full reduced-cost refreshes (a BTRAN plus a pricing pass over every
+   column) *)
+let m_row_entries = lazy (Metrics.counter Metrics.default "simplex.row_entries")
+
+let m_dj_refreshes =
+  lazy (Metrics.counter Metrics.default "simplex.dj_refreshes")
+
 (* length of the eta file when a factorization is retired *)
 let m_eta_len =
   lazy
@@ -89,12 +103,15 @@ let m_ftran_nnz =
        ~buckets:[| 0.01; 0.02; 0.05; 0.1; 0.2; 0.3; 0.5; 0.7; 0.9; 1.0 |]
        Metrics.default "simplex.ftran_nnz_ratio")
 
-type col = { rows : int array; coefs : float array }
+(* a sparse line of the constraint matrix: a column (indices are rows)
+   or a row (indices are structural columns) *)
+type line = { idx : int array; coefs : float array }
 
 type problem = {
   n : int; (* structural variables *)
   m : int; (* rows *)
-  cols : col array; (* structural sparse columns, length n *)
+  cols : line array; (* structural sparse columns, length n *)
+  rows : line array; (* the same matrix row-wise, length m *)
   cost : float array; (* structural costs, minimization form *)
   base_lb : float array; (* structural bounds from the model *)
   base_ub : float array;
@@ -132,7 +149,27 @@ let of_model model =
   let n = Model.num_vars model in
   let m = Model.num_constrs model in
   let cols =
-    Array.map (fun (rows, coefs) -> { rows; coefs }) (Model.columns model)
+    Array.map (fun (idx, coefs) -> { idx; coefs }) (Model.columns model)
+  in
+  (* transpose: size each row, then fill in column order *)
+  let rows =
+    let len = Array.make m 0 in
+    Array.iter (fun c -> Array.iter (fun i -> len.(i) <- len.(i) + 1) c.idx) cols;
+    let rows =
+      Array.map (fun k -> { idx = Array.make k 0; coefs = Array.make k 0.0 }) len
+    in
+    let fill = Array.make m 0 in
+    Array.iteri
+      (fun j c ->
+        Array.iteri
+          (fun k i ->
+            let r = rows.(i) in
+            r.idx.(fill.(i)) <- j;
+            r.coefs.(fill.(i)) <- c.coefs.(k);
+            fill.(i) <- fill.(i) + 1)
+          c.idx)
+      cols;
+    rows
   in
   let b = Array.make (max m 1) 0.0 in
   let slack_lb = Array.make (max m 1) 0.0 in
@@ -161,7 +198,7 @@ let of_model model =
   let base_ub =
     Array.init n (fun v -> Model.var_ub model (Model.var_of_index model v))
   in
-  { n; m; cols; cost; base_lb; base_ub; slack_lb; slack_ub; b; maximize }
+  { n; m; cols; rows; cost; base_lb; base_ub; slack_lb; slack_ub; b; maximize }
 
 (* --- solver state ------------------------------------------------------ *)
 
@@ -181,8 +218,16 @@ type state = {
   alpha : Sparse_vec.t; (* FTRAN result, indexed by basis position *)
   y : Sparse_vec.t; (* BTRAN result, indexed by constraint row *)
   work : Sparse_vec.t; (* FTRAN/BTRAN right-hand-side scratch *)
-  rho : Sparse_vec.t; (* dual phase pricing row of B^-1 *)
+  rho : Sparse_vec.t; (* dual phase: row r of B^-1 *)
+  prow : Sparse_vec.t; (* dual phase: rho.A over the structurals *)
+  d : float array;
+      (* reduced costs, length nn: kept pivot to pivot by the dual phase
+         (see [refresh_reduced_costs]), re-priced every pivot by the
+         primal phases *)
   deadline : Deadline.t;
+  (* work counters, added to the metrics once per solve *)
+  mutable row_entries : int; (* pivot-row entries formed *)
+  mutable dj_refreshes : int; (* full reduced-cost refreshes *)
   mutable iters : int;
   mutable degenerate_run : int;
   mutable bland : bool;
@@ -197,17 +242,16 @@ let piv_tol = 1e-8
 
 let zero_tol = 1e-11
 
-(* Column access treating slacks as unit columns. *)
+(* Column access treating slacks as unit columns, for the LU
+   factorization's column callback. *)
 let col_iter st j f =
   if j < st.p.n then begin
     let c = st.p.cols.(j) in
-    for k = 0 to Array.length c.rows - 1 do
-      f c.rows.(k) c.coefs.(k)
+    for k = 0 to Array.length c.idx - 1 do
+      f c.idx.(k) c.coefs.(k)
     done
   end
   else f (j - st.p.n) 1.0
-
-let cost_of st j = if j < st.p.n then st.p.cost.(j) else 0.0
 
 (* --- basis solves ------------------------------------------------------ *)
 
@@ -234,7 +278,19 @@ let lu_row st r =
 (* alpha := B^-1 A_j *)
 let ftran st j =
   Sparse_vec.clear st.work;
-  col_iter st j (fun i a -> if a <> 0.0 then Sparse_vec.add st.work i a);
+  let wv = Sparse_vec.raw st.work in
+  if j < st.p.n then begin
+    let c = st.p.cols.(j) in
+    for k = 0 to Array.length c.idx - 1 do
+      let a = c.coefs.(k) in
+      if a <> 0.0 then begin
+        let i = c.idx.(k) in
+        Sparse_vec.touch st.work i;
+        wv.(i) <- wv.(i) +. a
+      end
+    done
+  end
+  else Sparse_vec.set st.work (j - st.p.n) 1.0;
   lu_ftran st;
   if st.p.m > 0 then
     Metrics.observe (Lazy.force m_ftran_nnz)
@@ -243,6 +299,7 @@ let ftran st j =
 (* work := per-row basic costs for the current phase objective *)
 let load_phase_costs st ~phase1 =
   Sparse_vec.clear st.work;
+  let wv = Sparse_vec.raw st.work in
   for r = 0 to st.p.m - 1 do
     let v = st.basic_var.(r) in
     let c =
@@ -252,47 +309,58 @@ let load_phase_costs st ~phase1 =
         else if x > st.ub.(v) +. feas_tol then 1.0
         else 0.0
       end
-      else cost_of st v
+      else if v < st.p.n then st.p.cost.(v)
+      else 0.0
     in
-    if c <> 0.0 then Sparse_vec.set st.work r c
+    if c <> 0.0 then begin
+      Sparse_vec.touch st.work r;
+      wv.(r) <- c
+    end
   done
 
-(* d_j = c_j - y.A_j, summed in column order; the slack of row r is
-   the unit column e_r *)
-let reduced_cost st j cost_j =
+(* d_j := c_j - y.A_j, summed in column order, for the phase objective
+   (every nonbasic phase-1 cost is zero); the slack of row r is the
+   unit column e_r. *)
+let price st ~phase1 j =
   let yv = Sparse_vec.raw st.y in
+  let cost_j = if phase1 || j >= st.p.n then 0.0 else st.p.cost.(j) in
   if j < st.p.n then begin
     let c = st.p.cols.(j) in
     let acc = ref cost_j in
-    for k = 0 to Array.length c.rows - 1 do
-      acc := !acc -. (yv.(c.rows.(k)) *. c.coefs.(k))
+    for k = 0 to Array.length c.idx - 1 do
+      acc := !acc -. (yv.(c.idx.(k)) *. c.coefs.(k))
     done;
-    !acc
+    st.d.(j) <- !acc
   end
-  else cost_j -. yv.(j - st.p.n)
-
-(* rho.A_j, the dual phase's pivot row entry, summed in column order *)
-let row_alpha st rv j =
-  if j < st.p.n then begin
-    let c = st.p.cols.(j) in
-    let acc = ref 0.0 in
-    for k = 0 to Array.length c.rows - 1 do
-      acc := !acc +. (rv.(c.rows.(k)) *. c.coefs.(k))
-    done;
-    !acc
-  end
-  else rv.(j - st.p.n)
+  else st.d.(j) <- cost_j -. yv.(j - st.p.n)
 
 (* Recompute basic variable values from nonbasic values. *)
 let recompute_basics st =
-  let m = st.p.m in
+  let m = st.p.m and n = st.p.n in
   Sparse_vec.clear st.work;
+  let wv = Sparse_vec.raw st.work in
   for i = 0 to m - 1 do
-    if st.p.b.(i) <> 0.0 then Sparse_vec.set st.work i st.p.b.(i)
+    if st.p.b.(i) <> 0.0 then begin
+      Sparse_vec.touch st.work i;
+      wv.(i) <- st.p.b.(i)
+    end
   done;
   for j = 0 to st.nn - 1 do
-    if st.vstat.(j) <> Basic && st.x.(j) <> 0.0 then
-      col_iter st j (fun i a -> Sparse_vec.add st.work i (-.a *. st.x.(j)))
+    let xj = st.x.(j) in
+    if st.vstat.(j) <> Basic && xj <> 0.0 then
+      if j < n then begin
+        let c = st.p.cols.(j) in
+        for k = 0 to Array.length c.idx - 1 do
+          let i = c.idx.(k) in
+          if wv.(i) = 0.0 then Sparse_vec.touch st.work i;
+          wv.(i) <- wv.(i) +. (-.c.coefs.(k) *. xj)
+        done
+      end
+      else begin
+        let i = j - n in
+        Sparse_vec.touch st.work i;
+        wv.(i) <- wv.(i) +. -.xj
+      end
   done;
   lu_ftran st;
   let av = Sparse_vec.raw st.alpha in
@@ -302,8 +370,10 @@ let recompute_basics st =
 
 exception Singular_basis
 
-(* Rebuild the basis factorization from scratch (Markowitz LU). *)
-let refactorize st =
+(* Rebuild the basis factorization from scratch (Markowitz LU). The
+   basic values are left to the caller ([refactorize] recomputes
+   them). *)
+let factorize st =
   let m = st.p.m in
   if m > 0 then begin
     Option.iter
@@ -319,9 +389,12 @@ let refactorize st =
     Metrics.observe (Lazy.force m_lu_fill)
       (float_of_int s.Lu.factor_nnz /. float_of_int (max 1 s.Lu.basis_nnz));
     st.fact <- Some fact;
-    Metrics.incr (Lazy.force m_refactorizations);
-    recompute_basics st
+    Metrics.incr (Lazy.force m_refactorizations)
   end
+
+let refactorize st =
+  factorize st;
+  if st.p.m > 0 then recompute_basics st
 
 (* Refactorization cadence: the eta file decides (count and
    accumulated fill). [refactor_override], set by the
@@ -345,39 +418,34 @@ let total_infeasibility st =
   !acc
 
 (* Entering-variable selection. [phase1] switches the costs: nonbasic
-   phase-1 costs are zero, so d_j = -y.A_j. Returns (j, dir, d_j). *)
+   phase-1 costs are zero, so d_j = -y.A_j. Returns (j, dir). *)
 let choose_entering st ~phase1 =
   let best = ref (-1) and best_score = ref 0.0 and best_dir = ref 1.0 in
-  let consider j d dir =
-    let score = abs_float d in
-    if score > dj_tol then
-      if st.bland then begin
-        if !best = -1 then begin
+  for j = 0 to st.nn - 1 do
+    match st.vstat.(j) with
+    | Basic -> ()
+    | (At_lower | At_upper | Free_nb) as vs ->
+      if st.ub.(j) -. st.lb.(j) > zero_tol || vs = Free_nb then begin
+        price st ~phase1 j;
+        let d = st.d.(j) in
+        (* the direction in which j improves the objective, 0 for none *)
+        let dir =
+          match vs with
+          | At_lower -> if d < -.dj_tol then 1.0 else 0.0
+          | At_upper -> if d > dj_tol then -1.0 else 0.0
+          | Free_nb ->
+            if d < -.dj_tol then 1.0 else if d > dj_tol then -1.0 else 0.0
+          | Basic -> 0.0
+        in
+        let score = abs_float d in
+        if
+          dir <> 0.0 && score > dj_tol
+          && if st.bland then !best = -1 else score > !best_score
+        then begin
           best := j;
           best_score := score;
           best_dir := dir
         end
-      end
-      else if score > !best_score then begin
-        best := j;
-        best_score := score;
-        best_dir := dir
-      end
-  in
-  for j = 0 to st.nn - 1 do
-    match st.vstat.(j) with
-    | Basic -> ()
-    | At_lower | At_upper | Free_nb ->
-      if st.ub.(j) -. st.lb.(j) > zero_tol || st.vstat.(j) = Free_nb then begin
-        let cj = if phase1 then 0.0 else cost_of st j in
-        let d = reduced_cost st j cj in
-        (match st.vstat.(j) with
-        | At_lower -> if d < -.dj_tol then consider j d 1.0
-        | At_upper -> if d > dj_tol then consider j d (-1.0)
-        | Free_nb ->
-          if d < -.dj_tol then consider j d 1.0
-          else if d > dj_tol then consider j d (-1.0)
-        | Basic -> ())
       end
   done;
   if !best = -1 then None else Some (!best, !best_dir)
@@ -397,52 +465,69 @@ let ratio_test st j dir ~phase1 =
     if span < 0.0 then 0.0 else span
   in
   let t_best = ref flip_limit in
-  let leave = ref Bound_flip in
+  let leave_row = ref (-1) and leave_upper = ref false in
   let best_piv = ref 0.0 in
   let leave_var = ref max_int in
-  Sparse_vec.iter st.alpha (fun r a ->
-      if abs_float a > piv_tol then begin
-        let v = st.basic_var.(r) in
-        let delta = -.dir *. a in
-        let xr = st.x.(v) and lr = st.lb.(v) and ur = st.ub.(v) in
-        let candidate t side =
-          let t = if t < 0.0 then 0.0 else t in
-          let strictly_less = t < !t_best -. tie in
-          let tied = (not strictly_less) && t <= !t_best +. tie in
-          let wins_tie =
-            tied
-            &&
-            if st.bland then v < !leave_var
-            else abs_float a > !best_piv
-          in
-          if strictly_less || wins_tie then begin
-            if t < !t_best then t_best := t;
-            leave := Leave (r, side);
-            best_piv := abs_float a;
-            leave_var := v
-          end
+  let av = Sparse_vec.raw st.alpha and pat = Sparse_vec.pattern st.alpha in
+  for k = 0 to Sparse_vec.nnz st.alpha - 1 do
+    let r = pat.(k) in
+    let a = av.(r) in
+    if abs_float a > piv_tol then begin
+      let v = st.basic_var.(r) in
+      let delta = -.dir *. a in
+      let xr = st.x.(v) and lr = st.lb.(v) and ur = st.ub.(v) in
+      let below = xr < lr -. feas_tol and above = xr > ur +. feas_tol in
+      (* the bound v leaves at: 0 none, 1 lower, 2 upper *)
+      let side =
+        if (not below) && not above then
+          if delta < 0.0 && lr > neg_infinity then 1
+          else if delta > 0.0 && ur < infinity then 2
+          else 0
+        else if phase1 && below && delta > 0.0 then 1
+        else if phase1 && above && delta < 0.0 then 2
+        else 0
+      in
+      if side > 0 then begin
+        let t =
+          if below then (lr -. xr) /. delta
+          else if above then (xr -. ur) /. -.delta
+          else if side = 1 then (xr -. lr) /. -.delta
+          else (ur -. xr) /. delta
         in
-        let below = xr < lr -. feas_tol and above = xr > ur +. feas_tol in
-        if (not below) && not above then begin
-          if delta < 0.0 && lr > neg_infinity then
-            candidate ((xr -. lr) /. -.delta) `Lower
-          else if delta > 0.0 && ur < infinity then
-            candidate ((ur -. xr) /. delta) `Upper
+        let t = if t < 0.0 then 0.0 else t in
+        let strictly_less = t < !t_best -. tie in
+        let tied = (not strictly_less) && t <= !t_best +. tie in
+        let wins_tie =
+          tied
+          && if st.bland then v < !leave_var else abs_float a > !best_piv
+        in
+        if strictly_less || wins_tie then begin
+          if t < !t_best then t_best := t;
+          leave_row := r;
+          leave_upper := side = 2;
+          best_piv := abs_float a;
+          leave_var := v
         end
-        else if phase1 then begin
-          if below && delta > 0.0 then candidate ((lr -. xr) /. delta) `Lower
-          else if above && delta < 0.0 then
-            candidate ((xr -. ur) /. -.delta) `Upper
-        end
-      end);
-  if !t_best = infinity then None else Some (!t_best, !leave)
+      end
+    end
+  done;
+  if !t_best = infinity then None
+  else if !leave_row < 0 then Some (!t_best, Bound_flip)
+  else
+    Some (!t_best, Leave (!leave_row, if !leave_upper then `Upper else `Lower))
 
 (* Apply a step of length t along entering variable j / direction dir. *)
 let apply_step st j dir t leave =
   (* move basics along the nonzeros of alpha *)
-  Sparse_vec.iter st.alpha (fun r a ->
+  let av = Sparse_vec.raw st.alpha and pat = Sparse_vec.pattern st.alpha in
+  for k = 0 to Sparse_vec.nnz st.alpha - 1 do
+    let r = pat.(k) in
+    let a = av.(r) in
+    if a <> 0.0 then begin
       let v = st.basic_var.(r) in
-      st.x.(v) <- st.x.(v) -. (a *. dir *. t));
+      st.x.(v) <- st.x.(v) -. (a *. dir *. t)
+    end
+  done;
   match leave with
   | Bound_flip ->
     (match st.vstat.(j) with
@@ -578,7 +663,8 @@ let install_basis st basis =
     if st.in_row.(j) >= 0 then st.vstat.(j) <- Basic
     else begin
       (* provisional parking spot; re-chosen by reduced-cost sign in
-         [prepare_warm_nonbasics] once the factorization exists *)
+         [prepare_warm_nonbasics] once the factorization exists, which
+         also computes the basic values *)
       st.vstat.(j) <- (if st.lb.(j) > neg_infinity then At_lower
                        else if st.ub.(j) < infinity then At_upper
                        else Free_nb);
@@ -588,21 +674,34 @@ let install_basis st basis =
          else 0.0)
     end
   done;
-  refactorize st
+  factorize st
+
+(* The dual phase's kept reduced costs: d_j = c_j - y.A_j for every
+   nonbasic column from one fresh BTRAN of the basic costs, and 0 for
+   the basics. Run before the dual phase starts and after each of its
+   refactorizations; in between, every dual pivot updates d from its
+   pivot row. *)
+let refresh_reduced_costs st =
+  load_phase_costs st ~phase1:false;
+  lu_btran st;
+  for j = 0 to st.nn - 1 do
+    if st.in_row.(j) >= 0 then st.d.(j) <- 0.0 else price st ~phase1:false j
+  done;
+  st.dj_refreshes <- st.dj_refreshes + 1
 
 (* Park every nonbasic variable on the bound its reduced cost wants:
    a boxed variable is always dual feasible this way; a one-sided or
    free variable can only sit where its bounds allow, so a wrong-signed
    reduced cost there breaks dual feasibility. Returns whether the
-   basis is dual feasible (so the dual simplex may run). *)
+   basis is dual feasible (so the dual simplex may run). Leaves the
+   reduced costs in [st.d]. *)
 let prepare_warm_nonbasics st =
-  load_phase_costs st ~phase1:false;
-  lu_btran st;
+  refresh_reduced_costs st;
   let dual_ok = ref true in
   for j = 0 to st.nn - 1 do
     if st.in_row.(j) < 0 then begin
       let l = st.lb.(j) and u = st.ub.(j) in
-      let d = reduced_cost st j (cost_of st j) in
+      let d = st.d.(j) in
       if l > neg_infinity && u < infinity then
         if d >= 0.0 then begin
           st.vstat.(j) <- At_lower;
@@ -632,14 +731,41 @@ let prepare_warm_nonbasics st =
   recompute_basics st;
   !dual_ok
 
-(* Dual simplex phase. Precondition: the basis is dual feasible (every
-   nonbasic reduced cost has its optimality sign). Each iteration picks
-   the most bound-violating basic variable as the leaving row, extracts
-   that row of B^-1 (a sparse BTRAN of a unit vector), prices it
-   against the nonbasic columns, and enters the column whose
-   reduced-cost ratio |d_j / alpha_j| is smallest among those that
-   move the violated basic toward its bound — the bounded-variable
-   dual ratio test, ties broken by the largest pivot magnitude.
+(* prow := rho.A over the structural columns, accumulated row by row
+   over rho's pattern. The slack entries of the pivot row are rho's
+   own values: the slack of row i is the unit column e_i. *)
+let pivot_row st =
+  let prow = st.prow in
+  Sparse_vec.clear prow;
+  let pv = Sparse_vec.raw prow in
+  let rhov = Sparse_vec.raw st.rho and pat = Sparse_vec.pattern st.rho in
+  for k = 0 to Sparse_vec.nnz st.rho - 1 do
+    let i = pat.(k) in
+    let x = rhov.(i) in
+    if x <> 0.0 then begin
+      let row = st.p.rows.(i) in
+      for e = 0 to Array.length row.idx - 1 do
+        let j = row.idx.(e) in
+        if pv.(j) = 0.0 then Sparse_vec.touch prow j;
+        pv.(j) <- pv.(j) +. (x *. row.coefs.(e))
+      done
+    end
+  done
+
+(* Dual simplex phase. Precondition: [st.d] holds the reduced costs of
+   a dual feasible basis (every nonbasic reduced cost has its
+   optimality sign), as [prepare_warm_nonbasics] leaves them. Each
+   iteration picks the most bound-violating basic variable as the
+   leaving row r, extracts row r of B^-1 (rho, a sparse BTRAN of a unit
+   vector), forms the pivot row rho.A row-wise over rho's nonzeros,
+   and enters the column whose reduced-cost ratio |d_j / alpha_rj| is
+   smallest among those of the row's pattern that move the violated
+   basic toward its bound — the bounded-variable dual ratio test, ties
+   broken by the largest pivot magnitude. The pivot then updates the
+   kept reduced costs from the same row: with theta = d_q / alpha_rq,
+   d_j -= theta.alpha_rj, d_q = 0 and the leaving variable gets
+   -theta. A refactorization re-derives d from a fresh BTRAN, so there
+   is one BTRAN for the multipliers per refactorization, not per pivot.
 
    Returns [`Done] (primal feasible, hence optimal), [`No_pivot] (a
    violated row admits no entering column — the strong hint of primal
@@ -647,7 +773,8 @@ let prepare_warm_nonbasics st =
    [`Numerical] (row/column pivot disagreement; the primal phases take
    over from the current basis) or [`Iteration_limit]. *)
 let run_dual_phase st ~max_iterations =
-  let m = st.p.m in
+  let m = st.p.m and n = st.p.n in
+  let d = st.d in
   let continue = ref true in
   let result = ref `Done in
   while !continue do
@@ -661,7 +788,10 @@ let run_dual_phase st ~max_iterations =
     end
     else begin
       if chaos_singular st then raise Singular_basis;
-      if st.iters > 0 && need_refactor st then refactorize st;
+      if st.iters > 0 && need_refactor st then begin
+        refactorize st;
+        refresh_reduced_costs st
+      end;
       let r_best = ref (-1) and viol_best = ref feas_tol in
       for r = 0 to m - 1 do
         let v = violation st st.basic_var.(r) in
@@ -678,20 +808,25 @@ let run_dual_phase st ~max_iterations =
         let r = !r_best in
         let v = st.basic_var.(r) in
         let to_upper = st.x.(v) > st.ub.(v) +. feas_tol in
-        (* true multipliers for the reduced costs *)
-        load_phase_costs st ~phase1:false;
-        lu_btran st;
         lu_row st r;
-        let rv = Sparse_vec.raw st.rho in
+        pivot_row st;
+        (* pivot-row entry k is a structural of prow for k < n_row,
+           then a slack of rho *)
+        let rowv = Sparse_vec.raw st.prow and rowpat = Sparse_vec.pattern st.prow in
+        let rhov = Sparse_vec.raw st.rho and rhopat = Sparse_vec.pattern st.rho in
+        let n_row = Sparse_vec.nnz st.prow in
+        let n_entries = n_row + Sparse_vec.nnz st.rho in
+        st.row_entries <- st.row_entries + n_entries;
         let best = ref (-1) in
         let best_ratio = ref infinity in
         let best_piv = ref 0.0 in
-        for j = 0 to st.nn - 1 do
+        for k = 0 to n_entries - 1 do
+          let j = if k < n_row then rowpat.(k) else n + rhopat.(k - n_row) in
           match st.vstat.(j) with
           | Basic -> ()
           | (At_lower | At_upper | Free_nb) as vs ->
             if vs = Free_nb || st.ub.(j) -. st.lb.(j) > zero_tol then begin
-              let a = row_alpha st rv j in
+              let a = if j < n then rowv.(j) else rhov.(j - n) in
               if abs_float a > piv_tol then begin
                 let eligible =
                   match vs with
@@ -701,8 +836,7 @@ let run_dual_phase st ~max_iterations =
                   | Basic -> false
                 in
                 if eligible then begin
-                  let d = reduced_cost st j (cost_of st j) in
-                  let ratio = abs_float (d /. a) in
+                  let ratio = abs_float (d.(j) /. a) in
                   if
                     ratio < !best_ratio -. 1e-9
                     || (ratio <= !best_ratio +. 1e-9 && abs_float a > !best_piv)
@@ -720,9 +854,9 @@ let run_dual_phase st ~max_iterations =
           continue := false
         end
         else begin
-          let j = !best in
-          ftran st j;
-          let a = Sparse_vec.get st.alpha r in
+          let q = !best in
+          ftran st q;
+          let a = (Sparse_vec.raw st.alpha).(r) in
           if abs_float a <= piv_tol then begin
             (* the row view and the freshly ftran'd column disagree:
                the factorization has drifted; let the primal phases
@@ -731,11 +865,20 @@ let run_dual_phase st ~max_iterations =
             continue := false
           end
           else begin
+            (* the multipliers move by theta.rho *)
+            let theta = d.(q) /. (if q < n then rowv.(q) else rhov.(q - n)) in
+            for k = 0 to n_entries - 1 do
+              let j = if k < n_row then rowpat.(k) else n + rhopat.(k - n_row) in
+              if st.vstat.(j) <> Basic then
+                d.(j) <- d.(j) -. (theta *. if j < n then rowv.(j) else rhov.(j - n))
+            done;
             let bound = if to_upper then st.ub.(v) else st.lb.(v) in
             let t = (st.x.(v) -. bound) /. a in
             let dir = if t >= 0.0 then 1.0 else -1.0 in
-            apply_step st j dir (abs_float t)
+            apply_step st q dir (abs_float t)
               (Leave (r, if to_upper then `Upper else `Lower));
+            d.(q) <- 0.0;
+            d.(v) <- -.theta;
             st.iters <- st.iters + 1
           end
         end
@@ -794,7 +937,11 @@ let solve ?max_iterations ?lower ?upper ?basis ?(deadline = Deadline.none) p =
         y = Sparse_vec.create m;
         work = Sparse_vec.create m;
         rho = Sparse_vec.create m;
+        prow = Sparse_vec.create n;
+        d = Array.make nn 0.0;
         deadline;
+        row_entries = 0;
+        dj_refreshes = 0;
         iters = 0;
         degenerate_run = 0;
         bland = false;
@@ -891,7 +1038,9 @@ let solve ?max_iterations ?lower ?upper ?basis ?(deadline = Deadline.none) p =
       let sign = if p.maximize then -1.0 else 1.0 in
       let duals = Array.init m (fun r -> sign *. yv.(r)) in
       let reduced_costs =
-        Array.init n (fun j -> reduced_cost st j p.cost.(j))
+        Array.init n (fun j ->
+            price st ~phase1:false j;
+            st.d.(j))
       in
       {
         status;
@@ -1004,6 +1153,8 @@ let solve ?max_iterations ?lower ?upper ?basis ?(deadline = Deadline.none) p =
             | exception Singular_basis -> finish Iteration_limit)
     in
     Metrics.incr (Lazy.force m_solves);
+    Metrics.add (Lazy.force m_row_entries) st.row_entries;
+    Metrics.add (Lazy.force m_dj_refreshes) st.dj_refreshes;
     Metrics.add (Lazy.force m_primal_iterations)
       (sol.iterations - sol.dual_iterations);
     sol

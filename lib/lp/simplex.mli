@@ -18,6 +18,11 @@
     because reduced costs depend only on the basis, not the bounds —
     it is dual feasible, so the bounded-variable dual simplex
     re-optimizes in a handful of pivots instead of a full cold solve.
+    The dual simplex keeps its reduced costs from pivot to pivot,
+    updating them from each pivot row (formed row-wise over the
+    nonzeros of the row of [B^-1]) and recomputing them only after a
+    refactorization; the reported duals and reduced costs always come
+    from a fresh solve against the final basis.
     This is how {!Mip} gets branch-and-bound node throughput. The
     final status is always confirmed by the primal phases, so a warm
     solve can never report a different status than a cold one; on a

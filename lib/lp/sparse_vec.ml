@@ -1,6 +1,6 @@
 type t = {
   v : float array;
-  mutable idx : int array; (* first [n] entries are the pattern *)
+  idx : int array; (* first [n] entries are the pattern *)
   mutable n : int;
   mark : Bytes.t; (* membership flag per position *)
 }
@@ -23,7 +23,7 @@ let clear t =
   done;
   t.n <- 0
 
-let push t i =
+let touch t i =
   if Bytes.unsafe_get t.mark i = '\000' then begin
     Bytes.unsafe_set t.mark i '\001';
     (* idx is sized to the dimension and positions are unique, so the
@@ -33,22 +33,13 @@ let push t i =
   end
 
 let set t i x =
-  push t i;
+  touch t i;
   t.v.(i) <- x
-
-let add t i x =
-  push t i;
-  t.v.(i) <- t.v.(i) +. x
 
 let get t i = t.v.(i)
 
 let raw t = t.v
 
-let nnz t = t.n
+let pattern t = t.idx
 
-let iter t f =
-  for k = 0 to t.n - 1 do
-    let i = t.idx.(k) in
-    let x = t.v.(i) in
-    if x <> 0.0 then f i x
-  done
+let nnz t = t.n

@@ -475,6 +475,54 @@ let prop_certificates_both_directions =
         done;
         !ok && abs_float (!dual_obj -. obj_min) < 1e-5 *. (1.0 +. abs_float obj_min))
 
+(* The dual phase's work counters on hand-traced warm solves. Each of
+   [k] blocks is min x + 2y st x + y >= 2, x, y in [0, 10], warm
+   started from the basis {x of every block} (y = 1 a row, so y's
+   reduced cost is 1 and the surplus slack's -1: dual feasible). Cutting
+   every x to [0, 1.5] makes each row violate once; its pivot row is
+   (x 1, y 1, slack 1), three entries, y enters (ratio 1) and the block
+   ends at x = 1.5, y = 0.5. The basis stays the identity, so every eta
+   holds just its pivot: 32 etas trigger a refactorization (m <= 64),
+   and [k] = 40 crosses one, refreshing the reduced costs a second
+   time. A cold solve refreshes nothing and forms no pivot row. *)
+let test_dual_work_counters () =
+  let module Metrics = Monpos_obs.Metrics in
+  let count name = Metrics.counter_value (Metrics.counter Metrics.default name) in
+  let blocks k =
+    let m = Model.create Model.Minimize in
+    for _ = 1 to k do
+      let x = Model.add_var m ~lb:0.0 ~ub:10.0 ~obj:1.0 Model.Continuous in
+      let y = Model.add_var m ~lb:0.0 ~ub:10.0 ~obj:2.0 Model.Continuous in
+      Model.add_constr m [ (1.0, x); (1.0, y) ] Model.Ge 2.0
+    done;
+    m
+  in
+  let work f =
+    let e0 = count "simplex.row_entries" and r0 = count "simplex.dj_refreshes" in
+    let sol = Monpos_resilience.Chaos.suppress f in
+    (sol, count "simplex.row_entries" - e0, count "simplex.dj_refreshes" - r0)
+  in
+  List.iter
+    (fun (k, want_entries, want_refreshes) ->
+      let p = Simplex.of_model (blocks k) in
+      let name what = Printf.sprintf "k=%d %s" k what in
+      let _, entries, refreshes = work (fun () -> Simplex.solve p) in
+      Alcotest.(check int) (name "cold row entries") 0 entries;
+      Alcotest.(check int) (name "cold refreshes") 0 refreshes;
+      let upper = Array.init (2 * k) (fun j -> if j mod 2 = 0 then 1.5 else 10.0) in
+      let basis = Array.init k (fun b -> 2 * b) in
+      let sol, entries, refreshes =
+        work (fun () -> Simplex.solve ~upper ~basis p)
+      in
+      check_status Simplex.Optimal sol.Simplex.status;
+      check_float (name "objective") (2.5 *. float_of_int k) sol.Simplex.objective;
+      Alcotest.(check int) (name "dual pivots") k sol.Simplex.dual_iterations;
+      Alcotest.(check int) (name "primal pivots") 0
+        (sol.Simplex.iterations - sol.Simplex.dual_iterations);
+      Alcotest.(check int) (name "row entries") want_entries entries;
+      Alcotest.(check int) (name "refreshes") want_refreshes refreshes)
+    [ (1, 3, 1); (40, 120, 2) ]
+
 let test_lp_format_export () =
   let m = Model.create ~name:"demo" Model.Minimize in
   let x = Model.add_var m ~name:"x" ~obj:2.0 Model.Binary in
@@ -513,6 +561,7 @@ let suite =
     Alcotest.test_case "model validation" `Quick test_model_rejects_bad_data;
     Alcotest.test_case "duplicate terms merged" `Quick test_duplicate_terms_merged;
     Alcotest.test_case "lp format export" `Quick test_lp_format_export;
+    Alcotest.test_case "dual work counters" `Quick test_dual_work_counters;
     QCheck_alcotest.to_alcotest prop_fractional_knapsack;
     QCheck_alcotest.to_alcotest prop_duality_certificates;
     QCheck_alcotest.to_alcotest prop_certificates_both_directions;

@@ -9,6 +9,11 @@
    - after random branching-style bound flips the warm-started
      re-solve (dual simplex from the parent basis) agrees with a cold
      primal solve on status and objective within 1e-6,
+   - on larger LPs (20-60 structurals, 15-40 rows) with many flips at
+     once, so that the dual simplex keeps its reduced costs over many
+     pivots and across refactorizations, the warm re-solve still
+     agrees with the cold one and its reported reduced costs have
+     optimality signs,
    - a malformed warm basis silently degrades to the cold answer,
    - a singular, ill-conditioned or mixed-scale warm basis never
      crashes the LU factorization: it either factorizes stably or
@@ -118,6 +123,135 @@ let flip_bounds rng (cold : Simplex.solution) lower upper =
     end
   done
 
+(* larger LPs in the shape of branch-and-bound node LPs: 20-60 mostly
+   boxed structurals, 15-40 sparse rows of every sense. The right-hand
+   sides are set around a random point inside the bounds, so every
+   instance is feasible. *)
+let random_large_model rng =
+  let n = 20 + Prng.int rng 41 in
+  let rows = 15 + Prng.int rng 26 in
+  let dir = if Prng.bool rng then Model.Minimize else Model.Maximize in
+  let m = Model.create dir in
+  let bounds =
+    Array.init n (fun _ ->
+        match Prng.int rng 10 with
+        | 0 -> (0.0, infinity)
+        | 1 -> (-5.0 -. Prng.float rng 5.0, 5.0 +. Prng.float rng 5.0)
+        | _ -> (0.0, 1.0 +. Prng.float rng 9.0))
+  in
+  let xs =
+    Array.map
+      (fun (lb, ub) ->
+        Model.add_var m ~lb ~ub ~obj:(Prng.float rng 10.0 -. 5.0) Model.Continuous)
+      bounds
+  in
+  let point =
+    Array.map
+      (fun (lb, ub) ->
+        let hi = if ub < infinity then ub else lb +. 10.0 in
+        lb +. Prng.float rng (hi -. lb))
+      bounds
+  in
+  for _ = 1 to rows do
+    let terms =
+      List.init
+        (2 + Prng.int rng 7)
+        (fun _ -> (Prng.float rng 8.0 -. 4.0, Prng.int rng n))
+    in
+    let lhs = List.fold_left (fun acc (a, v) -> acc +. (a *. point.(v))) 0.0 terms in
+    let terms = List.map (fun (a, v) -> (a, xs.(v))) terms in
+    match Prng.int rng 5 with
+    | 0 | 1 -> Model.add_constr m terms Model.Le (lhs +. Prng.float rng 4.0)
+    | 2 | 3 -> Model.add_constr m terms Model.Ge (lhs -. Prng.float rng 4.0)
+    | _ -> Model.add_constr m terms Model.Eq lhs
+  done;
+  m
+
+(* Optimality signs of the reported reduced costs (minimization form)
+   against the bounds of the solve: a variable above its lower bound
+   may not have a positive reduced cost, one below its upper bound not
+   a negative one. *)
+let check_reduced_cost_signs ~case (sol : Simplex.solution) lower upper =
+  Array.iteri
+    (fun j d ->
+      let x = sol.Simplex.primal.(j) in
+      let tol = 1e-6 *. (1.0 +. abs_float sol.Simplex.objective) in
+      if (x > lower.(j) +. 1e-6 && d > tol) || (x < upper.(j) -. 1e-6 && d < -.tol)
+      then
+        Alcotest.failf
+          "case %d (large): variable %d at %.9f in [%g, %g] has reduced cost %.3g"
+          case j x lower.(j) upper.(j) d)
+    sol.Simplex.reduced_costs
+
+let large_cases = 100
+
+type large_tally = {
+  mutable flipped : int; (* optimal instances re-solved after flips *)
+  mutable reoptimal : int; (* of those, optimal after the flips *)
+  mutable pivots : int; (* dual pivots of the warm re-solves *)
+  mutable crossed : int; (* warm dual runs that refactorized *)
+}
+
+(* The large family: each optimal instance gets a quarter to a half of
+   its variables cut off their optimal values at once, like a deep
+   dive in branch and bound. Besides agreeing with the cold solve, a
+   warm re-solve that pivoted in the dual phase and ends optimal must
+   take no primal pivot: its dual phase stopped primal feasible on a
+   basis it kept dual feasible, so the primal phases only confirm it.
+   Kept reduced costs that drift from the true ones break exactly
+   that. Run fault-free: an injected singular basis restarts the solve
+   cold under the primal simplex. *)
+let large_differential () =
+  let module Metrics = Monpos_obs.Metrics in
+  let refreshes = Metrics.counter Metrics.default "simplex.dj_refreshes" in
+  let tally = { flipped = 0; reoptimal = 0; pivots = 0; crossed = 0 } in
+  for case = 0 to large_cases - 1 do
+    let rng = Prng.create ((prop_seed * 2_750_159) + case) in
+    let m = random_large_model rng in
+    let p = Simplex.of_model m in
+    let n = Simplex.num_structural p in
+    let cold = Simplex.solve p in
+    if cold.Simplex.status = Simplex.Optimal then begin
+      let lower = Array.init n (fun v -> Model.var_lb m (Model.var_of_index m v)) in
+      let upper = Array.init n (fun v -> Model.var_ub m (Model.var_of_index m v)) in
+      for _ = 1 to (n / 4) + Prng.int rng (n / 4) do
+        let v = Prng.int rng n in
+        let x = cold.Simplex.primal.(v) in
+        if Prng.bool rng then begin
+          let new_ub = x -. (0.05 +. Prng.float rng 0.5) in
+          if new_ub >= lower.(v) then upper.(v) <- min upper.(v) new_ub
+        end
+        else begin
+          let new_lb = x +. (0.05 +. Prng.float rng 0.5) in
+          if new_lb <= upper.(v) then lower.(v) <- max lower.(v) new_lb
+        end
+      done;
+      let cold2 = Simplex.solve ~lower ~upper p in
+      let r0 = Metrics.counter_value refreshes in
+      let warm2 = Simplex.solve ~lower ~upper ~basis:cold.Simplex.basis p in
+      (* the warm start refreshes the reduced costs once; every further
+         refresh follows a refactorization inside the dual phase *)
+      if Metrics.counter_value refreshes - r0 > 1 then
+        tally.crossed <- tally.crossed + 1;
+      tally.flipped <- tally.flipped + 1;
+      tally.pivots <- tally.pivots + warm2.Simplex.dual_iterations;
+      check_agree ~case ~what:"large bound flip" m cold2 warm2;
+      if warm2.Simplex.status = Simplex.Optimal then begin
+        tally.reoptimal <- tally.reoptimal + 1;
+        check_reduced_cost_signs ~case warm2 lower upper;
+        if
+          warm2.Simplex.dual_iterations > 0
+          && warm2.Simplex.iterations > warm2.Simplex.dual_iterations
+        then
+          Alcotest.failf
+            "case %d (large): %d primal pivots after %d dual pivots" case
+            (warm2.Simplex.iterations - warm2.Simplex.dual_iterations)
+            warm2.Simplex.dual_iterations
+      end
+    end
+  done;
+  tally
+
 let test_differential () =
   let bound_flip_cases = ref 0 in
   let dual_pivots = ref 0 in
@@ -152,7 +286,20 @@ let test_differential () =
     (!bound_flip_cases > cases / 8);
   Alcotest.(check bool)
     (Printf.sprintf "dual simplex pivoted (%d pivots)" !dual_pivots)
-    true (!dual_pivots > 0)
+    true (!dual_pivots > 0);
+  let t = Monpos_resilience.Chaos.suppress large_differential in
+  Printf.printf
+    "large family: %d of %d instances flipped (%d optimal after the flips), \
+     %d dual pivots, %d warm runs crossed a refactorization\n"
+    t.flipped large_cases t.reoptimal t.pivots t.crossed;
+  Alcotest.(check bool)
+    (Printf.sprintf "large family: enough optimal instances (%d)" t.flipped)
+    true
+    (t.flipped > large_cases / 2 && t.reoptimal > large_cases / 5);
+  Alcotest.(check bool)
+    (Printf.sprintf "large family: warm runs crossed a refactorization (%d)"
+       t.crossed)
+    true (t.crossed > 0)
 
 let test_malformed_basis_degrades () =
   for case = 0 to 29 do
