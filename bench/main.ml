@@ -402,7 +402,11 @@ let micro () =
       | _ -> rows := [ name; "n/a" ] :: !rows)
     results;
   Table.print ~header:[ "benchmark"; "time/run" ]
-    (List.sort compare !rows)
+    (List.sort compare !rows);
+  (* Bechamel picks how many times each kernel runs from its timings,
+     so the solver counters of this phase would measure timing alone:
+     report none *)
+  Metrics.reset Metrics.default
 
 (* ------------------------------------------------------------------ *)
 

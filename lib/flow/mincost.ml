@@ -1,11 +1,11 @@
-(* Minimum-cost flow behind a two-kernel switch. [Ssp] is successive
-   shortest paths on a residual graph with two extra nodes — a
-   super-source (n) and super-sink (n+1) that absorb both user
-   supplies and the lower-bound transformation. [Net_simplex] hands
-   the instance (lower bounds and supplies included, no super nodes)
-   to the spanning-tree kernel in {!Netsimplex}, which is kept alive
-   across solves so unchanged-shape re-solves warm start from the
-   previous basis. *)
+(* Minimum-cost flow behind a two-kernel switch. The network lives in
+   one place, the {!Netsimplex.t} made by [create]: [add_arc],
+   [update_arc] and [set_supply] write straight into it. [Net_simplex]
+   solves it there, keeping its spanning-tree basis across solves so
+   unchanged-shape re-solves warm start. [Ssp] reads it back into a
+   residual graph with two extra nodes — a super-source (n) and
+   super-sink (n+1) that absorb both user supplies and the lower-bound
+   transformation — and keeps only its own per-arc result. *)
 
 module Trace = Monpos_obs.Trace
 module Event = Monpos_obs.Event
@@ -34,72 +34,20 @@ type status = Optimal | Infeasible
 type algo = Ssp | Net_simplex
 
 type t = {
-  n : int;
-  mutable narcs : int;
-  (* user arcs, growable parallel arrays *)
-  mutable a_src : int array;
-  mutable a_dst : int array;
-  mutable a_lower : float array;
-  mutable a_cap : float array;
-  mutable a_cost : float array;
-  supply : (int, float) Hashtbl.t;
-  mutable last_flow : float array; (* per user arc, includes lower *)
-  mutable last_cost : float;
-  mutable last_potentials : float array option;
-  mutable ns : Netsimplex.t option;
+  ns : Netsimplex.t; (* the network: arcs, bounds, costs, supplies *)
+  mutable ssp_flow : float array; (* SSP's per-arc flow, includes lower *)
+  mutable last : algo option; (* kernel of the last Optimal solve *)
 }
 
-let create n =
-  {
-    n;
-    narcs = 0;
-    a_src = Array.make 16 0;
-    a_dst = Array.make 16 0;
-    a_lower = Array.make 16 0.0;
-    a_cap = Array.make 16 0.0;
-    a_cost = Array.make 16 0.0;
-    supply = Hashtbl.create 16;
-    last_flow = [||];
-    last_cost = 0.0;
-    last_potentials = None;
-    ns = None;
-  }
+let create n = { ns = Netsimplex.create n; ssp_flow = [||]; last = None }
 
-let grow_int a len = Array.append a (Array.make len 0)
-let grow_float a len = Array.append a (Array.make len 0.0)
-
-let add_arc ?(lower = 0.0) t ~src ~dst ~capacity ~cost =
-  assert (0 <= src && src < t.n && 0 <= dst && dst < t.n);
-  assert (0.0 <= lower && lower <= capacity);
-  let cap = Array.length t.a_src in
-  if t.narcs = cap then begin
-    t.a_src <- grow_int t.a_src cap;
-    t.a_dst <- grow_int t.a_dst cap;
-    t.a_lower <- grow_float t.a_lower cap;
-    t.a_cap <- grow_float t.a_cap cap;
-    t.a_cost <- grow_float t.a_cost cap
-  end;
-  let id = t.narcs in
-  t.a_src.(id) <- src;
-  t.a_dst.(id) <- dst;
-  t.a_lower.(id) <- lower;
-  t.a_cap.(id) <- capacity;
-  t.a_cost.(id) <- cost;
-  t.narcs <- t.narcs + 1;
-  id
+let add_arc ?lower t ~src ~dst ~capacity ~cost =
+  Netsimplex.add_arc ?lower t.ns ~src ~dst ~capacity ~cost
 
 let update_arc ?lower ?capacity ?cost t a =
-  assert (0 <= a && a < t.narcs);
-  let lo = match lower with Some l -> l | None -> t.a_lower.(a) in
-  let cap = match capacity with Some c -> c | None -> t.a_cap.(a) in
-  assert (0.0 <= lo && lo <= cap);
-  t.a_lower.(a) <- lo;
-  t.a_cap.(a) <- cap;
-  match cost with Some c -> t.a_cost.(a) <- c | None -> ()
+  Netsimplex.set_arc ?lower ?capacity ?cost t.ns a
 
-let set_supply t v b =
-  assert (0 <= v && v < t.n);
-  Hashtbl.replace t.supply v b
+let set_supply t v b = Netsimplex.set_supply t.ns v b
 
 (* ---------------- successive shortest paths kernel ---------------- *)
 
@@ -139,26 +87,31 @@ let res_add r u v cap cost =
   a
 
 let solve_ssp t sink =
-  let n = t.n + 2 in
-  let super_s = t.n and super_t = t.n + 1 in
-  let narcs_upper = t.narcs + (2 * t.n) + 2 in
-  let r = res_create n narcs_upper in
+  let ns = t.ns in
+  let nu = Netsimplex.node_count ns and narcs = Netsimplex.arc_count ns in
+  let n = nu + 2 in
+  let super_s = nu and super_t = nu + 1 in
+  let r = res_create n (narcs + (2 * nu) + 2) in
   (* net supply per node: user supplies + lower-bound shifts *)
   let net = Array.make n 0.0 in
-  Hashtbl.iter (fun v b -> net.(v) <- net.(v) +. b) t.supply;
-  let res_id = Array.make t.narcs (-1) in
-  for i = 0 to t.narcs - 1 do
-    let lo = t.a_lower.(i) in
+  for v = 0 to nu - 1 do
+    net.(v) <- Netsimplex.supply ns v
+  done;
+  for i = 0 to narcs - 1 do
+    let u = Netsimplex.arc_src ns i and v = Netsimplex.arc_dst ns i in
+    let lo = Netsimplex.arc_lower ns i in
     if lo > 0.0 then begin
-      net.(t.a_src.(i)) <- net.(t.a_src.(i)) -. lo;
-      net.(t.a_dst.(i)) <- net.(t.a_dst.(i)) +. lo
+      net.(u) <- net.(u) -. lo;
+      net.(v) <- net.(v) +. lo
     end;
-    res_id.(i) <-
-      res_add r t.a_src.(i) t.a_dst.(i) (t.a_cap.(i) -. lo) t.a_cost.(i)
+    (* user arc i is residual arc 2i *)
+    ignore
+      (res_add r u v (Netsimplex.arc_capacity ns i -. lo)
+         (Netsimplex.arc_cost ns i))
   done;
   (* hook supplies to the super nodes *)
   let required = ref 0.0 in
-  for v = 0 to t.n - 1 do
+  for v = 0 to nu - 1 do
     if net.(v) > 0.0 then begin
       ignore (res_add r super_s v net.(v) 0.0);
       required := !required +. net.(v)
@@ -246,58 +199,11 @@ let solve_ssp t sink =
   done;
   if not !feasible then Infeasible
   else begin
-    (* read back user arc flows *)
-    t.last_flow <-
-      Array.init t.narcs (fun i ->
-          let res = res_id.(i) in
-          t.a_lower.(i) +. r.r_cap.(res lxor 1));
-    t.last_cost <- 0.0;
-    for i = 0 to t.narcs - 1 do
-      t.last_cost <- t.last_cost +. (t.last_flow.(i) *. t.a_cost.(i))
-    done;
+    t.ssp_flow <-
+      Array.init narcs (fun i ->
+          Netsimplex.arc_lower ns i +. r.r_cap.((2 * i) + 1));
     Optimal
   end
-
-(* ---------------- network simplex kernel ---------------- *)
-
-(* The kernel instance survives across solves: when the arc count is
-   unchanged we only push the (possibly drifted) bounds, costs and
-   supplies into it, which preserves its spanning-tree basis and lets
-   [Netsimplex.solve ~warm:true] reoptimize from there. *)
-let sync_ns t =
-  let ns =
-    match t.ns with
-    | Some ns when Netsimplex.arc_count ns = t.narcs -> ns
-    | _ ->
-      let ns = Netsimplex.create t.n in
-      for i = 0 to t.narcs - 1 do
-        ignore
-          (Netsimplex.add_arc ns ~src:t.a_src.(i) ~dst:t.a_dst.(i)
-             ~capacity:t.a_cap.(i) ~cost:t.a_cost.(i))
-      done;
-      t.ns <- Some ns;
-      ns
-  in
-  for i = 0 to t.narcs - 1 do
-    Netsimplex.set_arc ns i ~lower:t.a_lower.(i) ~capacity:t.a_cap.(i)
-      ~cost:t.a_cost.(i)
-  done;
-  for v = 0 to t.n - 1 do
-    Netsimplex.set_supply ns v 0.0
-  done;
-  Hashtbl.iter (fun v b -> Netsimplex.set_supply ns v b) t.supply;
-  ns
-
-let solve_netsimplex t =
-  let ns = sync_ns t in
-  match Netsimplex.solve ~warm:true ns with
-  | Netsimplex.Infeasible -> (ns, Infeasible)
-  | Netsimplex.Optimal ->
-    t.last_flow <- Array.init t.narcs (fun i -> Netsimplex.flow ns i);
-    t.last_cost <- Netsimplex.objective ns;
-    t.last_potentials <-
-      Some (Array.init t.n (fun v -> Netsimplex.potential ns v));
-    (ns, Optimal)
 
 (* ---------------- dispatch ---------------- *)
 
@@ -307,34 +213,54 @@ let solve ?(algo = Ssp) t =
   Span.run "flow_solve" @@ fun () ->
   let sink = Trace.current () in
   Metrics.incr (Lazy.force m_solves);
-  match algo with
-  | Ssp ->
-    Metrics.incr (Lazy.force m_solves_ssp);
-    let st = solve_ssp t sink in
-    t.last_potentials <- None;
-    if Trace.enabled sink then
-      Trace.emit sink
-        (Event.Flow_solve
-           { algo = "ssp"; pivots = 0; warm = false; status = status_string st });
-    st
-  | Net_simplex ->
-    Metrics.incr (Lazy.force m_solves_ns);
-    let ns, st = solve_netsimplex t in
-    if st = Infeasible then t.last_potentials <- None;
-    if Trace.enabled sink then
-      Trace.emit sink
-        (Event.Flow_solve
-           { algo = "netsimplex"; pivots = Netsimplex.pivots ns;
-             warm = Netsimplex.warm_started ns; status = status_string st });
-    st
+  Metrics.incr
+    (Lazy.force (match algo with Ssp -> m_solves_ssp | Net_simplex -> m_solves_ns));
+  (* no flow routes every supply of an unbalanced network, so neither
+     kernel runs on one *)
+  let balanced = Netsimplex.balanced t.ns in
+  let st =
+    if not balanced then Infeasible
+    else
+      match algo with
+      | Ssp -> solve_ssp t sink
+      | Net_simplex -> (
+        match Netsimplex.solve ~warm:true t.ns with
+        | Netsimplex.Optimal -> Optimal
+        | Netsimplex.Infeasible -> Infeasible)
+  in
+  t.last <- (if st = Optimal then Some algo else None);
+  if Trace.enabled sink then begin
+    let ran_ns = balanced && algo = Net_simplex in
+    Trace.emit sink
+      (Event.Flow_solve
+         { algo = (match algo with Ssp -> "ssp" | Net_simplex -> "netsimplex");
+           pivots = (if ran_ns then Netsimplex.pivots t.ns else 0);
+           warm = ran_ns && Netsimplex.warm_started t.ns;
+           status = status_string st })
+  end;
+  st
 
 let flow t a =
-  assert (0 <= a && a < Array.length t.last_flow);
-  t.last_flow.(a)
+  match t.last with
+  | Some Net_simplex -> Netsimplex.flow t.ns a
+  | Some Ssp ->
+    if not (0 <= a && a < Array.length t.ssp_flow) then invalid_arg "Mincost.flow";
+    t.ssp_flow.(a)
+  | None -> invalid_arg "Mincost.flow: no optimal solve"
 
-let total_cost t = t.last_cost
+let total_cost t =
+  match t.last with
+  | Some Net_simplex -> Netsimplex.objective t.ns
+  | Some Ssp ->
+    let c = ref 0.0 in
+    Array.iteri (fun i f -> c := !c +. (f *. Netsimplex.arc_cost t.ns i)) t.ssp_flow;
+    !c
+  | None -> 0.0
 
-let potentials t = t.last_potentials
+let potentials t =
+  match t.last with
+  | Some Net_simplex ->
+    Some (Array.init (Netsimplex.node_count t.ns) (Netsimplex.potential t.ns))
+  | Some Ssp | None -> None
 
-let check_tree t =
-  match t.ns with None -> Ok () | Some ns -> Netsimplex.check_tree ns
+let check_tree t = Netsimplex.check_tree t.ns

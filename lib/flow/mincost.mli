@@ -7,25 +7,30 @@
     positions are fixed (§5.4), which the paper notes "can be expressed
     as a minimum cost flow problem".
 
-    Two kernels sit behind {!solve}:
+    One store holds the network: the {!Netsimplex.t} that {!create}
+    makes. {!add_arc}, {!update_arc} and {!set_supply} write straight
+    into it, and two kernels sit behind {!solve}:
 
-    - {!Ssp}: successive shortest augmenting paths on a residual graph
-      (SPFA path search, so negative arc costs are fine as long as
-      they close no negative cycle); lower bounds
-      are removed by the standard supply transformation onto a
-      super-source/super-sink pair.
     - {!Net_simplex}: the spanning-tree primal network simplex in
-      {!Netsimplex}. The kernel instance is kept alive inside [t], so
-      a re-solve after {!update_arc}/{!set_supply} perturbations (the
-      §5.4 drift ticks) warm starts from the previous basis. On
-      [Optimal] it also exposes node {!potentials} as a dual
-      certificate.
+      {!Netsimplex}, solving the store in place. Its basis lives as
+      long as [t], so a re-solve after {!update_arc}/{!set_supply}
+      perturbations (the §5.4 drift ticks) warm starts from the
+      previous one. On [Optimal] it also exposes node {!potentials}
+      as a dual certificate.
+    - {!Ssp}: successive shortest augmenting paths on a residual graph
+      it reads from the store on each solve (SPFA path search, so
+      negative arc costs are fine as long as they close no negative
+      cycle); lower bounds are removed by the standard supply
+      transformation onto a super-source/super-sink pair. It is the
+      reference kernel: perfbench's [ppme-drift] checker and the
+      differential tests name it as the oracle for the warm network
+      simplex.
 
-    Both kernels agree on status and objective for balanced instances
-    (supplies summing to zero), which the randomized differential
-    harness in [test_flow_prop.ml] enforces against the LP formulation.
-    On unbalanced instances [Net_simplex] reports {!Infeasible},
-    while [Ssp] historically routes as much as the sinks absorb. *)
+    Both kernels agree on status and objective, which the randomized
+    differential harness in [test_flow_prop.ml] enforces against the
+    LP formulation. A network whose supplies do not sum to zero is
+    {!Infeasible} for both: {!solve} checks the balance before either
+    kernel runs. *)
 
 type t
 (** Mutable network. *)
@@ -47,14 +52,16 @@ val create : int -> t
 val add_arc :
   ?lower:float -> t -> src:int -> dst:int -> capacity:float -> cost:float -> arc
 (** Append a directed arc with flow bounds [\[lower, capacity\]]
-    (default [lower = 0.]) and per-unit [cost]. Requires
+    (default [lower = 0.]) and per-unit [cost]. Raises
+    [Invalid_argument] unless both ends are nodes and
     [0. <= lower <= capacity]. *)
 
 val update_arc : ?lower:float -> ?capacity:float -> ?cost:float -> t -> arc -> unit
 (** Update bounds and/or cost of an existing arc in place; omitted
-    fields keep their values. The network shape is preserved, so a
-    following [solve ~algo:Net_simplex] can warm start from the
-    previous basis. *)
+    fields keep their values. Raises [Invalid_argument] unless
+    [0. <= lower <= capacity] after the update. The network shape is
+    preserved, so a following [solve ~algo:Net_simplex] can warm start
+    from the previous basis. *)
 
 val set_supply : t -> int -> float -> unit
 (** [set_supply t v b] makes node [v] a source of [b] units ([b > 0.])
@@ -66,17 +73,21 @@ val solve : ?algo:algo -> t -> status
 (** Route all supplies at minimum cost (default kernel {!Ssp}). May be
     called repeatedly after modifying supplies or arcs; with
     {!Net_simplex} repeated solves reuse the previous spanning-tree
-    basis whenever the arc count is unchanged. {!Ssp} does not cancel
+    basis unless {!add_arc} was called since. {!Ssp} does not cancel
     cycles: when its path search meets a negative-cost cycle it raises
     [Monpos_resilience.Error.Error (Numerical _)] with stage
     ["Mincost.solve_ssp"]. *)
 
 val flow : t -> arc -> float
 (** Flow on the arc after the last {!solve} (includes its lower
-    bound). *)
+    bound). [flow], {!total_cost} and {!potentials} read the answer of
+    the kernel that solved last, so read them before the network is
+    next modified. Raises [Invalid_argument] unless the last solve
+    was [Optimal]. *)
 
 val total_cost : t -> float
-(** Cost of the last computed flow (sum over arcs of flow × cost). *)
+(** Cost of the last computed flow (sum over arcs of flow × cost);
+    [0.] unless the last solve was [Optimal]. *)
 
 val potentials : t -> float array option
 (** Node potentials (dual values) from the last solve: [Some pi] after

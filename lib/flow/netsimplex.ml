@@ -132,6 +132,20 @@ let create n =
 let node_count t = t.n
 let arc_count t = t.m
 
+let arc_index name t a =
+  if not (0 <= a && a < t.m) then invalid_arg name;
+  a
+
+let arc_src t a = t.a_src.(arc_index "Netsimplex.arc_src" t a)
+let arc_dst t a = t.a_dst.(arc_index "Netsimplex.arc_dst" t a)
+let arc_lower t a = t.a_lower.(arc_index "Netsimplex.arc_lower" t a)
+let arc_capacity t a = t.a_cap.(arc_index "Netsimplex.arc_capacity" t a)
+let arc_cost t a = t.a_cost.(arc_index "Netsimplex.arc_cost" t a)
+
+let supply t v =
+  if not (0 <= v && v < t.n) then invalid_arg "Netsimplex.supply";
+  t.supply.(v)
+
 let grow_int a len = Array.append a (Array.make len 0)
 let grow_float a len = Array.append a (Array.make len 0.0)
 
@@ -170,6 +184,14 @@ let set_arc ?lower ?capacity ?cost t a =
 let set_supply t v b =
   if not (0 <= v && v < t.n) then invalid_arg "Netsimplex.set_supply";
   t.supply.(v) <- b
+
+let balanced t =
+  let sum = ref 0.0 and mag = ref 0.0 in
+  for v = 0 to t.n - 1 do
+    sum := !sum +. t.supply.(v);
+    mag := !mag +. abs_float t.supply.(v)
+  done;
+  abs_float !sum <= 1e-9 *. (1.0 +. !mag)
 
 (* ------------------------------------------------------------------ *)
 

@@ -53,6 +53,17 @@ val add_arc :
 
 val arc_count : t -> int
 
+(** Read accessors for the network as last set: an arc's endpoints,
+    bounds and cost, and a node's supply. They raise
+    [Invalid_argument] on an id out of range. *)
+
+val arc_src : t -> int -> int
+val arc_dst : t -> int -> int
+val arc_lower : t -> int -> float
+val arc_capacity : t -> int -> float
+val arc_cost : t -> int -> float
+val supply : t -> int -> float
+
 val set_arc :
   ?lower:float -> ?capacity:float -> ?cost:float -> t -> int -> unit
 (** Update bounds and/or cost of an existing arc in place. Keeps the
@@ -64,6 +75,10 @@ val set_supply : t -> int -> float -> unit
     demands [-b] ([b < 0.]). Supplies must sum to zero over the nodes;
     an unbalanced instance reports {!Infeasible}. Overwrites any
     previous supply of [v]. *)
+
+val balanced : t -> bool
+(** Whether the supplies sum to zero, up to [1e-9] of the sum of
+    their magnitudes plus one. *)
 
 val solve : ?warm:bool -> t -> status
 (** Optimize. With [warm:true] (the default) every solve after the

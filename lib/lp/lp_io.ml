@@ -96,6 +96,3 @@ let to_string m =
   end;
   Buffer.add_string buf "End\n";
   Buffer.contents buf
-
-let write_file m path =
-  Out_channel.with_open_text path (fun oc -> output_string oc (to_string m))

@@ -11,6 +11,3 @@ val to_string : Model.t -> string
     [Bounds], [Binaries]/[Generals] sections, [End]. Variable names
     are sanitized (LP format forbids several characters); the mapping
     is by position, so row/column order is preserved. *)
-
-val write_file : Model.t -> string -> unit
-(** [write_file m path] writes {!to_string} to [path]. *)

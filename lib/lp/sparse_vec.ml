@@ -13,8 +13,6 @@ let create dim =
     mark = Bytes.make (max dim 1) '\000';
   }
 
-let dim t = Array.length t.v
-
 let clear t =
   for k = 0 to t.n - 1 do
     let i = t.idx.(k) in

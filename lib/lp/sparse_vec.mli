@@ -26,8 +26,6 @@ type t
 val create : int -> t
 (** Zero vector of the given dimension. *)
 
-val dim : t -> int
-
 val clear : t -> unit
 (** Zero every listed position and empty the pattern. O(nnz). *)
 

@@ -29,10 +29,12 @@ type gc_delta = {
   major_collections : int;
   top_heap_words : int;
 }
-(** [Gc.quick_stat] deltas over a span: words allocated on the minor
-    and major heaps, words promoted, major collections run, and growth
-    of the major heap's high-water mark. All fields are differences of
-    monotone GC counters, so they are non-negative. *)
+(** GC deltas over a span: words allocated on the minor heap (exact,
+    from [Gc.minor_words]) and, as [Gc.quick_stat] counts them at
+    collections, on the major heap, words promoted, major collections
+    run, and growth of the major heap's high-water mark. All fields
+    are differences of monotone GC counters, so they are
+    non-negative. *)
 
 type t =
   | Span_open of { name : string; depth : int }

@@ -166,10 +166,6 @@ let uninstall () =
   current := None;
   dump_dir_ref := None
 
-let set_dump_dir d = dump_dir_ref := d
-
-let dump_dir () = !dump_dir_ref
-
 (* dumps are precious on the way in (a deadline or a fault just fired)
    and worthless in bulk: cap per process so a chaos storm or a
    descent cascade cannot flood the directory *)

@@ -72,10 +72,6 @@ val installed : unit -> t option
 
 val uninstall : unit -> unit
 
-val set_dump_dir : string option -> unit
-
-val dump_dir : unit -> string option
-
 val trigger : reason:string -> unit
 (** Dump the ambient recorder into the armed directory, if any. Never
     raises; announces the dump path on stderr; counts into the

@@ -41,12 +41,6 @@ val alloc_totals : t -> (string * float) list
 val grand_total : t -> float
 (** Summed seconds of the root spans (the traced wall time). *)
 
-val human_bytes : float -> string
-(** [123B] / [1.2KiB] / [3.4MiB] / [5.67GiB]. *)
-
-val bytes_of_words : float -> float
-(** Words to bytes at 8 bytes/word (traces are 64-bit artifacts). *)
-
 val render : t -> string
 (** Flamegraph-style indented text tree, children sorted by total
     time, with percentages of {!grand_total} and per-node allocation

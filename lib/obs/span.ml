@@ -80,7 +80,12 @@ let time ?metrics ?sink name f =
   cell.depth <- depth + 1;
   let g0 = Gc.quick_stat () in
   let t0 = Clock.now () in
+  (* [quick_stat]'s minor words move only at a minor collection, so a
+     span between two collections would read 0; [Gc.minor_words]
+     also counts this domain's minor heap in use, so it is exact *)
+  let w0 = Gc.minor_words () in
   let finish () =
+    let w1 = Gc.minor_words () in
     (* Restore rather than decrement: if a nested span raised partway
        through its own bookkeeping (e.g. the sink's write failed after
        the nested close had already adjusted the counter), a plain decr
@@ -93,7 +98,7 @@ let time ?metrics ?sink name f =
     let g1 = Gc.quick_stat () in
     let gc =
       {
-        Trace.minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
+        Trace.minor_words = w1 -. w0;
         major_words = g1.Gc.major_words -. g0.Gc.major_words;
         promoted_words = g1.Gc.promoted_words -. g0.Gc.promoted_words;
         major_collections = g1.Gc.major_collections - g0.Gc.major_collections;

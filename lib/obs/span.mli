@@ -3,10 +3,16 @@
     A span times a region of code against {!Clock}, emits
     [span_open]/[span_close] trace events on the ambient (or given)
     sink, and records into the (default or given) registry: elapsed
-    seconds into the [span.seconds] histogram and [Gc.quick_stat]
-    allocation deltas into [alloc.minor_words] / [alloc.major_words]
-    histograms (in words), each labeled [span=<name>]. The close event
-    carries the full {!Trace.gc_delta}. Spans nest: the emitted events
+    seconds into the [span.seconds] histogram and allocation deltas
+    into [alloc.minor_words] / [alloc.major_words] histograms (in
+    words), each labeled [span=<name>]. Minor words come from
+    [Gc.minor_words], which counts the running domain's allocations
+    exactly, to within the span's own bookkeeping. Major and promoted
+    words, collections and the top heap come from [Gc.quick_stat],
+    whose counts move only at collections: a span is charged the
+    major and promoted words of the collections that ran inside it,
+    which need not be its own. The close event carries the full
+    {!Trace.gc_delta}. Spans nest: the emitted events
     carry the nesting depth, and an enclosing span's elapsed time and
     allocation always dominate its children's.
 

@@ -7,9 +7,6 @@
     {!Metrics.default}; {!to_json} snapshots them into one document
     together with the run manifest, uptime and in-flight phase. *)
 
-val uptime : unit -> float
-(** Seconds since the process initialized the observability tier. *)
-
 val set_manifest : Json.t -> unit
 (** Install the run manifest ({!Runinfo.to_json}) shown under
     ["run"]. *)

@@ -18,15 +18,12 @@ type sink
 val null : sink
 (** The no-op sink: emits are dropped before any encoding work. *)
 
-val to_channel : out_channel -> sink
-(** A channel-backed sink. Events are formatted into an internal
-    buffer and written out in batches (every 64 events and on
-    {!close}), so per-event syscall pressure does not distort the hot
-    paths being traced. {!events_written} counts emits, not flushes,
-    and stays exact. *)
-
 val open_file : string -> sink
-(** Truncate/create the file and return a {!to_channel} sink on it. *)
+(** Truncate/create the file and return a sink on it. Events are
+    formatted into an internal buffer and written out in batches
+    (every 64 events and on {!close}), so per-event syscall pressure
+    does not distort the hot paths being traced. {!events_written}
+    counts emits, not flushes, and stays exact. *)
 
 val custom :
   ?close:(unit -> unit) ->

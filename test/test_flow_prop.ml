@@ -15,6 +15,8 @@
    - after perturbing capacities, costs and supplies in place the
      warm-started network simplex re-solve agrees with cold SSP,
      cold network simplex and the LP on the perturbed instance,
+   - with one supply then moved off balance (supply over demand or
+     demand over supply) both kernels and the LP answer Infeasible,
    - the raw Netsimplex warm start always reuses the basis (flag set,
      zero pivots on an unchanged replay), also when drifted supplies,
      capacities and lower bounds push the old tree's flows off their
@@ -242,6 +244,7 @@ let test_differential () =
   let negative_cost = ref 0 in
   let lower_bounded = ref 0 in
   let warm_resolves = ref 0 in
+  let unbalanced = ref 0 in
   for case = 0 to cases - 1 do
     let rng = Prng.create ((prop_seed * 2_000_003) + case) in
     let inst = random_instance rng (case mod 5) in
@@ -289,7 +292,24 @@ let test_differential () =
       (st_warm, Mincost.total_cost net_ns)
       lp';
     if st_warm = Mincost.Optimal then
-      check_mincost_certificate ~case ~what:"perturbed" inst' net_ns handles
+      check_mincost_certificate ~case ~what:"perturbed" inst' net_ns handles;
+    (* knock one supply off balance, alternately leaving supply and
+       demand over: no flow routes every supply, so both kernels and
+       the LP must answer Infeasible *)
+    let v = Prng.int rng inst.n in
+    let d = (0.5 +. Prng.float rng 2.0) *. if case mod 2 = 0 then 1.0 else -1.0 in
+    let supply = Array.copy inst'.supply in
+    supply.(v) <- supply.(v) +. d;
+    Mincost.set_supply net_ns v supply.(v);
+    Mincost.set_supply net_ssp v supply.(v);
+    let st_ssp'' = Mincost.solve ~algo:Mincost.Ssp net_ssp in
+    let st_ns'' = Mincost.solve ~algo:Mincost.Net_simplex net_ns in
+    let lp'' = solve_lp { inst' with supply } in
+    check_three_way ~case ~what:"unbalanced"
+      (st_ssp'', Mincost.total_cost net_ssp)
+      (st_ns'', Mincost.total_cost net_ns)
+      lp'';
+    if st_ns'' = Mincost.Infeasible then incr unbalanced
   done;
   (* the harness must actually exercise the machinery it tests *)
   Alcotest.(check bool)
@@ -311,7 +331,8 @@ let test_differential () =
   Alcotest.(check bool)
     (Printf.sprintf "warm re-solves ran (%d)" !warm_resolves)
     true
-    (!warm_resolves = cases)
+    (!warm_resolves = cases);
+  Alcotest.(check int) "unbalanced re-solves all infeasible" cases !unbalanced
 
 (* Drift of the raw kernel's data away from [base] that pushes the old
    tree's flows off their bounds: supplies rescale by [scale] and

@@ -221,6 +221,43 @@ let test_nested_spans () =
       | _ -> Alcotest.fail ("span.seconds{" ^ name ^ "} missing"))
     [ "outer"; "inner" ]
 
+(* A span's minor words are exact whether or not a minor collection
+   runs inside it: 1000 fresh cons cells are 3000 words, plus the
+   span's own few words of bookkeeping. *)
+let test_span_minor_words_exact () =
+  let r = Metrics.create () in
+  let cons () =
+    let l = ref [] in
+    for i = 1 to 1000 do
+      l := i :: !l
+    done;
+    ignore (Sys.opaque_identity !l)
+  in
+  Span.run ~metrics:r "empty" (fun () -> ());
+  Span.run ~metrics:r "cons" cons;
+  Span.run ~metrics:r "cons+minor" (fun () ->
+      cons ();
+      Gc.minor ());
+  let snap = Metrics.snapshot r in
+  let words name =
+    match Metrics.find ~labels:[ ("span", name) ] snap "alloc.minor_words" with
+    | Some (Metrics.Histogram_value { sum; _ }) -> sum
+    | _ -> Alcotest.fail ("alloc.minor_words{" ^ name ^ "} missing")
+  in
+  let overhead = words "empty" in
+  Alcotest.(check bool)
+    (Printf.sprintf "bookkeeping is small (%.0f words)" overhead)
+    true
+    (overhead >= 0.0 && overhead <= 64.0);
+  List.iter
+    (fun name ->
+      let w = words name in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s reads 3000 words (%.0f)" name w)
+        true
+        (w >= 3000.0 && w <= 3000.0 +. 64.0))
+    [ "cons"; "cons+minor" ]
+
 let test_span_depths_in_trace () =
   let r = Metrics.create () in
   let lines =
@@ -425,6 +462,8 @@ let suite =
     Alcotest.test_case "snapshot order and json" `Quick
       test_snapshot_order_and_json;
     Alcotest.test_case "nested span monotonicity" `Quick test_nested_spans;
+    Alcotest.test_case "span minor words exact" `Quick
+      test_span_minor_words_exact;
     Alcotest.test_case "span depths in trace" `Quick test_span_depths_in_trace;
     Alcotest.test_case "span closes on raise" `Quick test_span_closes_on_raise;
     Alcotest.test_case "span depth survives two-level unwind" `Quick
