@@ -370,9 +370,8 @@ let micro () =
         Test.make ~name:"solver/lp2-relaxation"
           (Staged.stage lp2_model);
         Test.make ~name:"substrate/dijkstra-pop15"
-          (Staged.stage (fun () ->
-               ignore
-                 (Paths.dijkstra pop15.Pop.graph ~weight:(fun _ -> 1.0) 0)));
+          (let tree = Paths.tree pop15.Pop.graph ~weight:(fun _ -> 1.0) in
+           Staged.stage (fun () -> Paths.search tree 0));
         Test.make ~name:"substrate/mecf-flow-heuristic"
           (Staged.stage (fun () -> ignore (Mecf.flow_heuristic ~k:0.9 inst10)));
       ]
@@ -568,6 +567,14 @@ let warmstart () =
   else
     note "!! PPM pivot reduction %.2fx is below the 2x target" !ppm_ratio
 
+(* The instance of the scaling and overhead sections: traffic between
+   [count] nodes of [g] picked by one fixed shuffle. *)
+let scaling_instance g count =
+  let nodes = Array.init (Graph.num_nodes g) (fun i -> i) in
+  Prng.shuffle (Prng.create 17) nodes;
+  let endpoints = Array.to_list (Array.sub nodes 0 (min count (Array.length nodes))) in
+  Instance.make g (Traffic.generate g ~endpoints ~seed:41)
+
 (* Flow-kernel scaling (also reachable as --compare-flow): replay the
    same sequence of §5.4 drift ticks through every PPME* engine — the
    LP relaxation, the SSP min-cost-flow kernel, a cold network simplex
@@ -579,26 +586,17 @@ let warmstart () =
 let flowscale () =
   section "PPME* kernels — LP vs SSP vs network simplex (cold/warm)";
   let nticks = if full_mode then 12 else 6 in
-  let endpoints g count =
-    let nodes = Array.init (Graph.num_nodes g) (fun i -> i) in
-    Prng.shuffle (Prng.create 17) nodes;
-    Array.to_list (Array.sub nodes 0 (min count (Array.length nodes)))
-  in
-  let instance g count =
-    let matrix = Traffic.generate g ~endpoints:(endpoints g count) ~seed:41 in
-    Instance.make g matrix
-  in
   let cases =
     let waxman n = Synthetic.waxman ~n ~alpha:0.22 ~beta:0.35 ~seed:5 in
     [
-      ("waxman60", instance (waxman 60) 12);
-      ("waxman100", instance (waxman 100) 18);
-      ("waxman140", instance (waxman 140) 24);
-      ("grid7x7", instance (Synthetic.grid 7 7) 14);
-      ("grid10x10", instance (Synthetic.grid 10 10) 20);
+      ("waxman60", scaling_instance (waxman 60) 12);
+      ("waxman100", scaling_instance (waxman 100) 18);
+      ("waxman140", scaling_instance (waxman 140) 24);
+      ("grid7x7", scaling_instance (Synthetic.grid 7 7) 14);
+      ("grid10x10", scaling_instance (Synthetic.grid 10 10) 20);
     ]
     @
-    if full_mode then [ ("waxman200", instance (waxman 200) 30) ]
+    if full_mode then [ ("waxman200", scaling_instance (waxman 200) 30) ]
     else []
   in
   let largest_ok = ref true in
@@ -757,26 +755,17 @@ let flowscale () =
 let parscale () =
   section "Parallel B&B — wall clock vs worker domains (deterministic mode)";
   let cores = Domain.recommended_domain_count () in
-  let endpoints g count =
-    let nodes = Array.init (Graph.num_nodes g) (fun i -> i) in
-    Prng.shuffle (Prng.create 17) nodes;
-    Array.to_list (Array.sub nodes 0 (min count (Array.length nodes)))
-  in
-  let instance g count =
-    let matrix = Traffic.generate g ~endpoints:(endpoints g count) ~seed:41 in
-    Instance.make g matrix
-  in
   (* node budgets keep the runs affordable; a node-budget stop is part
      of the deterministic state (unlike a deadline stop), so capped
      runs still satisfy the identical-across-jobs contract *)
   let cases =
     let waxman n = Synthetic.waxman ~n ~alpha:0.22 ~beta:0.35 ~seed:5 in
     [
-      ("waxman600", instance (waxman 600) 40, 0.93, 40);
-      ("grid24x24", instance (Synthetic.grid 24 24) 32, 0.90, 28);
+      ("waxman600", scaling_instance (waxman 600) 40, 0.93, 40);
+      ("grid24x24", scaling_instance (Synthetic.grid 24 24) 32, 0.90, 28);
     ]
     @
-    if full_mode then [ ("waxman1000", instance (waxman 1000) 56, 0.93, 32) ]
+    if full_mode then [ ("waxman1000", scaling_instance (waxman 1000) 56, 0.93, 32) ]
     else []
   in
   let jobs_list = [ 1; 2; 4 ] in
@@ -909,14 +898,9 @@ let obsoverhead () =
   section "Observability overhead — flight recorder armed vs inert";
   let module Flightrec = Monpos_obs.Flightrec in
   let module Trace = Monpos_obs.Trace in
-  let endpoints g count =
-    let nodes = Array.init (Graph.num_nodes g) (fun i -> i) in
-    Prng.shuffle (Prng.create 17) nodes;
-    Array.to_list (Array.sub nodes 0 (min count (Array.length nodes)))
+  let inst =
+    scaling_instance (Synthetic.waxman ~n:600 ~alpha:0.22 ~beta:0.35 ~seed:5) 40
   in
-  let g = Synthetic.waxman ~n:600 ~alpha:0.22 ~beta:0.35 ~seed:5 in
-  let matrix = Traffic.generate g ~endpoints:(endpoints g 40) ~seed:41 in
-  let inst = Instance.make g matrix in
   let options =
     {
       Monpos_lp.Mip.default_options with
@@ -1000,14 +984,9 @@ let obsoverhead () =
    deterministic tree. *)
 let ckoverhead () =
   section "Checkpoint overhead — every-wave writes vs none";
-  let endpoints g count =
-    let nodes = Array.init (Graph.num_nodes g) (fun i -> i) in
-    Prng.shuffle (Prng.create 17) nodes;
-    Array.to_list (Array.sub nodes 0 (min count (Array.length nodes)))
+  let inst =
+    scaling_instance (Synthetic.waxman ~n:600 ~alpha:0.22 ~beta:0.35 ~seed:5) 40
   in
-  let g = Synthetic.waxman ~n:600 ~alpha:0.22 ~beta:0.35 ~seed:5 in
-  let matrix = Traffic.generate g ~endpoints:(endpoints g 40) ~seed:41 in
-  let inst = Instance.make g matrix in
   let options =
     {
       Monpos_lp.Mip.default_options with

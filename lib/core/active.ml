@@ -9,102 +9,12 @@ type probe = {
   path : Paths.path;
 }
 
-(* Unit-weight shortest paths that settle nodes in exactly the order
-   [Paths.dijkstra ~weight:(fun _ -> 1.0)] does, so every node gets the
-   same parent edge: the same binary heap as [Monpos_util.Heap] (same
-   sift rules, one push per improvement, stale entries skipped when
-   popped) with int keys, in buffers reused from source to source. A
-   FIFO BFS would pop equal-distance nodes in another order and hand
-   some nodes another parent, so another path. *)
-type search = {
-  dist : int array;  (** hops from the source; [max_int] when unreached *)
-  settled : Bytes.t;
-  hkey : int array;
-  hnode : int array;
-  mutable hlen : int;
-}
-
-let search_create n ne =
-  (* a push per improvement: at most one per adjacency entry, plus the
-     source *)
-  let cap = (2 * ne) + 1 in
-  {
-    dist = Array.make n max_int;
-    settled = Bytes.make n '\000';
-    hkey = Array.make cap 0;
-    hnode = Array.make cap 0;
-    hlen = 0;
-  }
-
-let heap_swap sr i j =
-  let k = sr.hkey.(i) and v = sr.hnode.(i) in
-  sr.hkey.(i) <- sr.hkey.(j);
-  sr.hnode.(i) <- sr.hnode.(j);
-  sr.hkey.(j) <- k;
-  sr.hnode.(j) <- v
-
-let rec heap_up sr i =
-  if i > 0 then begin
-    let p = (i - 1) / 2 in
-    if sr.hkey.(p) > sr.hkey.(i) then begin
-      heap_swap sr p i;
-      heap_up sr p
-    end
-  end
-
-let rec heap_down sr i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < sr.hlen && sr.hkey.(l) < sr.hkey.(!smallest) then smallest := l;
-  if r < sr.hlen && sr.hkey.(r) < sr.hkey.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    heap_swap sr i !smallest;
-    heap_down sr !smallest
-  end
-
-let heap_push sr k v =
-  sr.hkey.(sr.hlen) <- k;
-  sr.hnode.(sr.hlen) <- v;
-  sr.hlen <- sr.hlen + 1;
-  heap_up sr (sr.hlen - 1)
-
-(* Fills [sr.dist] from [s], and [parent.(off + v)] with the edge that
-   reaches each reached node [v <> s]. *)
-let unit_dijkstra g sr s ~parent ~off =
-  Array.fill sr.dist 0 (Array.length sr.dist) max_int;
-  Bytes.fill sr.settled 0 (Bytes.length sr.settled) '\000';
-  sr.hlen <- 0;
-  sr.dist.(s) <- 0;
-  heap_push sr 0 s;
-  while sr.hlen > 0 do
-    let d = sr.hkey.(0) and u = sr.hnode.(0) in
-    sr.hlen <- sr.hlen - 1;
-    if sr.hlen > 0 then begin
-      sr.hkey.(0) <- sr.hkey.(sr.hlen);
-      sr.hnode.(0) <- sr.hnode.(sr.hlen);
-      heap_down sr 0
-    end;
-    if Bytes.get sr.settled u = '\000' then begin
-      Bytes.set sr.settled u '\001';
-      let nd = d + 1 in
-      let rec relax = function
-        | [] -> ()
-        | (v, e) :: rest ->
-          if nd < sr.dist.(v) then begin
-            sr.dist.(v) <- nd;
-            parent.(off + v) <- e;
-            heap_push sr nd v
-          end;
-          relax rest
-      in
-      relax (Graph.neighbors g u)
-    end
-  done
-
 (* The candidate probes and each link's designated ones. The candidate
    probes are the unordered pairs (candidate u, target v), numbered in
    the order of the distinct candidates and then of the targets, each
-   with the shortest path from its first-listed end. A link keeps the
+   with the shortest path from its first-listed end: the unit-weight
+   [Paths.search] tree of that end, one search per distinct candidate
+   in one tree reused across them. A link keeps the
    [slots] best pairs crossing it by the key (-(max extremity degree),
    hash of (link, pair)), a later pair before an earlier one on equal
    keys: the first [slots] of a stable sort of the crossing pairs in
@@ -141,14 +51,15 @@ let designate ?targets ~redundancy g ~candidates =
   let pair_src = Array.make (!nsrc * n) 0 in
   let pair_dst = Array.make (!nsrc * n) 0 in
   let npairs = ref 0 in
-  let sr = search_create n ne in
+  let tree = Paths.tree g ~weight:(fun _ -> 1.0) in
   Array.iteri
     (fun i u ->
-      unit_dijkstra g sr u ~parent ~off:(i * n);
+      Paths.search tree u;
+      Array.blit tree.Paths.parent 0 parent (i * n) n;
       for v = 0 to n - 1 do
         (* an earlier source v that targets u already owns the pair *)
         if
-          v <> u && is_target.(v) && sr.dist.(v) < max_int
+          v <> u && is_target.(v) && tree.Paths.dist.(v) < infinity
           && not (first.(v) >= 0 && first.(v) < i && is_target.(u))
         then begin
           pair_src.(!npairs) <- i;

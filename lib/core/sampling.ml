@@ -293,11 +293,8 @@ let flow_build ~algo pb ~installed =
            ~cost:(pb.costs.exploit e /. load)))
     usable;
   let vol_arcs = ref [] in
-  let demand_volume = Array.make ndemands 0.0 in
   Array.iteri
     (fun p tr ->
-      demand_volume.(tr.Instance.t_demand) <-
-        demand_volume.(tr.Instance.t_demand) +. tr.Instance.t_volume;
       List.iter
         (fun e ->
           match Hashtbl.find_opt edge_node e with
@@ -316,6 +313,7 @@ let flow_build ~algo pb ~installed =
           p )
         :: !vol_arcs)
     inst.Instance.traffics;
+  let demand_volume = demand_volumes inst in
   let dem_arcs =
     Array.mapi
       (fun t dn ->

@@ -374,7 +374,9 @@ let warm_init t =
     let p = t.parent.(u) in
     let f = if t.fwd.(u) then e.(u) else -.e.(u) in
     if a < t.m && f >= -.feps && f <= t.s_ucap.(a) +. feps then begin
-      let f = max 0.0 (min f t.s_ucap.(a)) in
+      (* the float [if]s give [max 0.0 (min f ucap)] without boxing *)
+      let f = if f <= t.s_ucap.(a) then f else t.s_ucap.(a) in
+      let f = if 0.0 >= f then 0.0 else f in
       t.flow_.(a) <- f;
       if t.fwd.(u) then e.(p) <- e.(p) +. f else e.(p) <- e.(p) -. f
     end
@@ -412,7 +414,8 @@ let warm_init t =
       t.fwd.(u) <- up;
       t.s_src.(aid) <- (if up then u else root);
       t.s_dst.(aid) <- (if up then root else u);
-      t.flow_.(aid) <- max 0.0 (if up then r else -.r)
+      let r = if up then r else -.r in
+      t.flow_.(aid) <- (if 0.0 >= r then 0.0 else r)
     end;
     v := t.rev_thread.(u)
   done;

@@ -18,147 +18,187 @@ let bfs_distances g s =
   done;
   dist
 
-let dijkstra g ~weight s =
-  let n = Graph.num_nodes g in
-  let dist = Array.make n infinity in
-  let parent = Array.make n None in
-  let settled = Array.make n false in
-  let heap = Monpos_util.Heap.create () in
+(* One search's buffers, reused from source to source. The heap is
+   [Monpos_util.Heap]'s binary heap (same sift rules) with its keys
+   unboxed; it gets one push per improvement, so at most one per
+   adjacency entry plus the source. *)
+type work = {
+  weight : float array;
+  unbanned : bool array;  (** all false, the mask of a search without one *)
+  hkey : float array;
+  hnode : int array;
+  mutable hlen : int;
+}
+
+type tree = {
+  graph : Graph.t;
+  dist : float array;
+  parent : Graph.edge array;
+  work : work;
+}
+
+let tree g ~weight =
+  let n = Graph.num_nodes g and ne = Graph.num_edges g in
+  let weight =
+    Array.init ne (fun e ->
+        let w = weight e in
+        assert (w >= 0.0);
+        w)
+  in
+  {
+    graph = g;
+    dist = Array.make n infinity;
+    parent = Array.make n (-1);
+    work =
+      {
+        weight;
+        unbanned = Array.make (max n ne) false;
+        hkey = Array.make ((2 * ne) + 1) 0.0;
+        hnode = Array.make ((2 * ne) + 1) 0;
+        hlen = 0;
+      };
+  }
+
+let heap_swap w i j =
+  let k = w.hkey.(i) and v = w.hnode.(i) in
+  w.hkey.(i) <- w.hkey.(j);
+  w.hnode.(i) <- w.hnode.(j);
+  w.hkey.(j) <- k;
+  w.hnode.(j) <- v
+
+let rec heap_up w i =
+  if i > 0 then begin
+    let p = (i - 1) / 2 in
+    if w.hkey.(p) > w.hkey.(i) then begin
+      heap_swap w p i;
+      heap_up w p
+    end
+  end
+
+let rec heap_down w i =
+  let l = (2 * i) + 1 and r = (2 * i) + 2 in
+  let smallest = ref i in
+  if l < w.hlen && w.hkey.(l) < w.hkey.(!smallest) then smallest := l;
+  if r < w.hlen && w.hkey.(r) < w.hkey.(!smallest) then smallest := r;
+  if !smallest <> i then begin
+    heap_swap w i !smallest;
+    heap_down w !smallest
+  end
+
+(* pushes [v] keyed by its distance *)
+let push t v =
+  let w = t.work in
+  w.hkey.(w.hlen) <- t.dist.(v);
+  w.hnode.(w.hlen) <- v;
+  w.hlen <- w.hlen + 1;
+  heap_up w (w.hlen - 1)
+
+let search ?banned_nodes ?banned_edges t s =
+  let n = Array.length t.dist and w = t.work in
+  let dist = t.dist and parent = t.parent and weight = w.weight in
+  let banned_node = Option.value banned_nodes ~default:w.unbanned in
+  let banned_edge = Option.value banned_edges ~default:w.unbanned in
+  Array.fill dist 0 n infinity;
+  Array.fill parent 0 n (-1);
+  w.hlen <- 0;
   dist.(s) <- 0.0;
-  Monpos_util.Heap.push heap 0.0 s;
-  let rec loop () =
-    match Monpos_util.Heap.pop_min heap with
-    | None -> ()
-    | Some (d, u) ->
-      if not settled.(u) then begin
-        settled.(u) <- true;
-        List.iter
-          (fun (v, e) ->
-            let w = weight e in
-            assert (w >= 0.0);
-            let nd = d +. w in
+  push t s;
+  while w.hlen > 0 do
+    let du = w.hkey.(0) and u = w.hnode.(0) in
+    w.hlen <- w.hlen - 1;
+    if w.hlen > 0 then begin
+      w.hkey.(0) <- w.hkey.(w.hlen);
+      w.hnode.(0) <- w.hnode.(w.hlen);
+      heap_down w 0
+    end;
+    (* A node's pushes have strictly falling keys, and a settled
+       node's distance never falls again, so [u] settles at its first
+       pop, keyed [dist.(u)], and every later pop of [u] is stale. A
+       strictly shorter distance wins, so the first settled parent
+       keeps a node. *)
+    if du <= dist.(u) then begin
+      let adj = ref (Graph.neighbors t.graph u) in
+      while
+        match !adj with
+        | [] -> false
+        | (v, e) :: rest ->
+          adj := rest;
+          if not (banned_node.(v) || banned_edge.(e)) then begin
+            let nd = du +. weight.(e) in
             if nd < dist.(v) -. 1e-12 then begin
               dist.(v) <- nd;
-              parent.(v) <- Some e;
-              Monpos_util.Heap.push heap nd v
-            end)
-          (Graph.neighbors g u)
-      end;
-      loop ()
-  in
-  loop ();
-  (dist, parent)
+              parent.(v) <- e;
+              push t v
+            end
+          end;
+          true
+      do
+        ()
+      done
+    end
+  done
 
-let extract_path g parent s t =
-  let rec go node acc_nodes acc_edges =
-    if node = s then (node :: acc_nodes, acc_edges)
-    else
-      match parent.(node) with
-      | None -> assert false
-      | Some e ->
-        let prev = Graph.other_end g e node in
-        go prev (node :: acc_nodes) (e :: acc_edges)
-  in
-  go t [] []
+let path_to t v =
+  if t.dist.(v) = infinity then None
+  else begin
+    let rec go node nodes edges =
+      let e = t.parent.(node) in
+      if e < 0 then (node :: nodes, edges)
+      else go (Graph.other_end t.graph e node) (node :: nodes) (e :: edges)
+    in
+    let nodes, edges = go v [] [] in
+    Some { nodes; edges; cost = t.dist.(v) }
+  end
+
+let all_paths_to t ~max_paths v =
+  if t.dist.(v) = infinity then []
+  else begin
+    (* walk back from v along tight edges, enumerating the DAG *)
+    let results = ref [] and count = ref 0 in
+    let rec go node nodes edges =
+      if !count < max_paths then
+        if t.parent.(node) < 0 then begin
+          incr count;
+          results :=
+            { nodes = node :: nodes; edges; cost = t.dist.(v) } :: !results
+        end
+        else begin
+          (* deterministic order: sort predecessors by (node, edge) *)
+          let preds =
+            List.filter
+              (fun (u, e) ->
+                abs_float (t.dist.(u) +. t.work.weight.(e) -. t.dist.(node))
+                <= 1e-9)
+              (Graph.neighbors t.graph node)
+            |> List.sort compare
+          in
+          List.iter
+            (fun (u, e) ->
+              if !count < max_paths then go u (node :: nodes) (e :: edges))
+            preds
+        end
+    in
+    go v [] [];
+    List.rev !results
+  end
 
 let shortest_path g ~weight s t =
-  if s = t then Some { nodes = [ s ]; edges = []; cost = 0.0 }
-  else begin
-    let dist, parent = dijkstra g ~weight s in
-    if dist.(t) = infinity then None
-    else begin
-      let nodes, edges = extract_path g parent s t in
-      Some { nodes; edges; cost = dist.(t) }
-    end
-  end
-
-let all_shortest_paths g ~weight ~max_paths s t =
-  if s = t then [ { nodes = [ s ]; edges = []; cost = 0.0 } ]
-  else begin
-    let dist, _ = dijkstra g ~weight s in
-    if dist.(t) = infinity then []
-    else begin
-      (* walk back from t along tight edges, enumerating the DAG *)
-      let results = ref [] and count = ref 0 in
-      let rec go node acc_nodes acc_edges =
-        if !count < max_paths then
-          if node = s then begin
-            incr count;
-            results :=
-              { nodes = node :: acc_nodes; edges = acc_edges; cost = dist.(t) }
-              :: !results
-          end
-          else begin
-            (* deterministic order: sort predecessors by (node, edge) *)
-            let preds =
-              List.filter
-                (fun (v, e) ->
-                  abs_float (dist.(v) +. weight e -. dist.(node)) <= 1e-9)
-                (Graph.neighbors g node)
-              |> List.sort compare
-            in
-            List.iter
-              (fun (v, e) ->
-                if !count < max_paths then
-                  go v (node :: acc_nodes) (e :: acc_edges))
-              preds
-          end
-      in
-      go t [] [];
-      List.rev !results
-    end
-  end
-
-(* Dijkstra restricted by banned nodes/edges, for Yen's spur paths. *)
-let shortest_path_filtered g ~weight ~banned_nodes ~banned_edges s t =
-  if banned_nodes.(s) || banned_nodes.(t) then None
-  else if s = t then Some { nodes = [ s ]; edges = []; cost = 0.0 }
-  else begin
-    let n = Graph.num_nodes g in
-    let dist = Array.make n infinity in
-    let parent = Array.make n None in
-    let settled = Array.make n false in
-    let heap = Monpos_util.Heap.create () in
-    dist.(s) <- 0.0;
-    Monpos_util.Heap.push heap 0.0 s;
-    let rec loop () =
-      match Monpos_util.Heap.pop_min heap with
-      | None -> ()
-      | Some (d, u) ->
-        if not settled.(u) then begin
-          settled.(u) <- true;
-          List.iter
-            (fun (v, e) ->
-              if (not banned_nodes.(v)) && not banned_edges.(e) then begin
-                let nd = d +. weight e in
-                if nd < dist.(v) -. 1e-12 then begin
-                  dist.(v) <- nd;
-                  parent.(v) <- Some e;
-                  Monpos_util.Heap.push heap nd v
-                end
-              end)
-            (Graph.neighbors g u)
-        end;
-        loop ()
-    in
-    loop ();
-    if dist.(t) = infinity then None
-    else begin
-      let nodes, edges = extract_path g parent s t in
-      Some { nodes; edges; cost = dist.(t) }
-    end
-  end
+  let tr = tree g ~weight in
+  search tr s;
+  path_to tr t
 
 let path_key p = (p.edges, p.nodes)
 
 let k_shortest_paths g ~weight ~k s t =
-  match shortest_path g ~weight s t with
+  let tr = tree g ~weight in
+  search tr s;
+  match path_to tr t with
   | None -> []
   | Some first ->
     if k <= 1 then [ first ]
     else begin
-      let n = Graph.num_nodes g in
-      let ne = Graph.num_edges g in
+      let banned_nodes = Array.make (Graph.num_nodes g) false in
+      let banned_edges = Array.make (Graph.num_edges g) false in
       let accepted = ref [ first ] in
       let candidates = ref [] in
       let seen = Hashtbl.create 16 in
@@ -177,8 +217,8 @@ let k_shortest_paths g ~weight ~k s t =
           (* spur from every node of the previous path except t *)
           for i = 0 to Array.length prev_edges - 1 do
             let spur = prev_nodes.(i) in
-            let banned_nodes = Array.make n false in
-            let banned_edges = Array.make ne false in
+            Array.fill banned_nodes 0 (Array.length banned_nodes) false;
+            Array.fill banned_edges 0 (Array.length banned_edges) false;
             (* root = prefix up to spur node *)
             for j = 0 to i - 1 do
               banned_nodes.(prev_nodes.(j)) <- true
@@ -194,10 +234,8 @@ let k_shortest_paths g ~weight ~k s t =
                   && Array.for_all2 ( = ) (Array.sub pe 0 i) root_edges
                 then banned_edges.(pe.(i)) <- true)
               !accepted;
-            match
-              shortest_path_filtered g ~weight ~banned_nodes ~banned_edges spur
-                t
-            with
+            search ~banned_nodes ~banned_edges tr spur;
+            match path_to tr t with
             | None -> ()
             | Some tail ->
               let root_cost = ref 0.0 in

@@ -3,9 +3,12 @@
     The paper routes each traffic on a shortest path computed by the
     ISP's interior routing (§4.4), possibly asymmetric, and §5
     considers multi-routed traffics (several equal-cost paths used for
-    load balancing). This module provides deterministic Dijkstra,
-    equal-cost multipath enumeration, Yen's k-shortest paths and
-    connectivity helpers. *)
+    load balancing); the §6 probes follow shortest paths too. Every
+    search here is one Dijkstra ({!search}), which fills a reusable
+    shortest-path {!tree} from one source without allocating: the
+    traffic generator and the probe computation answer all the pairs
+    of a source from one tree. On top of it sit equal-cost multipath
+    enumeration, Yen's k-shortest paths and connectivity helpers. *)
 
 type path = {
   nodes : Graph.node list;  (** visited nodes, source first *)
@@ -17,30 +20,57 @@ val bfs_distances : Graph.t -> Graph.node -> int array
 (** Hop distance from the source to every node; [-1] when
     unreachable. *)
 
-val dijkstra :
-  Graph.t ->
-  weight:(Graph.edge -> float) ->
+type work
+(** A search's edge weights, heap and empty ban mask. *)
+
+type tree = private {
+  graph : Graph.t;  (** the graph searched *)
+  dist : float array;
+      (** per node, the distance from the last source searched;
+          [infinity] when unreached *)
+  parent : Graph.edge array;
+      (** per node, the edge of its shortest path that reaches it;
+          [-1] at the source and at unreached nodes *)
+  work : work;
+}
+(** A shortest-path tree over one graph and one weight, refilled by
+    each {!search}. *)
+
+val tree : Graph.t -> weight:(Graph.edge -> float) -> tree
+(** [tree g ~weight] is an empty tree for [g] as it is now, with every
+    edge's weight read once. Weights must be non-negative. *)
+
+val search :
+  ?banned_nodes:bool array ->
+  ?banned_edges:bool array ->
+  tree ->
   Graph.node ->
-  float array * Graph.edge option array
-(** [dijkstra g ~weight s] returns (distances, parent edge toward [s]).
-    Distances are [infinity] for unreachable nodes. Weights must be
-    non-negative. Ties are resolved deterministically (first settled
-    predecessor wins), so routing is reproducible across runs. *)
+  unit
+(** [search t s] refills [t] from source [s], never entering a banned
+    node or crossing a banned edge (the source itself is not checked).
+    It allocates nothing. Ties are resolved deterministically: nodes
+    settle in the pop order of a binary heap ([Monpos_util.Heap]'s
+    sift rules, one push per strict improvement, stale pops skipped)
+    and a node keeps the parent that reached it first, so routing is
+    reproducible across runs. A node or edge added to the graph after
+    {!tree} raises [Invalid_argument] when the search meets it. *)
+
+val path_to : tree -> Graph.node -> path option
+(** The tree path from the last source searched to a node, [None] when
+    unreached; the source's own path has no edges. *)
+
+val all_paths_to : tree -> max_paths:int -> Graph.node -> path list
+(** Every distinct minimum-cost path from the last source searched to
+    a node (the ECMP set), truncated to [max_paths], predecessors
+    tried in (node, edge) order. Used for the multi-routed traffics of
+    §5. It walks every tight edge, so it ignores the masks of the
+    search before it. *)
 
 val shortest_path :
   Graph.t -> weight:(Graph.edge -> float) -> Graph.node -> Graph.node -> path option
-(** Shortest path between two nodes, [None] when disconnected.
-    [Some] with empty edges when source = target. *)
-
-val all_shortest_paths :
-  Graph.t ->
-  weight:(Graph.edge -> float) ->
-  max_paths:int ->
-  Graph.node ->
-  Graph.node ->
-  path list
-(** Every distinct minimum-cost path (the ECMP set), truncated to
-    [max_paths]. Used for the multi-routed traffics of §5. *)
+(** One {!search} and {!path_to}: the shortest path between two nodes,
+    [None] when disconnected, [Some] with empty edges when source =
+    target. *)
 
 val k_shortest_paths :
   Graph.t ->

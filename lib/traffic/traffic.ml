@@ -30,7 +30,34 @@ let default_gen =
     max_ecmp_paths = 1;
   }
 
-let unit_weight _ = 1.0
+(* The hop-count routes of every pair, as paths: a pair's shortest
+   path, or under ECMP its first [max_paths] equal-cost ones, and []
+   when it is unreachable. All the pairs of a source are answered from
+   one shortest-path tree. *)
+let routes g ~max_paths pairs =
+  let tree = Paths.tree g ~weight:(fun _ -> 1.0) in
+  let of_src = Array.make (Graph.num_nodes g) [] in
+  Array.iteri (fun i (src, _) -> of_src.(src) <- i :: of_src.(src)) pairs;
+  let paths = Array.make (Array.length pairs) [] in
+  Array.iteri
+    (fun src is ->
+      if is <> [] then begin
+        Paths.search tree src;
+        List.iter
+          (fun i ->
+            let dst = snd pairs.(i) in
+            paths.(i) <-
+              (if max_paths <= 1 then Option.to_list (Paths.path_to tree dst)
+               else Paths.all_paths_to tree ~max_paths dst))
+          is
+      end)
+    of_src;
+  paths
+
+(* [volume] split evenly over the paths *)
+let share volume paths =
+  let v = volume /. float_of_int (List.length paths) in
+  List.map (fun path -> { path; volume = v }) paths
 
 let generate_pairs ?(params = default_gen) g ~pairs ~seed =
   let rng = Prng.create seed in
@@ -42,6 +69,7 @@ let generate_pairs ?(params = default_gen) g ~pairs ~seed =
     List.iter
       (fun i -> hot.(i) <- true)
       (Prng.sample_without_replacement rng (min params.hot_pairs npairs) npairs);
+  let paths = routes g ~max_paths:params.max_ecmp_paths pairs in
   let demands = ref [] in
   Array.iteri
     (fun i (src, dst) ->
@@ -49,25 +77,8 @@ let generate_pairs ?(params = default_gen) g ~pairs ~seed =
         let v = Prng.pareto rng ~alpha:params.pareto_alpha ~xmin:params.base_volume in
         if hot.(i) then v *. params.hot_factor else v
       in
-      let routes =
-        if params.max_ecmp_paths <= 1 then
-          match Paths.shortest_path g ~weight:unit_weight src dst with
-          | None -> []
-          | Some p -> [ { path = p; volume } ]
-        else begin
-          let ps =
-            Paths.all_shortest_paths g ~weight:unit_weight
-              ~max_paths:params.max_ecmp_paths src dst
-          in
-          let k = List.length ps in
-          if k = 0 then []
-          else begin
-            let share = volume /. float_of_int k in
-            List.map (fun p -> { path = p; volume = share }) ps
-          end
-        end
-      in
-      if routes <> [] then demands := { src; dst; volume; routes } :: !demands)
+      if paths.(i) <> [] then
+        demands := { src; dst; volume; routes = share volume paths.(i) } :: !demands)
     pairs;
   Array.of_list (List.rev !demands)
 
@@ -87,39 +98,23 @@ let generate_gravity ?(pareto_alpha = 1.2) ?(total_volume = 1000.0)
     Array.map (fun _ -> Prng.pareto rng ~alpha:pareto_alpha ~xmin:1.0) eps
   in
   let total_mass = Monpos_util.Stats.sum masses in
+  let n = Array.length eps in
+  (* pair k is (endpoint k / n, endpoint k mod n); the diagonal is dropped *)
+  let paths =
+    routes g ~max_paths:max_ecmp_paths
+      (Array.init (n * n) (fun k -> (eps.(k / n), eps.(k mod n))))
+  in
   let demands = ref [] in
-  Array.iteri
-    (fun i src ->
-      Array.iteri
-        (fun j dst ->
-          if i <> j then begin
-            let volume =
-              total_volume *. masses.(i) *. masses.(j)
-              /. (total_mass *. total_mass)
-            in
-            let routes =
-              if max_ecmp_paths <= 1 then
-                match Paths.shortest_path g ~weight:unit_weight src dst with
-                | None -> []
-                | Some p -> [ { path = p; volume } ]
-              else begin
-                let ps =
-                  Paths.all_shortest_paths g ~weight:unit_weight
-                    ~max_paths:max_ecmp_paths src dst
-                in
-                let k = List.length ps in
-                if k = 0 then []
-                else begin
-                  let share = volume /. float_of_int k in
-                  List.map (fun p -> { path = p; volume = share }) ps
-                end
-              end
-            in
-            if routes <> [] && volume > 0.0 then
-              demands := { src; dst; volume; routes } :: !demands
-          end)
-        eps)
-    eps;
+  for k = 0 to (n * n) - 1 do
+    let i = k / n and j = k mod n in
+    let volume =
+      total_volume *. masses.(i) *. masses.(j) /. (total_mass *. total_mass)
+    in
+    if i <> j && paths.(k) <> [] && volume > 0.0 then
+      demands :=
+        { src = eps.(i); dst = eps.(j); volume; routes = share volume paths.(k) }
+        :: !demands
+  done;
   Array.of_list (List.rev !demands)
 
 let total_volume m = Monpos_util.Stats.sum (Array.map (fun d -> d.volume) m)

@@ -6,7 +6,9 @@
     matrices of §4.4: volumes between all ordered endpoint pairs,
     heavy-tailed, with a few "preferred pairs of high traffic" so the
     distribution is deliberately non-uniform, routed on (possibly
-    asymmetric) shortest paths. *)
+    asymmetric) shortest paths. The generators answer every pair of a
+    source from one {!Monpos_graph.Paths.search} tree, single-path and
+    ECMP alike, so a matrix costs one search per distinct source. *)
 
 type route = {
   path : Monpos_graph.Paths.path;  (** the links the traffic crosses *)

@@ -11,8 +11,8 @@
    [greedy] is the max-coverage greedy written directly over probes,
    the oracle for [Active.place_greedy], which runs [Cover.greedy].
 
-   [probes] is the §6 probe computation written with Dijkstra path
-   lists, a full sort of each link's probes and pair hash tables, the
+   [probes] is the §6 probe computation written with the reference
+   Dijkstra of [Paths_ref] and its path lists, a full sort of each link's probes and pair hash tables, the
    oracle for [Active.compute_probes], which must return the identical
    list. *)
 
@@ -35,7 +35,7 @@ let candidate_probes ?targets g ~candidates =
   let probes = ref [] in
   List.iter
     (fun u ->
-      let dist, parent = Paths.dijkstra g ~weight:(fun _ -> 1.0) u in
+      let dist, parent = Paths_ref.dijkstra g ~weight:(fun _ -> 1.0) u in
       for v = 0 to n - 1 do
         if v <> u && is_target.(v) && dist.(v) < infinity then begin
           let key = (min u v, max u v) in

@@ -14,6 +14,7 @@ let () =
       ("obs.diff", Test_diff.suite);
       ("obs.flight", Test_flight.suite);
       ("graph", Test_graph.suite);
+      ("graph.routing", Test_routing.suite);
       ("flow", Test_flow.suite);
       ("flow.prop", Test_flow_prop.suite);
       ("cover", Test_cover.suite);

@@ -79,14 +79,14 @@ let test_ecmp_enumeration () =
   ignore (Graph.add_edge g 1 3);
   ignore (Graph.add_edge g 0 2);
   ignore (Graph.add_edge g 2 3);
-  let ps = Paths.all_shortest_paths g ~weight:(fun _ -> 1.0) ~max_paths:10 0 3 in
+  let t = Paths.tree g ~weight:(fun _ -> 1.0) in
+  Paths.search t 0;
+  let ps = Paths.all_paths_to t ~max_paths:10 3 in
   Alcotest.(check int) "two equal-cost paths" 2 (List.length ps);
   List.iter
     (fun p -> Alcotest.(check (float 1e-9)) "cost 2" 2.0 p.Paths.cost)
     ps;
-  let truncated =
-    Paths.all_shortest_paths g ~weight:(fun _ -> 1.0) ~max_paths:1 0 3
-  in
+  let truncated = Paths.all_paths_to t ~max_paths:1 3 in
   Alcotest.(check int) "truncation" 1 (List.length truncated)
 
 let test_yen_k_shortest () =
