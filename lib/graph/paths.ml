@@ -25,6 +25,7 @@ let bfs_distances g s =
 type work = {
   weight : float array;
   unbanned : bool array;  (** all false, the mask of a search without one *)
+  on_path : bool array;  (** all false between [all_paths_to] calls *)
   hkey : float array;
   hnode : int array;
   mutable hlen : int;
@@ -53,6 +54,7 @@ let tree g ~weight =
       {
         weight;
         unbanned = Array.make (max n ne) false;
+        on_path = Array.make n false;
         hkey = Array.make ((2 * ne) + 1) 0.0;
         hnode = Array.make ((2 * ne) + 1) 0;
         hlen = 0;
@@ -153,7 +155,12 @@ let path_to t v =
 let all_paths_to t ~max_paths v =
   if t.dist.(v) = infinity then []
   else begin
-    (* walk back from v along tight edges, enumerating the DAG *)
+    (* walk back from v along tight edges. A zero-weight edge is tight
+       both ways, so the walk never steps onto a node of the path it
+       is building: every result is a simple path, and the walk ends.
+       With positive weights the distance falls at every step and the
+       marks never bite. *)
+    let on_path = t.work.on_path in
     let results = ref [] and count = ref 0 in
     let rec go node nodes edges =
       if !count < max_paths then
@@ -163,19 +170,22 @@ let all_paths_to t ~max_paths v =
             { nodes = node :: nodes; edges; cost = t.dist.(v) } :: !results
         end
         else begin
+          on_path.(node) <- true;
           (* deterministic order: sort predecessors by (node, edge) *)
           let preds =
             List.filter
               (fun (u, e) ->
-                abs_float (t.dist.(u) +. t.work.weight.(e) -. t.dist.(node))
-                <= 1e-9)
+                (not on_path.(u))
+                && abs_float (t.dist.(u) +. t.work.weight.(e) -. t.dist.(node))
+                   <= 1e-9)
               (Graph.neighbors t.graph node)
             |> List.sort compare
           in
           List.iter
             (fun (u, e) ->
               if !count < max_paths then go u (node :: nodes) (e :: edges))
-            preds
+            preds;
+          on_path.(node) <- false
         end
     in
     go v [] [];

@@ -64,7 +64,8 @@ val all_paths_to : tree -> max_paths:int -> Graph.node -> path list
     a node (the ECMP set), truncated to [max_paths], predecessors
     tried in (node, edge) order. Used for the multi-routed traffics of
     §5. It walks every tight edge, so it ignores the masks of the
-    search before it. *)
+    search before it. Every path is simple: across zero-weight edges
+    the set is every minimum-cost simple path, which may be many. *)
 
 val shortest_path :
   Graph.t -> weight:(Graph.edge -> float) -> Graph.node -> Graph.node -> path option

@@ -35,9 +35,9 @@ let m_g_ck_clock =
 
 (* cumulative seconds this solve spent serializing + atomically
    replacing checkpoint files: the direct numerator of the checkpoint
-   overhead, which the ckoverhead bench gates as a fraction of the
-   solve wall (a paired wall-clock diff cannot resolve sub-percent
-   costs on a shared machine) *)
+   overhead, which the bench's overhead phase gates as a fraction of
+   the same solve's wall (a paired wall-clock diff cannot resolve
+   sub-percent costs on a shared machine) *)
 let m_g_ck_seconds =
   lazy (Metrics.gauge Metrics.default "checkpoint.write_seconds")
 

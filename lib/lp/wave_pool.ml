@@ -11,12 +11,14 @@ let m_failures = lazy (Metrics.counter Metrics.default "mip.worker_failures")
 (* per-slot series, labeled by slot (0 = the calling domain), not by
    runtime domain id: slot labels keep the series cardinality bounded
    by [jobs] where raw domain ids would grow without bound across
-   pools. Registration happens on the calling domain only (before
-   spawn or after join); workers touch nothing but forced handles. *)
+   pools. The node split has a family of its own: under Mip's
+   [mip.nodes] a sum over the family would count every node twice.
+   Registration happens on the calling domain only (before spawn or
+   after join); workers touch nothing but forced handles. *)
 let nodes_counter w =
   Metrics.counter
     ~labels:[ ("domain", string_of_int w) ]
-    Metrics.default "mip.nodes"
+    Metrics.default "mip.slot_nodes"
 
 let idle_gauge w =
   Metrics.gauge

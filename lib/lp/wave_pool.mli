@@ -27,7 +27,7 @@
     worker claim before it claims anything itself, so the death lands
     however the machine schedules the slots.
 
-    Per-slot series: [mip.nodes{domain=w}] counts the tasks slot [w]
+    Per-slot series: [mip.slot_nodes{domain=w}] counts the tasks slot [w]
     completed and [mip.idle_seconds{domain=w}] (added at {!shutdown})
     the seconds it waited. They are registered on the calling domain
     only, when first needed, so a pool that only ever ran singleton

@@ -1,8 +1,9 @@
 (* Always-on flight recorder: one fixed-capacity ring of recent trace
    events per domain, fed through an ordinary (custom) Trace sink so
    the typed taxonomy, timestamps and domain stamping are exactly
-   those of a --trace file. Recording is a DLS lookup, a tuple box and
-   a ring store — cheap enough to leave armed on every run — and a
+   those of a --trace file. Recording is a DLS lookup, a record box and
+   a ring store — cheap enough to leave armed on every run; Trace.emit
+   prices it into obs.overhead_seconds — and a
    dump renders the merged rings with Event.render_line, so the
    resulting JSONL is byte-compatible with the channel sinks and reads
    through Trace_reader/analyze unchanged.
@@ -14,15 +15,11 @@
 
 type entry = { e_ts : float; e_ev : string; e_fields : (string * Json.t) list }
 
-(* per-domain recording cell: the ring plus a probe countdown for the
-   self-measured overhead estimate *)
-type cell = { ring : entry Ring.t; mutable count : int }
-
 type t = {
   capacity : int;
   lock : Mutex.t;
-  mutable rings : (int * cell) list; (* domain id -> cell, registration order *)
-  slot_key : cell option ref Domain.DLS.key;
+  mutable rings : (int * entry Ring.t) list; (* domain id -> ring, registration order *)
+  slot_key : entry Ring.t option ref Domain.DLS.key;
   seen : int Atomic.t;
   mutable manifest : Runinfo.t option;
   mutable dump_seq : int; (* under lock *)
@@ -41,8 +38,6 @@ let create ?(capacity = default_capacity) () =
     dump_seq = 0;
   }
 
-let capacity t = t.capacity
-
 let set_manifest t m = t.manifest <- Some m
 
 (* A spawned domain records into a fresh ring registered under its
@@ -50,33 +45,21 @@ let set_manifest t m = t.manifest <- Some m
    replaces the dead predecessor's ring, which keeps memory bounded by
    the live domain count and keeps dumps focused on the recent past. *)
 let register t slot =
-  let cell = { ring = Ring.create t.capacity; count = 0 } in
+  let ring = Ring.create t.capacity in
   let id = (Domain.self () :> int) in
   Mutex.protect t.lock (fun () ->
       t.rings <-
         (match List.assoc_opt id t.rings with
-        | None -> t.rings @ [ (id, cell) ]
+        | None -> t.rings @ [ (id, ring) ]
         | Some _ ->
-          List.map (fun (d, c) -> if d = id then (d, cell) else (d, c)) t.rings));
-  slot := Some cell;
-  cell
-
-(* Every 256th store is timed and extrapolated into the
-   obs.overhead_seconds self-accounting — measuring each store would
-   cost more than the store. *)
-let probe_mask = 255
+          List.map (fun (d, r) -> if d = id then (d, ring) else (d, r)) t.rings));
+  slot := Some ring;
+  ring
 
 let record t ~ts ~ev fields =
   let slot = Domain.DLS.get t.slot_key in
-  let cell = match !slot with Some c -> c | None -> register t slot in
-  cell.count <- cell.count + 1;
-  let e = { e_ts = ts; e_ev = ev; e_fields = fields } in
-  if cell.count land probe_mask = 0 then begin
-    let t0 = Clock.now () in
-    Ring.push cell.ring e;
-    Status.add_overhead ((Clock.now () -. t0) *. float_of_int (probe_mask + 1))
-  end
-  else Ring.push cell.ring e;
+  let ring = match !slot with Some r -> r | None -> register t slot in
+  Ring.push ring { e_ts = ts; e_ev = ev; e_fields = fields };
   Atomic.incr t.seen
 
 let sink t = Trace.custom (fun ts ev fields -> record t ~ts ~ev fields)
@@ -85,14 +68,7 @@ let events_seen t = Atomic.get t.seen
 
 let stats t =
   Mutex.protect t.lock (fun () ->
-      List.map
-        (fun (d, c) -> (d, Ring.length c.ring, Ring.dropped c.ring))
-        t.rings)
-
-let clear t =
-  Mutex.protect t.lock (fun () ->
-      List.iter (fun (_, c) -> Ring.clear c.ring) t.rings);
-  Atomic.set t.seen 0
+      List.map (fun (d, r) -> (d, Ring.length r, Ring.dropped r)) t.rings)
 
 (* Merge every domain's retained events into one stream ordered by
    timestamp (each sink fan-out shares one epoch, so timestamps are
@@ -102,9 +78,7 @@ let clear t =
 let render t =
   let entries =
     Mutex.protect t.lock (fun () ->
-        List.concat_map
-          (fun (_, c) -> Ring.to_list c.ring)
-          t.rings)
+        List.concat_map (fun (_, r) -> Ring.to_list r) t.rings)
   in
   let sorted =
     List.stable_sort (fun a b -> Float.compare a.e_ts b.e_ts) entries
@@ -159,8 +133,6 @@ let install ?capacity ?dir () =
   current := Some t;
   dump_dir_ref := dir;
   t
-
-let installed () = !current
 
 let uninstall () =
   current := None;

@@ -24,8 +24,6 @@ val create : ?capacity:int -> unit -> t
 (** A recorder retaining the last [capacity] (default 4096) events per
     domain. *)
 
-val capacity : t -> int
-
 val sink : t -> Trace.sink
 (** The recording sink; combine with other sinks via
     {!Trace.fanout}. *)
@@ -48,8 +46,6 @@ val stats : t -> (int * int * int) list
 (** Per-domain [(domain_id, retained, dropped)] in registration
     order. *)
 
-val clear : t -> unit
-
 val render : t -> string
 (** The dump body: the manifest (when set) followed by every retained
     event, merged across domains in timestamp order, one JSONL line
@@ -67,8 +63,6 @@ val install : ?capacity:int -> ?dir:string -> unit -> t
 (** Create a recorder, make it the ambient one, and arm dumps into
     [dir] (no [dir]: recording stays armed but triggers are inert).
     Call once at startup, before worker domains spawn. *)
-
-val installed : unit -> t option
 
 val uninstall : unit -> unit
 

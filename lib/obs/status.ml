@@ -29,11 +29,14 @@ let with_phase p f =
 (* ------------------------------------------------------------------ *)
 (* observability self-accounting *)
 
-(* Cumulative seconds the observability tier spent on itself (flight
-   recorder stores, dump rendering, ticker samples), estimated by the
-   recorders' own timing probes. A CAS loop keeps cross-domain adds
-   lossless; the registry gauge mirrors the cell so the cost shows up
-   in scrapes and --metrics tables. *)
+(* Cumulative seconds the observability tier spent on itself (trace
+   emits into any sink, the flight recorder's included, and dump
+   rendering), estimated by Trace.emit's sampled probe and timed
+   dumps. A CAS loop keeps cross-domain adds lossless; the registry
+   gauge mirrors the cell so the cost shows up in scrapes and
+   --metrics tables. The cell spans the process, so a gauge read after
+   Metrics.reset still shows the process total: measure one run as the
+   difference of {!overhead} across it. *)
 let overhead_cell = Atomic.make 0.0
 
 let m_overhead = lazy (Metrics.gauge Metrics.default "obs.overhead_seconds")
@@ -82,7 +85,7 @@ let to_json ?(registry = Metrics.default) () =
             ("bound", gauge_json snap "mip.bound");
             ("gap", gauge_json snap "mip.gap");
             ("nodes", Json.Int (Metrics.sum_counter snap "mip.nodes"));
-            ("nodes_by_domain", Json.Obj (by_domain snap "mip.nodes"));
+            ("nodes_by_domain", Json.Obj (by_domain snap "mip.slot_nodes"));
             ( "idle_seconds_by_domain",
               Json.Obj (by_domain snap "mip.idle_seconds") );
           ] );

@@ -26,6 +26,8 @@ val add_overhead : float -> unit
     into the [obs.overhead_seconds] gauge of {!Metrics.default}. *)
 
 val overhead : unit -> float
+(** Seconds accounted so far in this process; one run's share is the
+    difference across it. *)
 
 val to_json : ?registry:Metrics.t -> unit -> Json.t
 (** The [/statusz] document: run manifest, uptime, phase, solver

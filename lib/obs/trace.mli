@@ -73,7 +73,8 @@ val emit : sink -> Event.t -> unit
     one carry an extra ["domain"] field with the emitting domain's id.
     A no-op on {!null}; call sites on hot paths still guard with
     {!enabled} so that an untraced run does not even build the
-    event. *)
+    event. Every 256th emit of a sink is timed whole and its cost,
+    times 256, is added to {!Status.add_overhead}. *)
 
 type gc_delta = Event.gc_delta = {
   minor_words : float;

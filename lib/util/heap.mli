@@ -1,8 +1,7 @@
 (** Binary min-heap keyed by floats.
 
-    Used as the priority queue of Dijkstra-style searches and of the
-    successive-shortest-path min-cost-flow solver. Elements are plain
-    payloads; the heap does not support decrease-key, callers insert
+    Used as the branch-and-bound frontier of [Monpos_lp.Mip] (and
+    saved verbatim in its checkpoints). Elements are plain payloads; the heap does not support decrease-key, callers insert
     duplicates and skip stale pops (the standard lazy-deletion idiom,
     which is faster in practice for sparse graphs). *)
 

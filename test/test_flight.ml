@@ -330,6 +330,31 @@ let test_progress_counts_sampled_nodes () =
   Alcotest.(check string) "final line" prefix
     (String.sub final 0 (min (String.length final) (String.length prefix)))
 
+(* ------------------------------------------------------------------ *)
+(* self-accounting *)
+
+(* Trace.emit's sampled probe times the whole recording path, the
+   sink's store included: a sink that spins 50 us a store must show
+   up as at least half of what its 1,024 stores really cost *)
+let test_emit_probe_times_the_sink () =
+  let spin = 50e-6 and n = 1024 in
+  let sink =
+    Trace.custom (fun _ _ _ ->
+        let t0 = Unix.gettimeofday () in
+        while Unix.gettimeofday () -. t0 < spin do
+          ()
+        done)
+  in
+  let before = Monpos_obs.Status.overhead () in
+  for i = 1 to n do
+    Trace.emit sink (Monpos_obs.Event.Greedy_pick { pick = i; gain = 1.0; covered = 0.5 })
+  done;
+  let accounted = Monpos_obs.Status.overhead () -. before in
+  let floor = 0.5 *. float_of_int n *. spin in
+  if accounted < floor then
+    Alcotest.failf "accounted %.4f s of the sink's %.4f s (need >= %.4f s)"
+      accounted (float_of_int n *. spin) floor
+
 let suite =
   [
     Alcotest.test_case "ring: overwrite-oldest ordering" `Quick
@@ -354,4 +379,6 @@ let suite =
       test_converge_rescales_sampled_nodes;
     Alcotest.test_case "progress: sampled bb_node counts rescale" `Quick
       test_progress_counts_sampled_nodes;
+    Alcotest.test_case "overhead: emit probe times the sink" `Quick
+      test_emit_probe_times_the_sink;
   ]

@@ -523,26 +523,6 @@ let test_dual_work_counters () =
       Alcotest.(check int) (name "refreshes") want_refreshes refreshes)
     [ (1, 3, 1); (40, 120, 2) ]
 
-let test_lp_format_export () =
-  let m = Model.create ~name:"demo" Model.Minimize in
-  let x = Model.add_var m ~name:"x" ~obj:2.0 Model.Binary in
-  let y = Model.add_var m ~name:"y!" ~lb:1.0 ~obj:(-1.5) Model.Integer in
-  let z = Model.add_var m ~name:"3z" ~lb:neg_infinity ~ub:infinity Model.Continuous in
-  Model.add_constr m ~name:"c one" [ (1.0, x); (2.0, y); (-1.0, z) ] Model.Le 4.0;
-  Model.add_constr m [ (1.0, y) ] Model.Ge 1.0;
-  let text = Monpos_lp.Lp_io.to_string m in
-  let has affix = Astring.String.is_infix ~affix text in
-  Alcotest.(check bool) "minimize" true (has "Minimize");
-  Alcotest.(check bool) "subject to" true (has "Subject To");
-  Alcotest.(check bool) "binaries" true (has "Binaries");
-  Alcotest.(check bool) "generals" true (has "Generals");
-  Alcotest.(check bool) "end" true (has "End");
-  Alcotest.(check bool) "sanitized y" true (has "y_");
-  Alcotest.(check bool) "digit prefixed" true (has "v_3z");
-  Alcotest.(check bool) "free variable" true (has "free");
-  Alcotest.(check bool) "le row" true (has "<= 4");
-  Alcotest.(check bool) "constraint name sanitized" true (has "c_one:")
-
 let suite =
   [
     Alcotest.test_case "textbook max" `Quick test_textbook_max;
@@ -560,7 +540,6 @@ let suite =
     Alcotest.test_case "redundant rows" `Quick test_redundant_rows;
     Alcotest.test_case "model validation" `Quick test_model_rejects_bad_data;
     Alcotest.test_case "duplicate terms merged" `Quick test_duplicate_terms_merged;
-    Alcotest.test_case "lp format export" `Quick test_lp_format_export;
     Alcotest.test_case "dual work counters" `Quick test_dual_work_counters;
     QCheck_alcotest.to_alcotest prop_fractional_knapsack;
     QCheck_alcotest.to_alcotest prop_duality_certificates;

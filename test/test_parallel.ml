@@ -99,6 +99,29 @@ let test_wave_size_changes_tree_not_correctness () =
 
 (* ---------- the seed MIPs of the paper ---------- *)
 
+(* Mip's [mip.nodes] and the pool's per-slot split are two families:
+   each sums to the solve's node count, so a Prometheus sum (or
+   /statusz "nodes") over [mip.nodes] counts every node once *)
+let test_node_families_sum_once () =
+  let rng = Prng.create 7177 in
+  let m = random_model rng in
+  let sum name = Metrics.sum_counter (Metrics.snapshot Metrics.default) name in
+  List.iter
+    (fun jobs ->
+      let nodes0 = sum "mip.nodes" and slots0 = sum "mip.slot_nodes" in
+      let r = Mip.solve ~options:(opts ~wave:4 jobs) m in
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs %d branches" jobs) true (r.Mip.nodes > 1);
+      Alcotest.(check int)
+        (Printf.sprintf "jobs %d: mip.nodes family sum" jobs)
+        r.Mip.nodes
+        (sum "mip.nodes" - nodes0);
+      Alcotest.(check int)
+        (Printf.sprintf "jobs %d: mip.slot_nodes family sum" jobs)
+        r.Mip.nodes
+        (sum "mip.slot_nodes" - slots0))
+    [ 2; 4 ]
+
 let test_ppm_jobs_invariant () =
   let pop = Pop.make_preset `Pop10 ~seed:3 in
   let inst = Instance.of_pop pop ~seed:(3 * 131) in
@@ -381,6 +404,8 @@ let suite =
       test_random_models_jobs_invariant;
     Alcotest.test_case "wave size orthogonal to jobs" `Quick
       test_wave_size_changes_tree_not_correctness;
+    Alcotest.test_case "node families sum once" `Quick
+      test_node_families_sum_once;
     Alcotest.test_case "ppm jobs-invariant" `Quick test_ppm_jobs_invariant;
     Alcotest.test_case "ppme jobs-invariant" `Quick test_ppme_jobs_invariant;
     Alcotest.test_case "beacon ilp jobs-invariant" `Quick

@@ -11,6 +11,9 @@
    - [Paths.path_to], [Paths.shortest_path], [Paths.all_paths_to] and
      [Paths.k_shortest_paths] return the reference's paths exactly,
    - one search allocates nothing,
+   - with zero-weight edges (where the reference's ECMP walk never
+     returns), [Paths.all_paths_to] finds exactly the minimum-cost
+     simple paths a brute-force enumeration finds,
 
    and that [Traffic.generate] and [Traffic.generate_gravity], single-
    path and ECMP, route every demand of Pop10/15/29/80 and Waxman
@@ -37,8 +40,9 @@ let fail case fmt = Printf.ksprintf (fun m -> Alcotest.failf "case %d: %s" case 
 (* families rotate with [case mod 4]:
    0 - unit weights, dense enough for many equal-length paths
    1 - weights in {1, 2, 3}: ties across paths of different lengths
-   2 - random real weights (positive: a zero-weight cycle of tight
-       edges would send the ECMP walk round it for ever)
+   2 - random real weights (positive: [Paths_ref]'s ECMP walk goes
+       round a zero-weight cycle for ever; zero weights are checked
+       against brute force below)
    3 - a grid (the most tie-heavy shape) with unit weights
    every third case also draws random banned node and edge masks *)
 let random_case rng case =
@@ -133,6 +137,75 @@ let test_random_graphs () =
     check_case case
   done
 
+(* Zero-weight edges: both ends of one are tight predecessors of each
+   other, so the ECMP set is checked against brute force instead of
+   [Paths_ref], whose walk never returns there. *)
+
+(* every simple path from [s] to [t] costing exactly [cost] *)
+let brute_min_paths g ~weight s t cost =
+  let on = Array.make (Graph.num_nodes g) false in
+  let found = ref [] in
+  let rec go u nodes edges c =
+    if u = t then begin
+      if c = cost then
+        found := { Paths.nodes = List.rev nodes; edges = List.rev edges; cost } :: !found
+    end
+    else begin
+      on.(u) <- true;
+      List.iter
+        (fun (v, e) ->
+          if not on.(v) then go v (v :: nodes) (e :: edges) (c +. weight e))
+        (Graph.neighbors g u);
+      on.(u) <- false
+    end
+  in
+  go s [ s ] [] 0.0;
+  List.sort compare !found
+
+let test_zero_weight_ties () =
+  (* 2 -(1)- 0 -(0)- 1, searched from 2 *)
+  let g = Graph.create ~num_nodes:3 () in
+  ignore (Graph.add_edge g 2 0);
+  ignore (Graph.add_edge g 0 1);
+  let w = [| 1.0; 0.0 |] in
+  let tree = Paths.tree g ~weight:(fun e -> w.(e)) in
+  Paths.search tree 2;
+  Alcotest.(check string) "to 1" "[2-0-1 (edges 0,1)]"
+    (show_paths (Paths.all_paths_to tree ~max_paths:4 1));
+  Alcotest.(check string) "to 0" "[2-0 (edges 0)]"
+    (show_paths (Paths.all_paths_to tree ~max_paths:4 0));
+  let rng = Prng.create (prop_seed * 31_337) in
+  for case = 0 to 199 do
+    let n = 2 + Prng.int rng 6 in
+    let g = Graph.create ~num_nodes:n () in
+    for _ = 1 to Prng.int rng (2 * n) do
+      ignore (Graph.add_edge g (Prng.int rng n) (Prng.int rng n))
+    done;
+    let w = Array.init (Graph.num_edges g) (fun _ -> float_of_int (Prng.int rng 3)) in
+    let weight e = w.(e) in
+    let tree = Paths.tree g ~weight in
+    for s = 0 to n - 1 do
+      Paths.search tree s;
+      for t = 0 to n - 1 do
+        let want =
+          if tree.Paths.dist.(t) = infinity then []
+          else brute_min_paths g ~weight s t tree.Paths.dist.(t)
+        in
+        let all = Paths.all_paths_to tree ~max_paths:max_int t in
+        if List.sort compare all <> want then
+          fail case "all_paths_to %d -> %d: %s, brute force %s" s t
+            (show_paths all) (show_paths want);
+        List.iter
+          (fun max_paths ->
+            let got = Paths.all_paths_to tree ~max_paths t in
+            if got <> List.filteri (fun i _ -> i < max_paths) all then
+              fail case "all_paths_to %d -> %d (max %d): %s, not a prefix of %s"
+                s t max_paths (show_paths got) (show_paths all))
+          [ 1; 3 ]
+      done
+    done
+  done
+
 (* A search reuses the tree's buffers: many searches allocate no more
    than the measurement itself. *)
 let test_search_allocates_nothing () =
@@ -222,6 +295,8 @@ let suite =
     Alcotest.test_case
       (Printf.sprintf "search vs reference on random graphs (seed %d)" prop_seed)
       `Quick test_random_graphs;
+    Alcotest.test_case "ECMP paths across zero-weight ties" `Quick
+      test_zero_weight_ties;
     Alcotest.test_case "search allocates nothing" `Quick
       test_search_allocates_nothing;
     Alcotest.test_case

@@ -5,7 +5,6 @@ module Prng = Monpos_util.Prng
 module Heap = Monpos_util.Heap
 module Bitset = Monpos_util.Bitset
 module Stats = Monpos_util.Stats
-module Union_find = Monpos_util.Union_find
 
 let test_prng_deterministic () =
   let a = Prng.create 42 and b = Prng.create 42 in
@@ -146,17 +145,6 @@ let test_bitset_word_boundary () =
   Bitset.remove s 63;
   Alcotest.(check (list int)) "removed" [ 62 ] (Bitset.elements s)
 
-let test_union_find () =
-  let u = Union_find.create 10 in
-  Alcotest.(check int) "initial classes" 10 (Union_find.count u);
-  Alcotest.(check bool) "union new" true (Union_find.union u 0 1);
-  Alcotest.(check bool) "union again" false (Union_find.union u 1 0);
-  ignore (Union_find.union u 2 3);
-  ignore (Union_find.union u 1 3);
-  Alcotest.(check bool) "same" true (Union_find.same u 0 2);
-  Alcotest.(check bool) "not same" false (Union_find.same u 0 9);
-  Alcotest.(check int) "classes" 7 (Union_find.count u)
-
 let test_stats () =
   let xs = [| 1.0; 2.0; 3.0; 4.0 |] in
   Alcotest.(check (float 1e-9)) "mean" 2.5 (Stats.mean xs);
@@ -192,7 +180,6 @@ let suite =
     Alcotest.test_case "bitset ops" `Quick test_bitset_ops;
     Alcotest.test_case "bitset fill/clear" `Quick test_bitset_fill_clear;
     Alcotest.test_case "bitset word boundary" `Quick test_bitset_word_boundary;
-    Alcotest.test_case "union find" `Quick test_union_find;
     Alcotest.test_case "stats" `Quick test_stats;
     Alcotest.test_case "table render" `Quick test_table_render;
   ]
