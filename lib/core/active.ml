@@ -216,19 +216,20 @@ let place_thiran probes ~candidates =
    that no candidate can send. *)
 let beacon_cover ~fn probes ~candidates =
   let cands = Array.of_list (List.sort_uniq compare candidates) in
-  let set_of = Hashtbl.create 16 in
-  Array.iteri (fun j c -> Hashtbl.replace set_of c j) cands;
+  let top =
+    List.fold_left (fun m p -> max m (max p.endpoint_a p.endpoint_b)) (-1) probes
+  in
+  let set_of = Array.make (top + 1) (-1) in
+  Array.iteri (fun j c -> if c >= 0 && c <= top then set_of.(c) <- j) cands;
   let sets = Array.make (Array.length cands) [] in
   List.iteri
     (fun i p ->
-      match
-        List.filter_map (Hashtbl.find_opt set_of)
-          (List.sort_uniq compare [ p.endpoint_a; p.endpoint_b ])
-      with
-      | [] ->
+      let ja = set_of.(p.endpoint_a) and jb = set_of.(p.endpoint_b) in
+      if ja < 0 && jb < 0 then
         Monpos_resilience.Error.infeasible
-          (fn ^ ": probe with no candidate extremity")
-      | owners -> List.iter (fun j -> sets.(j) <- i :: sets.(j)) owners)
+          (fn ^ ": probe with no candidate extremity");
+      if ja >= 0 then sets.(ja) <- i :: sets.(ja);
+      if jb >= 0 && jb <> ja then sets.(jb) <- i :: sets.(jb))
     probes;
   (cands, Cover.make ~num_items:(List.length probes) (Array.map List.rev sets))
 

@@ -5,12 +5,15 @@ module Event = Monpos_obs.Event
 module Metrics = Monpos_obs.Metrics
 module Sampler = Monpos_obs.Sampler
 module Error = Monpos_resilience.Error
+module Maxflow = Monpos_flow.Maxflow
 
 let m_nodes = lazy (Metrics.counter Metrics.default "cover.nodes")
 
 let m_incumbents = lazy (Metrics.counter Metrics.default "cover.incumbents")
 
 let m_greedy_picks = lazy (Metrics.counter Metrics.default "greedy.picks")
+
+let m_kernel_sets = lazy (Metrics.counter Metrics.default "cover.kernel_sets")
 
 type instance = {
   num_items : int;
@@ -525,15 +528,223 @@ let exact_core ?(node_limit = 20_000_000) inst target ~full_cover =
     { chosen = s; proven_optimal = not !truncated; nodes = !node_count }
   | None -> Error.infeasible "Cover.exact: target unreachable"
 
+(* Pair systems. A full cover in which every item lies in one or two
+   sets is a minimum vertex cover: the sets are the vertices, each
+   two-set item is an edge, and a one-set item forces its set. The
+   solver below reduces that graph in linear time (forced sets, then
+   the degree-0 and degree-1 rules, which are row and column dominance
+   on pairs), fixes what the LP relaxation decides (Nemhauser &
+   Trotter 1975), and hands the half-integral rest to [exact_core]. *)
+
+(* Each item's sets: [a.(u)] and [b.(u)], in increasing order, with
+   [b.(u) = -1] for an item in one set; [None] when some item lies in
+   three or more. Raises [Infeasible_model] for an item in no set. *)
+let pair_ends inst =
+  let a = Array.make inst.num_items (-1) and b = Array.make inst.num_items (-1) in
+  let pairs = ref true in
+  Array.iteri
+    (fun j s ->
+      List.iter
+        (fun u ->
+          if a.(u) < 0 then a.(u) <- j
+          else if a.(u) <> j && b.(u) <> j then
+            if b.(u) < 0 then b.(u) <- j else pairs := false)
+        s)
+    inst.sets;
+  if Array.exists (fun j -> j < 0) a then
+    Error.infeasible "Cover.exact: target unreachable";
+  if !pairs then Some (a, b) else None
+
+let free = 0 and taken = 1 and dropped = 2
+
+let exact_pairs ?node_limit inst a b =
+  let nsets = Array.length inst.sets in
+  let state = Array.make nsets free in
+  Array.iteri (fun u bu -> if bu < 0 then state.(a.(u)) <- taken) b;
+  (* the edges between unforced sets, once each, grouped by their
+     lower end: bucket the items by [a], then stamp each bucket's
+     upper ends *)
+  let start = Array.make (nsets + 1) 0 in
+  let open_edge u = b.(u) >= 0 && state.(a.(u)) = free && state.(b.(u)) = free in
+  Array.iteri
+    (fun u au -> if open_edge u then start.(au + 1) <- start.(au + 1) + 1)
+    a;
+  for j = 1 to nsets do
+    start.(j) <- start.(j) + start.(j - 1)
+  done;
+  let upper = Array.make start.(nsets) 0 and fill = Array.sub start 0 nsets in
+  Array.iteri
+    (fun u au ->
+      if open_edge u then begin
+        upper.(fill.(au)) <- b.(u);
+        fill.(au) <- fill.(au) + 1
+      end)
+    a;
+  let eu = Array.make start.(nsets) 0 and ev = Array.make start.(nsets) 0 in
+  let stamp = Array.make nsets (-1) and m = ref 0 in
+  for lo = 0 to nsets - 1 do
+    for p = start.(lo) to start.(lo + 1) - 1 do
+      let hi = upper.(p) in
+      if stamp.(hi) <> lo then begin
+        stamp.(hi) <- lo;
+        eu.(!m) <- lo;
+        ev.(!m) <- hi;
+        incr m
+      end
+    done
+  done;
+  let m = !m in
+  (* adjacency; [deg.(v)] counts v's free neighbours *)
+  let deg = Array.make nsets 0 in
+  for e = 0 to m - 1 do
+    deg.(eu.(e)) <- deg.(eu.(e)) + 1;
+    deg.(ev.(e)) <- deg.(ev.(e)) + 1
+  done;
+  let adj_start = Array.make (nsets + 1) 0 in
+  for v = 0 to nsets - 1 do
+    adj_start.(v + 1) <- adj_start.(v) + deg.(v)
+  done;
+  let adj = Array.make (2 * m) 0 and fill = Array.sub adj_start 0 nsets in
+  for e = 0 to m - 1 do
+    let u = eu.(e) and v = ev.(e) in
+    adj.(fill.(u)) <- v;
+    fill.(u) <- fill.(u) + 1;
+    adj.(fill.(v)) <- u;
+    fill.(v) <- fill.(v) + 1
+  done;
+  (* degree 0: drop the set; degree 1: take its neighbour *)
+  let stack = Array.make nsets 0 and top = ref 0 in
+  let queued = Bytes.make nsets '\000' in
+  let push v =
+    if Bytes.get queued v = '\000' then begin
+      Bytes.set queued v '\001';
+      stack.(!top) <- v;
+      incr top
+    end
+  in
+  let take u =
+    state.(u) <- taken;
+    for p = adj_start.(u) to adj_start.(u + 1) - 1 do
+      let w = adj.(p) in
+      if state.(w) = free then begin
+        deg.(w) <- deg.(w) - 1;
+        if deg.(w) <= 1 then push w
+      end
+    done
+  in
+  let reduce () =
+    while !top > 0 do
+      decr top;
+      let v = stack.(!top) in
+      Bytes.set queued v '\000';
+      if state.(v) = free then
+        if deg.(v) = 0 then state.(v) <- dropped
+        else begin
+          let u = ref (-1) in
+          for p = adj_start.(v) to adj_start.(v + 1) - 1 do
+            if state.(adj.(p)) = free then u := adj.(p)
+          done;
+          take !u
+        end
+    done
+  in
+  for v = nsets - 1 downto 0 do
+    if state.(v) = free && deg.(v) <= 1 then push v
+  done;
+  reduce ();
+  (* Nemhauser-Trotter: a minimum vertex cover of the bipartite double
+     cover (a left and a right copy of each free set, an edge u_L v_R
+     and v_L u_R per edge uv) halves into an optimal LP solution, and
+     some minimum cover takes every set at 1 and none at 0. A set at 0
+     has all its neighbours at 1. Returns whether it fixed a set. *)
+  let id = Array.make nsets (-1) in
+  (* numbers the free sets in [id], -1 for the others, and counts them *)
+  let number_free () =
+    let k = ref 0 in
+    for v = 0 to nsets - 1 do
+      if state.(v) = free then begin
+        id.(v) <- !k;
+        incr k
+      end
+      else id.(v) <- -1
+    done;
+    !k
+  in
+  let fix_lp () =
+    let k = number_free () in
+    k > 0
+    && begin
+      let net = Maxflow.create ((2 * k) + 2) in
+      let source = 2 * k and sink = (2 * k) + 1 in
+      for i = 0 to k - 1 do
+        ignore (Maxflow.add_arc net ~src:source ~dst:i ~capacity:1.0);
+        ignore (Maxflow.add_arc net ~src:(k + i) ~dst:sink ~capacity:1.0)
+      done;
+      for e = 0 to m - 1 do
+        let u = id.(eu.(e)) and v = id.(ev.(e)) in
+        if u >= 0 && v >= 0 then begin
+          ignore (Maxflow.add_arc net ~src:u ~dst:(k + v) ~capacity:infinity);
+          ignore (Maxflow.add_arc net ~src:v ~dst:(k + u) ~capacity:infinity)
+        end
+      done;
+      ignore (Maxflow.solve net ~source ~sink);
+      let side = Maxflow.min_cut_side net ~source in
+      (* the cover is the left copies off the source side and the right
+         copies on it *)
+      let fixed = ref false in
+      for v = 0 to nsets - 1 do
+        let i = id.(v) in
+        if i >= 0 && side.(i) <> side.(k + i) then begin
+          fixed := true;
+          if side.(i) then state.(v) <- dropped else take v
+        end
+      done;
+      !fixed
+    end
+  in
+  while fix_lp () do
+    reduce ()
+  done;
+  (* the kernel: the sets at 1/2 and the edges between them *)
+  let nk = number_free () in
+  Metrics.add (Lazy.force m_kernel_sets) nk;
+  let r =
+    if nk = 0 then { chosen = []; proven_optimal = true; nodes = 0 }
+    else begin
+      let item = Array.make m (-1) and me = ref 0 in
+      for e = 0 to m - 1 do
+        if id.(eu.(e)) >= 0 && id.(ev.(e)) >= 0 then begin
+          item.(e) <- !me;
+          incr me
+        end
+      done;
+      let sets = Array.make nk [] in
+      for e = m - 1 downto 0 do
+        if item.(e) >= 0 then begin
+          let u = id.(eu.(e)) and v = id.(ev.(e)) in
+          sets.(u) <- item.(e) :: sets.(u);
+          sets.(v) <- item.(e) :: sets.(v)
+        end
+      done;
+      exact_core ?node_limit (make ~num_items:!me sets) (float_of_int !me)
+        ~full_cover:true
+    end
+  in
+  let in_kernel_cover = Array.make nk false in
+  List.iter (fun i -> in_kernel_cover.(i) <- true) r.chosen;
+  let chosen = ref [] in
+  for v = nsets - 1 downto 0 do
+    if state.(v) = taken || (id.(v) >= 0 && in_kernel_cover.(id.(v))) then
+      chosen := v :: !chosen
+  done;
+  { r with chosen = !chosen }
+
 (* Dominance reductions. Column (set) dominance is always valid: a set
    whose items are a subset of another set's can be swapped out of any
    solution. Row (item) dominance is valid for full covers only:
    if every set covering item i also covers item j, then covering i
    covers j for free and j can be dropped. *)
-let exact_detailed ?target ?node_limit inst =
-  let total = total_weight inst in
-  let target = match target with Some t -> t | None -> total in
-  let full_cover = target >= total -. slack in
+let exact_dominance ?node_limit inst target ~full_cover =
   let nsets = Array.length inst.sets in
   let set_bits =
     Array.map (fun s -> Bitset.of_list inst.num_items s) inst.sets
@@ -558,12 +769,6 @@ let exact_detailed ?target ?node_limit inst =
       (fun j items ->
         if alive.(j) then List.iter (fun u -> Bitset.add item_cover.(u) j) items)
       inst.sets;
-    (* an item covered by no alive set makes the full cover unreachable *)
-    Array.iter
-      (fun c ->
-        if Bitset.is_empty c then
-          Error.infeasible "Cover.exact: target unreachable")
-      item_cover;
     for i = 0 to inst.num_items - 1 do
       if item_keep.(i) then
         for j = 0 to inst.num_items - 1 do
@@ -611,6 +816,14 @@ let exact_detailed ?target ?node_limit inst =
   let r = exact_core ?node_limit reduced reduced_target ~full_cover in
   let back = Array.of_list (List.map fst kept_sets) in
   { r with chosen = List.sort compare (List.map (fun j -> back.(j)) r.chosen) }
+
+let exact_detailed ?target ?node_limit inst =
+  let total = total_weight inst in
+  let target = match target with Some t -> t | None -> total in
+  let full_cover = target >= total -. slack in
+  match if full_cover then pair_ends inst else None with
+  | Some (a, b) -> exact_pairs ?node_limit inst a b
+  | None -> exact_dominance ?node_limit inst target ~full_cover
 
 let exact ?target inst = (exact_detailed ?target inst).chosen
 

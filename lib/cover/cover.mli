@@ -7,9 +7,9 @@
     - the greedy algorithm (largest uncovered weight first), whose
       [ln|S| − ln ln|S| + o(1)] guarantee (Slavik) transfers to
       passive monitoring;
-    - an exact branch-and-bound solver for small/medium instances,
-      used as ground truth in tests and by
-      [Monpos.Passive.solve_exact];
+    - an exact branch-and-bound solver, used as ground truth in tests
+      and by [Monpos.Passive.solve_exact] and
+      [Monpos.Active.place_ilp];
     - both directions of the Theorem 1 reduction, in {!Reduction}.
 
     Items carry weights (traffic volumes); [target] expresses partial
@@ -46,10 +46,10 @@ val greedy : ?target:float -> instance -> int list
     is unreachable. *)
 
 val exact : ?target:float -> instance -> int list
-(** Minimum-cardinality (partial) cover by branch and bound. Intended
-    for instances up to a few dozen sets; used as the optimum oracle.
-    Raises [Monpos_resilience.Error.Error (Infeasible_model _)] if the
-    target is unreachable. *)
+(** Minimum-cardinality (partial) cover by branch and bound; see
+    {!exact_detailed}. Raises
+    [Monpos_resilience.Error.Error (Infeasible_model _)] if the target
+    is unreachable. *)
 
 type exact_result = {
   chosen : int list;  (** best cover found *)
@@ -62,7 +62,29 @@ val exact_detailed : ?target:float -> ?node_limit:int -> instance -> exact_resul
     When the budget runs out the incumbent (at least as good as
     greedy) is returned with [proven_optimal = false]. Raises
     [Monpos_resilience.Error.Error (Infeasible_model _)] if no solution
-    reaching [target] exists at all. *)
+    reaching [target] exists at all.
+
+    The instance alone picks one of two paths.
+
+    - {b Pair systems}: a full cover (the default [target]) in which
+      every item lies in one or two sets, such as the §6 beacon ILP.
+      This is a minimum vertex cover of the graph whose vertices are
+      the sets and whose edges are the two-set items. In time linear
+      in the items and sets, the set of each one-set item is taken, a
+      set left with no uncovered neighbour is dropped, and the one
+      neighbour of a set left with one is taken. Then the LP
+      relaxation, solved as a maximum flow on the bipartite double
+      cover, fixes the sets at 1 in and those at 0 out (Nemhauser and
+      Trotter); the degree rules and this fixing repeat until the LP
+      fixes nothing. The branch and bound below runs on the sets at
+      1/2 and the edges between them, and its answer is mapped back
+      with the fixed sets. [nodes] counts only this kernel search: it
+      is 0, and the answer proven, when the reductions fix every set.
+      Each solve adds its kernel's set count to the [cover.kernel_sets]
+      counter.
+    - {b Every other instance}, and every partial cover: dominated
+      sets, and for full covers dominated items, are removed, and the
+      branch and bound runs on what is left. *)
 
 val greedy_guarantee : instance -> float
 (** The classic [H_d] harmonic guarantee for full covers, where [d] is

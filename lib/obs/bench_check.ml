@@ -16,6 +16,9 @@
      node, of the hardware the run landed on, or of background load
      during a timed A/B, so they are compared for coverage but never
      regress (the derived 0/1 "..._gate" flags still do);
+   - wall-clock timestamps ("*_clock", such as the gauge
+     checkpoint.last_write_clock): they say when a run happened, not
+     how it went, so they are never compared;
    - allocation keys ("*alloc_words*", from trace diffs): stable but
      jittering with GC timing, so only growth beyond +10% (plus 16k
      words of slack) regresses;
@@ -54,10 +57,11 @@ let contains ~sub s =
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   n = 0 || go 0
 
-type klass = Time | Ratio | Alloc | Exact | Sched
+type klass = Time | Ratio | Alloc | Exact | Sched | Stamp
 
 let classify key =
-  if
+  if String.ends_with ~suffix:"_clock" key then Stamp
+  else if
     contains ~sub:"{domain=" key
     || contains ~sub:"cores" key
     || contains ~sub:"overhead_pct" key
@@ -84,6 +88,7 @@ let alloc_abs_words = 16384.0
 
 let violation ~key ~baseline ~current =
   match current with
+  | _ when classify key = Stamp -> None
   | None when baseline = 0.0 ->
     (* a never-incremented series: registries register lazily, so which
        zero-valued series a phase snapshot carries depends on which
@@ -113,7 +118,7 @@ let violation ~key ~baseline ~current =
         > exact_rel *. Float.max 1.0 (Float.abs baseline)
       then Some (Printf.sprintf "within %.0f%%" (100.0 *. exact_rel))
       else None
-    | Sched -> None)
+    | Sched | Stamp -> None)
 
 let schema_of doc =
   match Option.bind (Json.member "schema" doc) Json.as_string with

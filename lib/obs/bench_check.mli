@@ -40,8 +40,10 @@ val violation :
     bounds. Time-like keys (containing ["seconds"]) tolerate +50% plus
     0.1s, speedup and pivot-ratio keys a drop to half, allocation keys
     (containing ["alloc_words"]) +10% plus 16k words, scheduler- and
-    machine-dependent keys anything, and the rest ±1%. A missing
-    [current] is ["missing"], unless [baseline] is 0. *)
+    machine-dependent keys anything, and the rest ±1%. Wall-clock
+    timestamp keys (ending in ["_clock"]) are never a finding, present
+    or missing. Otherwise a missing [current] is ["missing"], unless
+    [baseline] is 0. *)
 
 val compare_reports :
   baseline:Json.t -> current:Json.t -> (report, string) result

@@ -8,6 +8,7 @@ module Synthetic = Monpos_topo.Synthetic
 module Graph = Monpos_graph.Graph
 module Paths = Monpos_graph.Paths
 module Prng = Monpos_util.Prng
+module Metrics = Monpos_obs.Metrics
 
 let probes_cover_links g probes expected =
   let covered = Array.make (Graph.num_edges g) false in
@@ -249,6 +250,49 @@ let test_ilp_matches_mip_oracle () =
   in
   Alcotest.(check int) "placements compared" 140 placements
 
+(* The ILP beacon counts of the perfbench beacons placements, by
+   topology over the non-empty placements in |V_B| order, as the
+   general set-cover search found them before pair systems had their
+   own path. Each must stay proven optimal. The pair path's reductions
+   leave [kernel_sets] sets to its search over all 96 placements. *)
+let bench_ilp_counts =
+  [
+    ("pop80 topology 1", [ 5; 9; 12; 14; 18; 19; 19; 18; 19; 19; 20; 17; 15; 17; 14; 15 ]);
+    ("pop80 topology 2", [ 5; 9; 13; 14; 18; 16; 19; 20; 20; 21; 18; 20; 18; 17; 17; 15 ]);
+    ("pop80 topology 3", [ 5; 8; 12; 14; 17; 17; 15; 20; 19; 18; 19; 17; 15; 15; 13; 12 ]);
+    ("pop80 topology 4", [ 4; 9; 13; 15; 15; 19; 20; 18; 21; 19; 20; 20; 18; 17; 13; 13 ]);
+    ("pop80 topology 5", [ 5; 9; 13; 14; 18; 16; 17; 19; 19; 21; 18; 22; 18; 16; 16; 14 ]);
+    ("pop80 topology 6", [ 5; 8; 13; 15; 15; 16; 19; 20; 21; 17; 17; 16; 18; 18; 15; 13 ]);
+  ]
+
+let kernel_sets = 840
+
+let test_ilp_bench_counts () =
+  let kernel = Metrics.counter Metrics.default "cover.kernel_sets" in
+  let before = Metrics.counter_value kernel in
+  let counts = Hashtbl.create 8 in
+  List.iter
+    (fun (what, g, candidates) ->
+      let probes = Active.compute_probes ~targets:candidates g ~candidates in
+      if probes <> [] then begin
+        let ilp = Active.place_ilp probes ~candidates in
+        Alcotest.(check bool) (what ^ ": proven") true ilp.Active.optimal;
+        Alcotest.(check bool) (what ^ ": valid") true
+          (Active.validate probes ~beacons:ilp.Active.beacons ~candidates);
+        let topo = String.sub what 0 (String.index what ',') in
+        Hashtbl.replace counts topo
+          (List.length ilp.Active.beacons
+          :: Option.value (Hashtbl.find_opt counts topo) ~default:[])
+      end)
+    (beacons_bench_draws ());
+  List.iter
+    (fun (topo, want) ->
+      Alcotest.(check (list int)) topo want
+        (List.rev (Option.value (Hashtbl.find_opt counts topo) ~default:[])))
+    bench_ilp_counts;
+  Alcotest.(check int) "kernel sets" kernel_sets
+    (Metrics.counter_value kernel - before)
+
 (* The greedy runs on Cover; the old loop over probes is its oracle,
    and both must name the same beacons on fig9/fig10's candidate draws
    (Pop15 and Pop29, seeds 1..3). *)
@@ -387,4 +431,5 @@ let suite =
     Alcotest.test_case "greedy tie lowest id" `Quick test_greedy_tie_lowest_id;
     QCheck_alcotest.to_alcotest prop_ilp_matches_brute_force;
     QCheck_alcotest.to_alcotest prop_greedy_between_ilp_and_thiran;
+    Alcotest.test_case "ilp counts on the bench draws" `Quick test_ilp_bench_counts;
   ]

@@ -75,6 +75,16 @@ let test_unreachable_target () =
      with
     | Monpos_resilience.Error.Error (Monpos_resilience.Error.Infeasible_model _)
       ->
+      true);
+  (* a pair system (every item in at most two sets) with an item in none *)
+  let pairs = Cover.make ~num_items:3 [| [ 0; 1 ]; [ 1 ] |] in
+  Alcotest.(check bool) "exact raises Infeasible_model" true
+    (try
+       ignore (Cover.exact_detailed pairs);
+       false
+     with
+    | Monpos_resilience.Error.Error (Monpos_resilience.Error.Infeasible_model _)
+      ->
       true)
 
 let test_guarantee_value () =
@@ -424,17 +434,68 @@ let test_exact_detailed_node_limit () =
         if j = 0 then List.init n Fun.id
         else List.filter (fun _ -> Monpos_util.Prng.bool g) (List.init n Fun.id))
   in
-  let inst = Cover.make ~num_items:n sets in
-  (* a zero budget trips before the first node: the greedy/local-search
-     incumbent comes back feasible but unproven *)
-  let r = Cover.exact_detailed ~node_limit:0 inst in
-  Alcotest.(check bool) "feasible" true (Cover.is_cover inst r.Cover.chosen);
-  Alcotest.(check bool) "not proven" false r.Cover.proven_optimal;
-  (* with a generous budget the same instance proves *)
-  let r2 = Cover.exact_detailed inst in
-  Alcotest.(check bool) "proven" true r2.Cover.proven_optimal;
-  Alcotest.(check bool) "no worse" true
-    (List.length r2.Cover.chosen <= List.length r.Cover.chosen)
+  (* a 5-cycle pair system is its own kernel: no forced set, every
+     degree 2, and the LP at 1/2 everywhere *)
+  let cycle = [| [ 0; 4 ]; [ 0; 1 ]; [ 1; 2 ]; [ 2; 3 ]; [ 3; 4 ] |] in
+  List.iter
+    (fun inst ->
+      (* a zero budget trips before the first node: the greedy/local-search
+         incumbent comes back feasible but unproven *)
+      let r = Cover.exact_detailed ~node_limit:0 inst in
+      Alcotest.(check bool) "feasible" true (Cover.is_cover inst r.Cover.chosen);
+      Alcotest.(check bool) "not proven" false r.Cover.proven_optimal;
+      (* with a generous budget the same instance proves *)
+      let r2 = Cover.exact_detailed inst in
+      Alcotest.(check bool) "proven" true r2.Cover.proven_optimal;
+      Alcotest.(check bool) "no worse" true
+        (List.length r2.Cover.chosen <= List.length r.Cover.chosen))
+    [ Cover.make ~num_items:n sets; Cover.make ~num_items:5 cycle ]
+
+(* Pair systems: full covers in which every item lies in one or two
+   sets, i.e. vertex covers with forced vertices. Up to 12 sets, with
+   one-set items, repeated pairs, sets in no pair and the items in a
+   random order, against brute force. Half the instances join a few
+   hubs to the other sets only, so many of those sets meet two hubs or
+   more: crowns that the degree rules leave and the LP fixing takes. *)
+let pair_system rng =
+  let nsets = 1 + Prng.int rng 12 in
+  let hubs = if Prng.bool rng then 1 + Prng.int rng 3 else nsets in
+  let items =
+    List.init (Prng.int rng 30) (fun _ ->
+        let a = Prng.int rng (Int.min hubs nsets) in
+        match Prng.int rng 6 with
+        | 0 -> [ a ]
+        | _ ->
+          let b =
+            if hubs < nsets then hubs + Prng.int rng (nsets - hubs)
+            else Prng.int rng nsets
+          in
+          if a = b then [ a ] else [ a; b ])
+  in
+  (* repeat some pairs, then shuffle the items *)
+  let items =
+    Array.of_list
+      (items @ List.filter (fun _ -> Prng.int rng 4 = 0) items)
+  in
+  Prng.shuffle rng items;
+  let sets = Array.make nsets [] in
+  Array.iteri
+    (fun u owners -> List.iter (fun j -> sets.(j) <- u :: sets.(j)) owners)
+    items;
+  Cover.make ~num_items:(Array.length items) (Array.map List.rev sets)
+
+let prop_pair_systems_match_brute_force =
+  let gen = QCheck2.Gen.int_range 0 1_000_000 in
+  QCheck2.Test.make ~name:"pair systems match brute force" ~count:300 gen
+    (fun seed ->
+      let inst = pair_system (Prng.create seed) in
+      match brute_force_cover inst with
+      | None -> false
+      | Some bf ->
+        let r = Cover.exact_detailed inst in
+        List.length r.Cover.chosen = List.length bf
+        && Cover.is_cover inst r.Cover.chosen
+        && r.Cover.proven_optimal)
 
 let test_reduction_to_monitoring_structure () =
   (* Figure 4 example shape: items covered by overlapping sets *)
@@ -552,4 +613,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_round_trip_of_monitoring;
     Alcotest.test_case "pinned pop15 search trees" `Quick test_pinned_trees;
     Alcotest.test_case "tie-heavy instances vs brute force" `Quick test_tie_heavy;
+    QCheck_alcotest.to_alcotest prop_pair_systems_match_brute_force;
   ]

@@ -585,6 +585,50 @@ let test_bench_check () =
       (Astring.String.is_infix ~affix:"TOLERATED" (Bench_check.render r))
   | Error e -> Alcotest.fail e
 
+(* A wall-clock timestamp says when a run happened: a baseline written
+   300 days before the current run is no finding, while a node counter
+   that moved in the same phase still is. *)
+let test_bench_check_clock () =
+  let doc ~clock ~nodes =
+    Json.Obj
+      [
+        ("schema", Json.String "monpos-bench/1");
+        ("mode", Json.String "default");
+        ("chaos_seed", Json.Null);
+        ( "phases",
+          Json.List
+            [
+              Json.Obj
+                [
+                  ("name", Json.String "overhead");
+                  ("seconds", Json.Float 1.0);
+                  ( "metrics",
+                    Json.Obj
+                      [
+                        ("checkpoint.last_write_clock", Json.Float clock);
+                        ("cover.nodes", Json.Int nodes);
+                      ] );
+                ];
+            ] );
+      ]
+  in
+  let now = 1_792_491_232.9 in
+  let days = 86_400.0 in
+  let findings ~baseline ~current =
+    match Bench_check.compare_reports ~baseline ~current with
+    | Ok r -> List.map (fun f -> f.Bench_check.key) r.Bench_check.findings
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check (list string)) "an old clock is no finding" []
+    (findings
+       ~baseline:(doc ~clock:(now -. (300.0 *. days)) ~nodes:3304)
+       ~current:(doc ~clock:now ~nodes:3304));
+  Alcotest.(check (list string)) "a moved counter still is"
+    [ "metrics.cover.nodes" ]
+    (findings
+       ~baseline:(doc ~clock:(now -. (300.0 *. days)) ~nodes:3304)
+       ~current:(doc ~clock:now ~nodes:1058))
+
 (* ------------------------------------------------------------------ *)
 (* end to end: a real solve, traced, then analyzed — the analyzers
    must reproduce the solver's own accounting exactly *)
@@ -763,4 +807,6 @@ let suite =
     Alcotest.test_case "run_info capture defaults" `Quick
       test_run_info_capture_defaults;
     Alcotest.test_case "span gc deltas" `Quick test_span_gc_deltas;
+    Alcotest.test_case "bench gate ignores wall clocks" `Quick
+      test_bench_check_clock;
   ]
